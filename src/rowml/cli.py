@@ -40,8 +40,9 @@ def cmd_check(paths: Sequence[str], out=None, err=None) -> int:
         try:
             with open(path, encoding="utf-8") as handle:
                 src = handle.read()
-        except OSError as exc:
-            print(f"rowml: cannot read {path}: {exc.strerror}", file=err)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc})"
+            print(f"rowml: cannot read {path}: {reason}", file=err)
             status = 2
             continue
         try:

@@ -1,11 +1,23 @@
 """Type inference for the surface language.
 
-Algorithm-W style: a single session threads a fresh-variable supply and
-an accumulated substitution, and every case returns a fully substituted
-type.  Records funnel all row reasoning through unification against a
-template ``Rec {l:a | r}``, so row unification is exercised exactly
-where function application (and the record primitives, which are typed
-as applications of such templates) demands it.
+Algorithm W over mutable session state.  The session keeps a fresh
+variable supply, a triangular map of variable bindings and the level of
+every variable it made.  Each unification runs the pure unifier of
+`rowml.unify` on resolved inputs and records the step's bindings as
+they are: the image of a bound variable may mention variables bound
+later, and `InferSession.resolve` follows the chains only where a
+decision needs the whole type.  Records funnel all row reasoning
+through unification against a template ``Rec {l:a | r}``, so row
+unification is exercised exactly where function application (and the
+record primitives, which are typed as applications of such templates)
+demands it.
+
+Generalization is by level, after Rémy (INRIA RR-1766, 1992) and
+Kiselyov, "How OCaml type checker works" (2013).  A `let` infers its
+bound one level deeper than its body.  Binding a variable lowers every
+variable of its image to the bound variable's level, so a variable still
+deeper than the session after the bound is free nowhere in the
+environment and may be quantified.
 
 Inference is staged: `infer_program` first kind-checks every scheme of
 the initial environment, then runs inference; constraint solving never
@@ -23,6 +35,7 @@ from rowml.syntax import (
     Extend,
     FreshVars,
     INT,
+    Kind,
     KindEnv,
     Lam,
     Let,
@@ -47,11 +60,10 @@ from rowml.syntax import (
     Var,
     base_kind_env,
     canonicalize,
-    free_type_vars,
     free_vars_ordered,
     pretty_type,
 )
-from rowml.unify import Subst, UnifyError, unify
+from rowml.unify import DuplicateLabel, Subst, UnifyError, unify
 
 
 class InferError(Exception):
@@ -90,30 +102,156 @@ class NotARecord(InferError):
         self.actual = actual
 
 
+class _LevelledVars(FreshVars):
+    """A fresh-variable supply that records the level it made each
+    variable at, the shared row tails the unifier asks for included.
+
+    The supply, not the session, owns the current level: a supply that
+    pointed back at its session would form a reference cycle, and every
+    finished session would then wait for the cyclic garbage collector."""
+
+    def __init__(self, start: int) -> None:
+        super().__init__(start)
+        self.level = 0
+        self.levels: dict[int, int] = {}
+
+    def fresh(self, kind: Kind) -> TypeVar:
+        v = super().fresh(kind)
+        self.levels[v.id] = self.level
+        return v
+
+
 class InferSession:
-    """Mutable state for inferring one program: the fresh-variable
-    counter, the kinding context, and the accumulated substitution."""
+    """Mutable state for inferring one program.
 
-    def __init__(self, delta: KindEnv | None = None, fresh_start: int = 0) -> None:
-        self.delta = delta if delta is not None else base_kind_env()
-        self.fresh = FreshVars(fresh_start)
-        self.subst = Subst.empty()
+    `bindings` maps a variable id to the type the variable was bound to.
+    It is triangular: an image may mention variables that are bound
+    themselves, so read types through `resolve`.  `levels` maps every
+    variable the session made to the level it lives at; the variables of
+    the initial environment, whose ids lie below `fresh_start`, are not
+    in it and are at level 0.
+    """
 
-    def fresh_var(self, kind) -> TypeVar:
+    def __init__(self, fresh_start: int = 0) -> None:
+        self.bindings: dict[int, Type] = {}
+        self.fresh = _LevelledVars(fresh_start)
+        self.levels = self.fresh.levels
+
+    @property
+    def level(self) -> int:
+        """The let-depth being inferred; new variables are made at it."""
+        return self.fresh.level
+
+    @level.setter
+    def level(self, level: int) -> None:
+        self.fresh.level = level
+
+    def fresh_var(self, kind: Kind) -> TypeVar:
         return self.fresh.fresh(kind)
 
+    def find(self, t: Type) -> Type:
+        """`t` itself unless it is a bound variable; else the end of its
+        chain of variable bindings, an unbound variable or a type that is
+        not a variable.  Every variable on the chain is rebound straight
+        to that end."""
+        path: list[int] = []
+        while isinstance(t, TVar):
+            image = self.bindings.get(t.var.id)
+            if image is None:
+                break
+            path.append(t.var.id)
+            t = image
+        for vid in path[:-1]:
+            self.bindings[vid] = t
+        return t
+
+    def walk_row(self, row: TRow) -> TRow:
+        """`row` with the fields its tail stands for merged in and the
+        tail replaced by the unbound variable that ends the tail's chain;
+        field types are left unresolved.  A chain of more than one link
+        is rebound straight to its merged fields.  Raises DuplicateLabel
+        when the merge repeats a label."""
+        tail = row.tail
+        if tail is None or tail.id not in self.bindings:
+            return row
+        extra: dict[str, Type] = {}
+        links = 0
+        while tail is not None:
+            image = self.bindings.get(tail.id)
+            if image is None:
+                break
+            links += 1
+            if isinstance(image, TVar):
+                tail = image.var
+                continue
+            assert isinstance(image, TRow), "row variable bound to a non-row"
+            overlap = extra.keys() & image.fields.keys()
+            if overlap:
+                raise DuplicateLabel(min(overlap), image)
+            extra.update(image.fields)
+            tail = image.tail
+        if links > 1:
+            self.bindings[row.tail.id] = TRow(dict(extra), tail)
+        overlap = row.fields.keys() & extra.keys()
+        if overlap:
+            raise DuplicateLabel(min(overlap), row)
+        extra.update(row.fields)
+        return TRow(extra, tail)
+
     def resolve(self, t: Type) -> Type:
-        return self.subst.apply(t)
+        """`t` with every bound variable replaced by what it stands for."""
+        return self._resolve(t)  # so a wrapped `resolve` sees one call per use
+
+    def _resolve(self, t: Type) -> Type:
+        if isinstance(t, TVar):
+            image = self.find(t)
+            return image if isinstance(image, TVar) else self._resolve(image)
+        if isinstance(t, TCon):
+            return t
+        if isinstance(t, TApp):
+            return TApp(self._resolve(t.fun), self._resolve(t.arg))
+        if isinstance(t, TFun):
+            return TFun(self._resolve(t.dom), self._resolve(t.cod))
+        if isinstance(t, TRow):
+            row = self.walk_row(t)
+            return TRow({label: self._resolve(f) for label, f in row.fields.items()}, row.tail)
+        raise AssertionError(f"unexpected type node: {t!r}")
 
     def resolve_env(self, gamma: TypeEnv) -> TypeEnv:
-        return self.subst.apply_env(gamma)
+        return TypeEnv(
+            tuple((name, Scheme(s.quantified, self.resolve(s.body))) for name, s in gamma)
+        )
 
     def unify(self, t1: Type, t2: Type, span: SourceSpan | None) -> None:
         try:
-            step = unify(t1, t2, self.fresh)
+            step = unify(self.resolve(t1), self.resolve(t2), self.fresh)
         except UnifyError as exc:
             raise UnifyFailure(exc, span) from exc
-        self.subst = step.compose(self.subst)
+        for vid, image in step.mapping.items():
+            self._bind(vid, image)
+
+    def _bind(self, vid: int, image: Type) -> None:
+        """Record one binding of a unification step and lower every
+        variable of `image` to the bound variable's level."""
+        self.bindings[vid] = image
+        level = self.levels.get(vid, 0)
+        todo = [image]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, TVar):
+                self._lower(t.var, level)
+            elif isinstance(t, TApp):
+                todo += (t.fun, t.arg)
+            elif isinstance(t, TFun):
+                todo += (t.dom, t.cod)
+            elif isinstance(t, TRow):
+                todo += t.fields.values()
+                if t.tail is not None:
+                    self._lower(t.tail, level)
+
+    def _lower(self, v: TypeVar, level: int) -> None:
+        if self.levels.get(v.id, 0) > level:
+            self.levels[v.id] = level
 
 
 def instantiate(session: InferSession, scheme: Scheme) -> Type:
@@ -127,33 +265,35 @@ def instantiate(session: InferSession, scheme: Scheme) -> Type:
     return renaming.apply(scheme.body)
 
 
-def generalize(gamma: TypeEnv, tau: Type) -> Scheme:
-    """Quantify the variables free in `tau` but not in `gamma`,
-    in first-occurrence order; `tau` must be fully substituted."""
-    env_ids = {v.id for v in free_type_vars(gamma)}
-    quantified = tuple(v for v in free_vars_ordered(tau) if v.id not in env_ids)
+def generalize(session: InferSession, tau: Type) -> Scheme:
+    """Quantify the variables of the resolved `tau` that live deeper than
+    the session's current level, in first-occurrence order."""
+    tau = session.resolve(tau)
+    level, levels = session.level, session.levels
+    quantified = tuple(v for v in free_vars_ordered(tau) if levels.get(v.id, 0) > level)
     return Scheme(quantified, tau)
 
 
-def _head_constructor(t: Type) -> Type:
-    while isinstance(t, TApp):
-        t = t.fun
-    return t
-
-
-def _require_record(t: Type, span: SourceSpan | None) -> None:
-    head = _head_constructor(t)
+def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> None:
+    head = session.find(t)
+    while isinstance(head, TApp):
+        head = session.find(head.fun)
     if isinstance(head, (TCon, TFun)) and head != REC:
-        raise NotARecord(t, span)
+        raise NotARecord(session.resolve(t), span)
 
 
 def infer_term(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
-    """Infer the (fully substituted) type of `term` under `gamma`."""
+    """Infer the type of `term` under `gamma`, fully resolved."""
+    return session.resolve(_infer(session, gamma, term))
+
+
+def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
+    """The type of `term` under `gamma`; bound variables in it are not yet resolved."""
     if isinstance(term, Var):
         scheme = gamma.lookup(term.name)
         if scheme is None:
             raise UnboundVariable(term.name, term.span)
-        return session.resolve(instantiate(session, scheme))
+        return instantiate(session, scheme)
 
     if isinstance(term, Lit):
         return INT if isinstance(term.value, int) else STRING
@@ -161,53 +301,57 @@ def infer_term(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
     if isinstance(term, Lam):
         param = TVar(session.fresh_var(STAR))
         inner = gamma.extend(term.param, Scheme((), param))
-        body = infer_term(session, inner, term.body)
-        return TFun(session.resolve(param), body)
+        return TFun(param, _infer(session, inner, term.body))
 
     if isinstance(term, App):
-        fun = infer_term(session, gamma, term.fun)
-        arg = infer_term(session, gamma, term.arg)
+        fun = _infer(session, gamma, term.fun)
+        arg = _infer(session, gamma, term.arg)
         result = TVar(session.fresh_var(STAR))
-        session.unify(session.resolve(fun), TFun(arg, result), term.span)
-        return session.resolve(result)
+        session.unify(fun, TFun(arg, result), term.span)
+        return result
 
     if isinstance(term, Let):
-        bound = infer_term(session, gamma, term.bound)
-        scheme = generalize(session.resolve_env(gamma), bound)
-        return infer_term(session, gamma.extend(term.name, scheme), term.body)
+        session.level += 1
+        bound = _infer(session, gamma, term.bound)
+        session.level -= 1
+        try:
+            scheme = generalize(session, bound)
+        except UnifyError as exc:  # a tail bound late repeats a label
+            raise UnifyFailure(exc, term.bound.span) from exc
+        return _infer(session, gamma.extend(term.name, scheme), term.body)
 
     if isinstance(term, RecordLit):
-        fields = {label: infer_term(session, gamma, value) for label, value in term.fields.items()}
-        fields = {label: session.resolve(t) for label, t in fields.items()}
+        fields = {label: _infer(session, gamma, value) for label, value in term.fields.items()}
         return TApp(REC, TRow(fields, None))
 
     if isinstance(term, Select):
-        rec_type = infer_term(session, gamma, term.record)
-        _require_record(rec_type, term.span)
+        rec_type = _infer(session, gamma, term.record)
+        _require_record(session, rec_type, term.span)
         value = TVar(session.fresh_var(STAR))
         rest = session.fresh_var(ROW)
         session.unify(rec_type, TApp(REC, TRow({term.label: value}, rest)), term.span)
-        return session.resolve(value)
+        return value
 
     if isinstance(term, Extend):
-        value = infer_term(session, gamma, term.value)
-        rec_type = infer_term(session, gamma, term.record)
-        _require_record(rec_type, term.span)
+        value = _infer(session, gamma, term.value)
+        rec_type = _infer(session, gamma, term.record)
+        _require_record(session, rec_type, term.span)
         rest = session.fresh_var(ROW)
         session.unify(rec_type, TApp(REC, TRow({}, rest)), term.span)
-        extended = TApp(REC, TRow({term.label: session.resolve(value)}, rest))
+        extended = TRow({term.label: value}, rest)
         try:
-            return session.resolve(extended)
+            session.walk_row(extended)
         except UnifyError as exc:  # the tail already carries this label
             raise UnifyFailure(exc, term.span) from exc
+        return TApp(REC, extended)
 
     if isinstance(term, Restrict):
-        rec_type = infer_term(session, gamma, term.record)
-        _require_record(rec_type, term.span)
+        rec_type = _infer(session, gamma, term.record)
+        _require_record(session, rec_type, term.span)
         value = TVar(session.fresh_var(STAR))
         rest = session.fresh_var(ROW)
         session.unify(rec_type, TApp(REC, TRow({term.label: value}, rest)), term.span)
-        return session.resolve(TApp(REC, TRow({}, rest)))
+        return TApp(REC, TRow({}, rest))
 
     raise AssertionError(f"unexpected term node: {term!r}")
 
@@ -243,10 +387,17 @@ def infer_program(
             check_scheme(kind_env, scheme)
         except (KindError, UnboundTypeName) as exc:
             raise KindFailure(exc) from exc
-    session = InferSession(kind_env, fresh_start=_id_ceiling(gamma))
+    ceiling = _id_ceiling(gamma)
+    session = InferSession(fresh_start=ceiling)
     try:
+        session.level += 1
         inferred = infer_term(session, gamma, term)
-        result = generalize(session.resolve_env(gamma), inferred)
-    except UnifyError as exc:  # a substitution merge outside a unify call
+        session.level -= 1
+        # A tail bound late may repeat a label of an environment row, but
+        # only if a variable of the environment, below the ceiling, is bound.
+        if any(vid < ceiling for vid in session.bindings):
+            session.resolve_env(gamma)
+        result = generalize(session, inferred)
+    except UnifyError as exc:
         raise UnifyFailure(exc, None) from exc
     return Scheme(result.quantified, canonicalize(result.body))

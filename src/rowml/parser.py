@@ -33,6 +33,7 @@ Comments run from ``--`` to end of line.  Keywords: ``let``, ``in``.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 
 from rowml.syntax import (
@@ -259,7 +260,16 @@ class _Parser:
             t: Term = Var(tok.text, span=tok.span)
         elif tok.kind == "int":
             self.next()
-            t = Lit(int(tok.text), span=tok.span)
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than the interpreter converts
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(
+                    tok.span,
+                    (f"integer literal of at most {limit} digits",),
+                    f"{len(tok.text)} digits",
+                ) from None
+            t = Lit(value, span=tok.span)
         elif tok.kind == "string":
             self.next()
             t = Lit(tok.text, span=tok.span)

@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 from rowml.syntax import (
     FreshVars,
     ROW,
-    Scheme,
     TApp,
     TCon,
     TFun,
     TRow,
     TVar,
     Type,
-    TypeEnv,
     TypeVar,
     _iter_vars,
     free_type_vars,
@@ -132,18 +130,6 @@ class Subst:
                 fields.update(image.fields)
                 tail = image.tail
         return TRow(fields, tail)
-
-    def apply_scheme(self, s: Scheme) -> Scheme:
-        if not self.mapping:
-            return s
-        quantified = {v.id for v in s.quantified}
-        inner = Subst({vid: t for vid, t in self.mapping.items() if vid not in quantified})
-        return Scheme(s.quantified, inner.apply(s.body))
-
-    def apply_env(self, env: TypeEnv) -> TypeEnv:
-        if not self.mapping:
-            return env
-        return TypeEnv(tuple((name, self.apply_scheme(s)) for name, s in env))
 
     def compose(self, inner: Subst) -> Subst:
         """``self . inner``: applying the result equals applying `inner`,

@@ -55,6 +55,16 @@ class TestCheck:
         assert "cannot read" in captured.err
         assert f"{good}: Int" in captured.out  # still processed
 
+    def test_non_utf8_file_is_a_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.rml"
+        bad.write_bytes(b'"caf\xe9"')
+        good = write(tmp_path, "good.rml", "42")
+        assert main(["check", str(bad), good]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"rowml: cannot read {bad}: ")
+        assert "Traceback" not in captured.err
+        assert f"{good}: Int" in captured.out
+
     def test_output_is_deterministic(self, tmp_path, capsys):
         paths = [
             write(tmp_path, "a.rml", "let f = \\r. r.x in \\y. f {x = y, z = y}"),

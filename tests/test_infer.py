@@ -1,6 +1,8 @@
 """Tests for type inference: schemes, let polymorphism, records, errors,
 and the staging discipline."""
 
+import sys
+
 import pytest
 
 import rowml.infer as infer_mod
@@ -19,13 +21,16 @@ from rowml.parser import parse_term
 from rowml.syntax import (
     INT,
     ROW,
+    STAR,
     STRING,
     Scheme,
     TFun,
+    TRow,
     TVar,
     TypeEnv,
     TypeVar,
     alpha_equal,
+    base_kind_env,
     free_type_vars,
     pretty_scheme,
     record,
@@ -68,25 +73,60 @@ class TestInstantiate:
         assert instantiate(session, Scheme((), INT)) is INT
 
 
+def deeper_vars(session: InferSession, *kinds) -> tuple[TypeVar, ...]:
+    """Fresh variables one level below the session's, where the bound of
+    a `let` makes its variables."""
+    session.level += 1
+    made = tuple(session.fresh_var(kind) for kind in kinds)
+    session.level -= 1
+    return made
+
+
 class TestGeneralize:
     def test_closed_environment(self):
-        s = generalize(TypeEnv(), TFun(TVar(A), TVar(A)))
-        assert s == Scheme((A,), TFun(TVar(A), TVar(A)))
+        session = InferSession()
+        (a,) = deeper_vars(session, STAR)
+        s = generalize(session, TFun(TVar(a), TVar(a)))
+        assert s == Scheme((a,), TFun(TVar(a), TVar(a)))
 
     def test_row_polymorphic_scheme(self):
-        t = TFun(record({"name": STRING}, RHO), STRING)
-        s = generalize(TypeEnv(), t)
-        assert s.quantified == (RHO,)
+        session = InferSession()
+        (rho,) = deeper_vars(session, ROW)
+        t = TFun(record({"name": STRING}, rho), STRING)
+        s = generalize(session, t)
+        assert s.quantified == (rho,)
 
     def test_environment_blocks_generalization(self):
-        env = TypeEnv().extend("x", Scheme((), TVar(A)))
-        s = generalize(env, TFun(TVar(A), INT))
+        # ids below fresh_start belong to the initial environment: level 0
+        session = InferSession(fresh_start=10)
+        s = generalize(session, TFun(TVar(A), INT))
         assert s.quantified == ()
+        (b,) = deeper_vars(session, STAR)
+        assert generalize(session, TFun(TVar(A), TVar(b))).quantified == (b,)
 
     def test_quantifier_order_is_first_occurrence(self):
-        b = TypeVar(7)
-        t = TFun(TVar(b), TFun(TVar(A), TVar(b)))
-        assert generalize(TypeEnv(), t).quantified == (b, A)
+        session = InferSession()
+        a, b = deeper_vars(session, STAR, STAR)
+        t = TFun(TVar(b), TFun(TVar(a), TVar(b)))
+        assert generalize(session, t).quantified == (b, a)
+
+    def test_binding_lowers_the_image(self):
+        session = InferSession()
+        x = session.fresh_var(STAR)
+        (b,) = deeper_vars(session, STAR)
+        session.unify(TVar(x), TFun(TVar(b), INT), None)
+        assert generalize(session, TVar(x)) == Scheme((), TFun(TVar(b), INT))
+
+    def test_shared_row_tail_takes_the_lower_level(self):
+        session = InferSession()
+        outer = session.fresh_var(ROW)
+        session.level += 1
+        inner = session.fresh_var(ROW)
+        session.unify(record({"a": INT}, outer), record({"b": INT}, inner), None)
+        session.level -= 1
+        s = generalize(session, record({}, inner))
+        assert s.quantified == ()
+        assert s.body.arg.fields == {"a": INT}
 
 
 class TestInferExamples:
@@ -233,6 +273,20 @@ class TestRecordErrors:
             scheme_of(src)
         assert isinstance(exc.value.cause, DuplicateLabel)
 
+    def test_late_tail_repeats_a_label_of_an_environment_row(self):
+        # x and y share the free row variable RHO; selecting a from y binds
+        # RHO to a row with a, which x's row already has
+        env = (
+            TypeEnv()
+            .extend("x", Scheme((), record({"a": INT}, RHO)))
+            .extend("y", Scheme((), record({}, RHO)))
+        )
+        delta = base_kind_env().with_vars([RHO])
+        with pytest.raises(UnifyFailure) as exc:
+            infer_program("y.a", env=env, delta=delta)
+        assert isinstance(exc.value.cause, DuplicateLabel)
+        assert exc.value.cause.label == "a"
+
     def test_error_spans_point_into_source(self):
         src = "(\\r. r.name) {age = 7}"
         with pytest.raises(UnifyFailure) as exc:
@@ -303,8 +357,58 @@ class TestResultIsFullySubstituted:
         session = InferSession()
         t = infer_term(session, TypeEnv(), parse_term(src))
         assert session.resolve(t) == t
-        for image in session.subst.mapping.values():  # idempotency
-            assert session.resolve(image) == image
+        for image in list(session.bindings.values()):  # idempotency
+            once = session.resolve(image)
+            assert session.resolve(once) == once
+
+
+class TestLevels:
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            ("\\x. let y = x in y", "∀a:*. a -> a"),
+            ("\\r. let f = \\u. r.a in f", "∀a:*. ∀b:row. ∀c:*. Rec {a:a | b} -> c -> a"),
+            ("\\f. let g = \\x. f x in g", "∀a:*. ∀b:*. (a -> b) -> a -> b"),
+            ("\\r. let s = {x = 1 | r} in s.y", "∀a:*. ∀b:row. Rec {y:a | b} -> a"),
+            (
+                "\\r. let t = r - a in {a = 1 | t}",
+                "∀a:*. ∀b:row. Rec {a:a | b} -> Rec {a:Int | b}",
+            ),
+            (
+                'let get = \\r. r.name in {p = get {name = 1}, q = get {name = "s", age = 2}}',
+                "Rec {p:Int, q:String}",
+            ),
+        ],
+    )
+    def test_lambda_bound_variables_stay_monomorphic_under_let(self, src, expected):
+        assert pretty_scheme(scheme_of(src)) == expected
+
+
+class TestScale:
+    def test_wide_record_selected_field_by_field(self):
+        n = 200
+        fields = ", ".join(f"l{i} = {i}" for i in range(n))
+        lets = "".join(f"let y{i} = r.l{(7 * i) % n} in " for i in range(n))
+        src = f"let r = {{{fields}}} in {lets}y{n // 2}"
+        assert pretty_scheme(scheme_of(src)) == "Int"
+
+    def test_long_let_chain(self):
+        n = 200
+        lets = "".join(f"let f{i} = \\r. {{x{i} = {i} | r}} in " for i in range(n))
+        assert pretty_scheme(scheme_of(f"{lets}f{n - 3} {{}}")) == f"Rec {{x{n - 3}:Int}}"
+
+    def test_long_binding_chains_resolve_without_recursion(self):
+        session = InferSession()
+        n = 5 * sys.getrecursionlimit()
+        chain = [session.fresh_var(STAR) for _ in range(n)]
+        for v, w in zip(chain, chain[1:]):
+            session.unify(TVar(v), TVar(w), None)
+        assert session.resolve(TVar(chain[0])) == TVar(chain[-1])
+        tails = [session.fresh_var(ROW) for _ in range(n)]
+        for i, (v, w) in enumerate(zip(tails, tails[1:])):
+            session.bindings[v.id] = TRow({f"l{i}": INT}, w)
+        resolved = session.resolve(record({}, tails[0])).arg
+        assert len(resolved.fields) == n - 1 and resolved.tail == tails[-1]
 
 
 class TestInferProgramPipeline:

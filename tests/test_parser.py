@@ -1,5 +1,7 @@
 """Tests for the lexer and parser, including print/parse round trips."""
 
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -128,6 +130,15 @@ class TestParseTermErrors:
         with pytest.raises(ParseError) as exc:
             parse_term("let x = 1 in )")
         assert exc.value.span.start == len("let x = 1 in ")
+
+    def test_integer_beyond_the_digit_limit(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        src = f"let x = {digits} in x"
+        with pytest.raises(ParseError) as exc:
+            parse_term(src)
+        span = exc.value.span
+        assert (span.start, span.end) == (len("let x = "), len(src) - len(" in x"))
+        assert "digits" in str(exc.value)
 
 
 class TestSpans:
