@@ -19,6 +19,13 @@ variable of its image to the bound variable's level, so a variable still
 deeper than the session after the bound is free nowhere in the
 environment and may be quantified.
 
+Resolving late leaves one check to be made on its own: a tail bound
+late can make a row recorded earlier repeat a label.  The session keeps
+the rows that can go bad this way and checks them where the verdict of
+eager resolution depended on them: the rows of the let-bound schemes in
+scope after every `let` bound, and the rows of every binding's image
+once, when the whole term is inferred.
+
 Inference is staged: `infer_program` first kind-checks every scheme of
 the initial environment, then runs inference; constraint solving never
 consults the kind checker.
@@ -126,25 +133,25 @@ class InferSession:
 
     `bindings` maps a variable id to the type the variable was bound to.
     It is triangular: an image may mention variables that are bound
-    themselves, so read types through `resolve`.  `levels` maps every
-    variable the session made to the level it lives at; the variables of
-    the initial environment, whose ids lie below `fresh_start`, are not
-    in it and are at level 0.
+    themselves, so read types through `resolve`.  `fresh.level` is the
+    let-depth being inferred, and `fresh.levels` maps every variable the
+    session made to the level it lives at; the variables of the initial
+    environment, whose ids lie below `fresh_start`, are not in it and are
+    at level 0.
+
+    A tail bound late can make a row recorded earlier repeat a label.  Two
+    lists keep the rows that can go bad this way, so they are checked
+    without resolving every type again: `open_rows` holds the rows with
+    fields and a tail in the images of `bindings`, and `let_rows` those in
+    the schemes of the `let`s being inferred, whose tails are not
+    quantified.
     """
 
     def __init__(self, fresh_start: int = 0) -> None:
         self.bindings: dict[int, Type] = {}
         self.fresh = _LevelledVars(fresh_start)
-        self.levels = self.fresh.levels
-
-    @property
-    def level(self) -> int:
-        """The let-depth being inferred; new variables are made at it."""
-        return self.fresh.level
-
-    @level.setter
-    def level(self, level: int) -> None:
-        self.fresh.level = level
+        self.open_rows: list[TRow] = []
+        self.let_rows: list[TRow] = []
 
     def fresh_var(self, kind: Kind) -> TypeVar:
         return self.fresh.fresh(kind)
@@ -200,27 +207,38 @@ class InferSession:
 
     def resolve(self, t: Type) -> Type:
         """`t` with every bound variable replaced by what it stands for."""
-        return self._resolve(t)  # so a wrapped `resolve` sees one call per use
-
-    def _resolve(self, t: Type) -> Type:
         if isinstance(t, TVar):
             image = self.find(t)
-            return image if isinstance(image, TVar) else self._resolve(image)
+            return image if isinstance(image, TVar) else self.resolve(image)
         if isinstance(t, TCon):
             return t
         if isinstance(t, TApp):
-            return TApp(self._resolve(t.fun), self._resolve(t.arg))
+            return TApp(self.resolve(t.fun), self.resolve(t.arg))
         if isinstance(t, TFun):
-            return TFun(self._resolve(t.dom), self._resolve(t.cod))
+            return TFun(self.resolve(t.dom), self.resolve(t.cod))
         if isinstance(t, TRow):
             row = self.walk_row(t)
-            return TRow({label: self._resolve(f) for label, f in row.fields.items()}, row.tail)
+            return TRow({label: self.resolve(f) for label, f in row.fields.items()}, row.tail)
         raise AssertionError(f"unexpected type node: {t!r}")
 
     def resolve_env(self, gamma: TypeEnv) -> TypeEnv:
         return TypeEnv(
             tuple((name, Scheme(s.quantified, self.resolve(s.body))) for name, s in gamma)
         )
+
+    def check_let_rows(self) -> None:
+        """Raise DuplicateLabel if a tail bound since a `let` generalized
+        its scheme repeats a label of one of the scheme's rows."""
+        rows = self.let_rows
+        for i, row in enumerate(rows):
+            if row.tail is not None and row.tail.id in self.bindings:
+                rows[i] = self.walk_row(row)
+
+    def check_bindings(self) -> None:
+        """Raise DuplicateLabel if a tail bound after a binding was recorded
+        repeats a label of a row in the binding's image."""
+        for row in self.open_rows:
+            self.walk_row(row)
 
     def unify(self, t1: Type, t2: Type, span: SourceSpan | None) -> None:
         try:
@@ -231,10 +249,10 @@ class InferSession:
             self._bind(vid, image)
 
     def _bind(self, vid: int, image: Type) -> None:
-        """Record one binding of a unification step and lower every
-        variable of `image` to the bound variable's level."""
+        """Record one binding of a unification step, lower every variable
+        of `image` to the bound variable's level and keep its open rows."""
         self.bindings[vid] = image
-        level = self.levels.get(vid, 0)
+        level = self.fresh.levels.get(vid, 0)
         todo = [image]
         while todo:
             t = todo.pop()
@@ -248,10 +266,13 @@ class InferSession:
                 todo += t.fields.values()
                 if t.tail is not None:
                     self._lower(t.tail, level)
+                    if t.fields:
+                        self.open_rows.append(t)
 
     def _lower(self, v: TypeVar, level: int) -> None:
-        if self.levels.get(v.id, 0) > level:
-            self.levels[v.id] = level
+        levels = self.fresh.levels
+        if levels.get(v.id, 0) > level:
+            levels[v.id] = level
 
 
 def instantiate(session: InferSession, scheme: Scheme) -> Type:
@@ -269,9 +290,26 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
     """Quantify the variables of the resolved `tau` that live deeper than
     the session's current level, in first-occurrence order."""
     tau = session.resolve(tau)
-    level, levels = session.level, session.levels
+    level, levels = session.fresh.level, session.fresh.levels
     quantified = tuple(v for v in free_vars_ordered(tau) if levels.get(v.id, 0) > level)
     return Scheme(quantified, tau)
+
+
+def _open_rows(t: Type) -> list[TRow]:
+    """The rows in `t` that have fields and a tail."""
+    rows: list[TRow] = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, TApp):
+            todo += (t.fun, t.arg)
+        elif isinstance(t, TFun):
+            todo += (t.dom, t.cod)
+        elif isinstance(t, TRow):
+            todo += t.fields.values()
+            if t.fields and t.tail is not None:
+                rows.append(t)
+    return rows
 
 
 def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> None:
@@ -284,7 +322,9 @@ def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> 
 
 def infer_term(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
     """Infer the type of `term` under `gamma`, fully resolved."""
-    return session.resolve(_infer(session, gamma, term))
+    inferred = _infer(session, gamma, term)
+    session.check_bindings()
+    return session.resolve(inferred)
 
 
 def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
@@ -311,14 +351,22 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
         return result
 
     if isinstance(term, Let):
-        session.level += 1
+        session.fresh.level += 1
         bound = _infer(session, gamma, term.bound)
-        session.level -= 1
-        try:
+        session.fresh.level -= 1
+        try:  # a tail bound late repeats a label
+            session.check_let_rows()
             scheme = generalize(session, bound)
-        except UnifyError as exc:  # a tail bound late repeats a label
+        except UnifyError as exc:
             raise UnifyFailure(exc, term.bound.span) from exc
-        return _infer(session, gamma.extend(term.name, scheme), term.body)
+        mark = len(session.let_rows)
+        quantified = {v.id for v in scheme.quantified}
+        session.let_rows += (
+            row for row in _open_rows(scheme.body) if row.tail.id not in quantified
+        )
+        body = _infer(session, gamma.extend(term.name, scheme), term.body)
+        del session.let_rows[mark:]
+        return body
 
     if isinstance(term, RecordLit):
         fields = {label: _infer(session, gamma, value) for label, value in term.fields.items()}
@@ -390,9 +438,9 @@ def infer_program(
     ceiling = _id_ceiling(gamma)
     session = InferSession(fresh_start=ceiling)
     try:
-        session.level += 1
+        session.fresh.level += 1
         inferred = infer_term(session, gamma, term)
-        session.level -= 1
+        session.fresh.level -= 1
         # A tail bound late may repeat a label of an environment row, but
         # only if a variable of the environment, below the ceiling, is bound.
         if any(vid < ceiling for vid in session.bindings):

@@ -76,9 +76,9 @@ class TestInstantiate:
 def deeper_vars(session: InferSession, *kinds) -> tuple[TypeVar, ...]:
     """Fresh variables one level below the session's, where the bound of
     a `let` makes its variables."""
-    session.level += 1
+    session.fresh.level += 1
     made = tuple(session.fresh_var(kind) for kind in kinds)
-    session.level -= 1
+    session.fresh.level -= 1
     return made
 
 
@@ -120,10 +120,10 @@ class TestGeneralize:
     def test_shared_row_tail_takes_the_lower_level(self):
         session = InferSession()
         outer = session.fresh_var(ROW)
-        session.level += 1
+        session.fresh.level += 1
         inner = session.fresh_var(ROW)
         session.unify(record({"a": INT}, outer), record({"b": INT}, inner), None)
-        session.level -= 1
+        session.fresh.level -= 1
         s = generalize(session, record({}, inner))
         assert s.quantified == ()
         assert s.body.arg.fields == {"a": INT}
@@ -286,6 +286,43 @@ class TestRecordErrors:
             infer_program("y.a", env=env, delta=delta)
         assert isinstance(exc.value.cause, DuplicateLabel)
         assert exc.value.cause.label == "a"
+
+    def test_late_tail_repeats_a_label_of_a_binding(self):
+        # s is bound to Rec {a:Int | t}, where t is r's tail; r.a then binds
+        # t to a row with a.  s's image is never resolved again on the way.
+        with pytest.raises(UnifyFailure) as exc:
+            scheme_of("\\r. (\\s. \\t. t) {a = 1 | r} r.a")
+        assert isinstance(exc.value.cause, DuplicateLabel)
+        assert exc.value.cause.label == "a"
+
+    def test_late_tail_repeats_a_label_of_a_let_bound_scheme(self):
+        # the inner let is inferred after r.a has bound the tail of s's row
+        src = "\\r. let s = {a = 1 | r} in let t = r.a in t"
+        with pytest.raises(UnifyFailure) as exc:
+            scheme_of(src)
+        assert isinstance(exc.value.cause, DuplicateLabel)
+        assert exc.value.span is not None
+        assert src[exc.value.span.start : exc.value.span.end] == "r.a"
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            # no let follows the binding of s's tail, and s is not used
+            ("\\r. let s = {a = 1 | r} in r.a", "∀a:*. ∀b:row. Rec {a:a | b} -> a"),
+            # the inner let is inferred before r.a binds the tail
+            (
+                "\\r. let s = {a = 1 | r} in (\\u. let t = 1 in t) r.a",
+                "∀a:*. ∀b:row. Rec {a:a | b} -> Int",
+            ),
+            # the later let is outside s's scope
+            (
+                "\\r. (\\x. \\y. y) (let s = {a = 1 | r} in 1) (let t = r.a in t)",
+                "∀a:*. ∀b:row. Rec {a:a | b} -> a",
+            ),
+        ],
+    )
+    def test_let_bound_row_is_checked_only_at_a_later_let(self, src, expected):
+        assert pretty_scheme(scheme_of(src)) == expected
 
     def test_error_spans_point_into_source(self):
         src = "(\\r. r.name) {age = 7}"
