@@ -40,7 +40,6 @@ from rowml.syntax import (
     alpha_equal,
     base_kind_env,
     canonicalize,
-    canonicalize_row,
     free_type_vars,
     pretty_scheme,
     pretty_term,

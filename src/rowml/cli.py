@@ -46,13 +46,14 @@ def cmd_check(paths: Sequence[str], out=None, err=None) -> int:
             status = 2
             continue
         try:
-            scheme = infer_program(src)
+            print(f"{path}: {pretty_scheme(infer_program(src))}", file=out)
+            continue
         except (ParseError, InferError) as exc:
             print(_error_line(path, exc), file=out)
-            if status == 0:
-                status = 1
-            continue
-        print(f"{path}: {pretty_scheme(scheme)}", file=out)
+        except RecursionError:
+            print(f"{path}:1:1: error: program nested too deeply", file=out)
+        if status == 0:
+            status = 1
     return status
 
 
@@ -75,6 +76,8 @@ def cmd_repl(stdin=None, out=None) -> int:
             print(pretty_scheme(infer_program(line)), file=out)
         except (ParseError, InferError) as exc:
             print(f"error: {exc}", file=out)
+        except RecursionError:
+            print("error: program nested too deeply", file=out)
     return 0
 
 

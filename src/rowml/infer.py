@@ -1,16 +1,16 @@
 """Type inference for the surface language.
 
 Algorithm W over mutable session state.  The session keeps a fresh
-variable supply, a triangular map of variable bindings and the level of
-every variable it made.  Each unification runs the pure unifier of
-`rowml.unify` on resolved inputs and records the step's bindings as
-they are: the image of a bound variable may mention variables bound
-later, and `InferSession.resolve` follows the chains only where a
-decision needs the whole type.  Records funnel all row reasoning
-through unification against a template ``Rec {l:a | r}``, so row
-unification is exercised exactly where function application (and the
-record primitives, which are typed as applications of such templates)
-demands it.
+variable supply, one triangular `Subst` of variable bindings and the
+level of every variable it made.  Each unification runs the pure unifier
+of `rowml.unify` on resolved inputs and records the bindings of its
+settled answer in the session's store as they are: the image of a bound
+variable may mention variables bound later, and `InferSession.resolve`
+follows the chains only where a decision needs the whole type.  Records
+funnel all row reasoning through unification against a template
+``Rec {l:a | r}``, so row unification is exercised exactly where
+function application (and the record primitives, which are typed as
+applications of such templates) demands it.
 
 Generalization is by level, after Rémy (INRIA RR-1766, 1992) and
 Kiselyov, "How OCaml type checker works" (2013).  A `let` infers its
@@ -68,9 +68,11 @@ from rowml.syntax import (
     base_kind_env,
     canonicalize,
     free_vars_ordered,
+    max_var_id,
+    open_rows,
     pretty_type,
 )
-from rowml.unify import DuplicateLabel, Subst, UnifyError, unify
+from rowml.unify import Subst, UnifyError, unify
 
 
 class InferError(Exception):
@@ -131,7 +133,7 @@ class _LevelledVars(FreshVars):
 class InferSession:
     """Mutable state for inferring one program.
 
-    `bindings` maps a variable id to the type the variable was bound to.
+    `subst` maps a variable id to the type the variable was bound to.
     It is triangular: an image may mention variables that are bound
     themselves, so read types through `resolve`.  `fresh.level` is the
     let-depth being inferred, and `fresh.levels` maps every variable the
@@ -142,84 +144,20 @@ class InferSession:
     A tail bound late can make a row recorded earlier repeat a label.  Two
     lists keep the rows that can go bad this way, so they are checked
     without resolving every type again: `open_rows` holds the rows with
-    fields and a tail in the images of `bindings`, and `let_rows` those in
+    fields and a tail in the images of `subst`, and `let_rows` those in
     the schemes of the `let`s being inferred, whose tails are not
     quantified.
     """
 
     def __init__(self, fresh_start: int = 0) -> None:
-        self.bindings: dict[int, Type] = {}
+        self.subst = Subst()
         self.fresh = _LevelledVars(fresh_start)
         self.open_rows: list[TRow] = []
         self.let_rows: list[TRow] = []
 
-    def fresh_var(self, kind: Kind) -> TypeVar:
-        return self.fresh.fresh(kind)
-
-    def find(self, t: Type) -> Type:
-        """`t` itself unless it is a bound variable; else the end of its
-        chain of variable bindings, an unbound variable or a type that is
-        not a variable.  Every variable on the chain is rebound straight
-        to that end."""
-        path: list[int] = []
-        while isinstance(t, TVar):
-            image = self.bindings.get(t.var.id)
-            if image is None:
-                break
-            path.append(t.var.id)
-            t = image
-        for vid in path[:-1]:
-            self.bindings[vid] = t
-        return t
-
-    def walk_row(self, row: TRow) -> TRow:
-        """`row` with the fields its tail stands for merged in and the
-        tail replaced by the unbound variable that ends the tail's chain;
-        field types are left unresolved.  A chain of more than one link
-        is rebound straight to its merged fields.  Raises DuplicateLabel
-        when the merge repeats a label."""
-        tail = row.tail
-        if tail is None or tail.id not in self.bindings:
-            return row
-        extra: dict[str, Type] = {}
-        links = 0
-        while tail is not None:
-            image = self.bindings.get(tail.id)
-            if image is None:
-                break
-            links += 1
-            if isinstance(image, TVar):
-                tail = image.var
-                continue
-            assert isinstance(image, TRow), "row variable bound to a non-row"
-            overlap = extra.keys() & image.fields.keys()
-            if overlap:
-                raise DuplicateLabel(min(overlap), image)
-            extra.update(image.fields)
-            tail = image.tail
-        if links > 1:
-            self.bindings[row.tail.id] = TRow(dict(extra), tail)
-        overlap = row.fields.keys() & extra.keys()
-        if overlap:
-            raise DuplicateLabel(min(overlap), row)
-        extra.update(row.fields)
-        return TRow(extra, tail)
-
     def resolve(self, t: Type) -> Type:
         """`t` with every bound variable replaced by what it stands for."""
-        if isinstance(t, TVar):
-            image = self.find(t)
-            return image if isinstance(image, TVar) else self.resolve(image)
-        if isinstance(t, TCon):
-            return t
-        if isinstance(t, TApp):
-            return TApp(self.resolve(t.fun), self.resolve(t.arg))
-        if isinstance(t, TFun):
-            return TFun(self.resolve(t.dom), self.resolve(t.cod))
-        if isinstance(t, TRow):
-            row = self.walk_row(t)
-            return TRow({label: self.resolve(f) for label, f in row.fields.items()}, row.tail)
-        raise AssertionError(f"unexpected type node: {t!r}")
+        return self.subst.apply(t)
 
     def resolve_env(self, gamma: TypeEnv) -> TypeEnv:
         return TypeEnv(
@@ -231,14 +169,14 @@ class InferSession:
         its scheme repeats a label of one of the scheme's rows."""
         rows = self.let_rows
         for i, row in enumerate(rows):
-            if row.tail is not None and row.tail.id in self.bindings:
-                rows[i] = self.walk_row(row)
+            if row.tail is not None and row.tail.id in self.subst.mapping:
+                rows[i] = self.subst.walk_row(row)
 
     def check_bindings(self) -> None:
         """Raise DuplicateLabel if a tail bound after a binding was recorded
         repeats a label of a row in the binding's image."""
         for row in self.open_rows:
-            self.walk_row(row)
+            self.subst.walk_row(row)
 
     def unify(self, t1: Type, t2: Type, span: SourceSpan | None) -> None:
         try:
@@ -251,7 +189,7 @@ class InferSession:
     def _bind(self, vid: int, image: Type) -> None:
         """Record one binding of a unification step, lower every variable
         of `image` to the bound variable's level and keep its open rows."""
-        self.bindings[vid] = image
+        self.subst.mapping[vid] = image
         level = self.fresh.levels.get(vid, 0)
         todo = [image]
         while todo:
@@ -281,7 +219,7 @@ def instantiate(session: InferSession, scheme: Scheme) -> Type:
     if not scheme.quantified:
         return scheme.body
     renaming = Subst(
-        {v.id: TVar(session.fresh_var(v.kind)) for v in scheme.quantified}
+        {v.id: TVar(session.fresh.fresh(v.kind)) for v in scheme.quantified}
     )
     return renaming.apply(scheme.body)
 
@@ -295,27 +233,10 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
     return Scheme(quantified, tau)
 
 
-def _open_rows(t: Type) -> list[TRow]:
-    """The rows in `t` that have fields and a tail."""
-    rows: list[TRow] = []
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, TApp):
-            todo += (t.fun, t.arg)
-        elif isinstance(t, TFun):
-            todo += (t.dom, t.cod)
-        elif isinstance(t, TRow):
-            todo += t.fields.values()
-            if t.fields and t.tail is not None:
-                rows.append(t)
-    return rows
-
-
 def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> None:
-    head = session.find(t)
+    head = session.subst.find(t)
     while isinstance(head, TApp):
-        head = session.find(head.fun)
+        head = session.subst.find(head.fun)
     if isinstance(head, (TCon, TFun)) and head != REC:
         raise NotARecord(session.resolve(t), span)
 
@@ -339,14 +260,14 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
         return INT if isinstance(term.value, int) else STRING
 
     if isinstance(term, Lam):
-        param = TVar(session.fresh_var(STAR))
+        param = TVar(session.fresh.fresh(STAR))
         inner = gamma.extend(term.param, Scheme((), param))
         return TFun(param, _infer(session, inner, term.body))
 
     if isinstance(term, App):
         fun = _infer(session, gamma, term.fun)
         arg = _infer(session, gamma, term.arg)
-        result = TVar(session.fresh_var(STAR))
+        result = TVar(session.fresh.fresh(STAR))
         session.unify(fun, TFun(arg, result), term.span)
         return result
 
@@ -362,7 +283,7 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
         mark = len(session.let_rows)
         quantified = {v.id for v in scheme.quantified}
         session.let_rows += (
-            row for row in _open_rows(scheme.body) if row.tail.id not in quantified
+            row for row in open_rows(scheme.body) if row.tail.id not in quantified
         )
         body = _infer(session, gamma.extend(term.name, scheme), term.body)
         del session.let_rows[mark:]
@@ -375,8 +296,8 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
     if isinstance(term, Select):
         rec_type = _infer(session, gamma, term.record)
         _require_record(session, rec_type, term.span)
-        value = TVar(session.fresh_var(STAR))
-        rest = session.fresh_var(ROW)
+        value = TVar(session.fresh.fresh(STAR))
+        rest = session.fresh.fresh(ROW)
         session.unify(rec_type, TApp(REC, TRow({term.label: value}, rest)), term.span)
         return value
 
@@ -384,11 +305,11 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
         value = _infer(session, gamma, term.value)
         rec_type = _infer(session, gamma, term.record)
         _require_record(session, rec_type, term.span)
-        rest = session.fresh_var(ROW)
+        rest = session.fresh.fresh(ROW)
         session.unify(rec_type, TApp(REC, TRow({}, rest)), term.span)
         extended = TRow({term.label: value}, rest)
         try:
-            session.walk_row(extended)
+            session.subst.walk_row(extended)
         except UnifyError as exc:  # the tail already carries this label
             raise UnifyFailure(exc, term.span) from exc
         return TApp(REC, extended)
@@ -396,22 +317,12 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
     if isinstance(term, Restrict):
         rec_type = _infer(session, gamma, term.record)
         _require_record(session, rec_type, term.span)
-        value = TVar(session.fresh_var(STAR))
-        rest = session.fresh_var(ROW)
+        value = TVar(session.fresh.fresh(STAR))
+        rest = session.fresh.fresh(ROW)
         session.unify(rec_type, TApp(REC, TRow({term.label: value}, rest)), term.span)
         return TApp(REC, TRow({}, rest))
 
     raise AssertionError(f"unexpected term node: {term!r}")
-
-
-def _id_ceiling(gamma: TypeEnv) -> int:
-    highest = -1
-    for _, scheme in gamma:
-        for v in free_vars_ordered(scheme.body):
-            highest = max(highest, v.id)
-        for v in scheme.quantified:
-            highest = max(highest, v.id)
-    return highest + 1
 
 
 def infer_program(
@@ -435,7 +346,10 @@ def infer_program(
             check_scheme(kind_env, scheme)
         except (KindError, UnboundTypeName) as exc:
             raise KindFailure(exc) from exc
-    ceiling = _id_ceiling(gamma)
+    ceiling = 1 + max_var_id(
+        *(scheme.body for _, scheme in gamma),
+        *(TVar(v) for _, scheme in gamma for v in scheme.quantified),
+    )
     session = InferSession(fresh_start=ceiling)
     try:
         session.fresh.level += 1
@@ -443,7 +357,7 @@ def infer_program(
         session.fresh.level -= 1
         # A tail bound late may repeat a label of an environment row, but
         # only if a variable of the environment, below the ceiling, is bound.
-        if any(vid < ceiling for vid in session.bindings):
+        if any(vid < ceiling for vid in session.subst.mapping):
             session.resolve_env(gamma)
         result = generalize(session, inferred)
     except UnifyError as exc:

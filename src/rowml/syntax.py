@@ -5,8 +5,8 @@ A row is a finite, duplicate-free map from labels to types plus an
 optional tail variable of kind row; a record type is the application of
 the distinguished constructor ``Rec : row -> *`` to a row.  Rows are
 unordered: ``fields`` is a dict, so structural equality already ignores
-field order, and ``canonicalize_row`` merely fixes iteration and
-printing order to be lexicographic.
+field order, and ``canonicalize`` merely fixes iteration order to be
+lexicographic.
 """
 
 from __future__ import annotations
@@ -133,10 +133,6 @@ class Scheme:
         ids = [v.id for v in self.quantified]
         if len(set(ids)) != len(ids):
             raise ValueError("scheme quantifies the same variable twice")
-
-
-def monotype(t: Type) -> Scheme:
-    return Scheme((), t)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +286,11 @@ def _iter_vars(t: Type) -> Iterator[TypeVar]:
             yield t.tail
 
 
+def max_var_id(*types: Type) -> int:
+    """The highest variable id in `types`, or -1 when they have none."""
+    return max((v.id for t in types for v in _iter_vars(t)), default=-1)
+
+
 def free_vars_ordered(t: Type) -> list[TypeVar]:
     """Free variables of a type in first-occurrence order.
 
@@ -303,6 +304,23 @@ def free_vars_ordered(t: Type) -> list[TypeVar]:
             seen.add(v.id)
             out.append(v)
     return out
+
+
+def open_rows(t: Type) -> list[TRow]:
+    """The rows in `t` that have fields and a tail."""
+    rows: list[TRow] = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, TApp):
+            todo += (t.fun, t.arg)
+        elif isinstance(t, TFun):
+            todo += (t.dom, t.cod)
+        elif isinstance(t, TRow):
+            todo += t.fields.values()
+            if t.fields and t.tail is not None:
+                rows.append(t)
+    return rows
 
 
 def free_type_vars(x: Union[Type, Scheme, TypeEnv]) -> set[TypeVar]:
@@ -341,11 +359,6 @@ def type_kind(t: Type) -> Kind:
 
 # ---------------------------------------------------------------------------
 # Canonical form
-
-
-def canonicalize_row(r: TRow) -> TRow:
-    """The same row with fields iterated and printed in lexicographic order."""
-    return TRow({label: r.fields[label] for label in sorted(r.fields)}, r.tail)
 
 
 def canonicalize(t: Type) -> Type:

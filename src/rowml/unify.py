@@ -5,8 +5,14 @@ Rows unify modulo field order: labels shared by both rows unify
 pointwise, and the fields present on one side only must be absorbed by
 the other side's tail variable.  When both rows are open the leftovers
 meet in a fresh shared tail; when one side is closed its missing labels
-are a hard error.  Every variable binding passes an occurs check, and
-the substitutions built here stay idempotent and kind-respecting.
+are a hard error.  Every variable binding passes an occurs check and
+respects kinds.
+
+One `Subst` is threaded through a whole unification step: each binding
+is recorded as it is made and never re-applied to the bindings before
+it, so the store is triangular while the step runs.  The public entry
+points answer with a settled store, whose images mention no bound
+variable.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from rowml.syntax import (
     TVar,
     Type,
     TypeVar,
-    _iter_vars,
-    free_type_vars,
+    max_var_id,
+    open_rows,
     pretty_type,
     pretty_types_shared,
     type_kind,
@@ -88,23 +94,75 @@ class DuplicateLabel(UnifyError):
 
 @dataclass
 class Subst:
-    """An idempotent, kind-respecting map from variable ids to types.
+    """A kind-respecting map from variable ids to types.
 
-    Row variables map to rows; applying a substitution to a row whose
-    tail is bound merges the bound fields into the row.
+    The map is triangular: an image may mention variables that are bound
+    themselves, so types are read through `find`, `walk_row` and `apply`,
+    which follow the chains.  Row variables map to rows; reading a row
+    whose tail is bound merges the bound fields into the row, and a merge
+    that repeats a label raises DuplicateLabel.  `unify` and `unify_rows`
+    answer with `settled()` stores, whose images mention no bound
+    variable.
     """
 
     mapping: dict[int, Type] = field(default_factory=dict)
 
-    @classmethod
-    def empty(cls) -> Subst:
-        return cls({})
+    def find(self, t: Type) -> Type:
+        """`t` itself unless it is a bound variable; else the end of its
+        chain of variable bindings, an unbound variable or a type that is
+        not a variable.  Every variable on the chain is rebound straight
+        to that end."""
+        path: list[int] = []
+        while isinstance(t, TVar):
+            image = self.mapping.get(t.var.id)
+            if image is None:
+                break
+            path.append(t.var.id)
+            t = image
+        for vid in path[:-1]:
+            self.mapping[vid] = t
+        return t
+
+    def walk_row(self, row: TRow) -> TRow:
+        """`row` with the fields its tail stands for merged in and the
+        tail replaced by the unbound variable that ends the tail's chain;
+        field types are left as they are.  A chain of more than one link
+        is rebound straight to its merged fields.  Raises DuplicateLabel
+        when the merge repeats a label."""
+        tail = row.tail
+        if tail is None or tail.id not in self.mapping:
+            return row
+        extra: dict[str, Type] = {}
+        links = 0
+        while tail is not None:
+            image = self.mapping.get(tail.id)
+            if image is None:
+                break
+            links += 1
+            if isinstance(image, TVar):
+                tail = image.var
+                continue
+            assert isinstance(image, TRow), "row variable bound to a non-row"
+            overlap = extra.keys() & image.fields.keys()
+            if overlap:
+                raise DuplicateLabel(min(overlap), image)
+            extra.update(image.fields)
+            tail = image.tail
+        if links > 1:
+            self.mapping[row.tail.id] = TRow(dict(extra), tail)
+        overlap = row.fields.keys() & extra.keys()
+        if overlap:
+            raise DuplicateLabel(min(overlap), row)
+        extra.update(row.fields)
+        return TRow(extra, tail)
 
     def apply(self, t: Type) -> Type:
+        """`t` with every bound variable replaced by what it stands for."""
         if not self.mapping:
             return t
         if isinstance(t, TVar):
-            return self.mapping.get(t.var.id, t)
+            image = self.find(t)
+            return image if isinstance(image, TVar) else self.apply(image)
         if isinstance(t, TCon):
             return t
         if isinstance(t, TApp):
@@ -112,56 +170,45 @@ class Subst:
         if isinstance(t, TFun):
             return TFun(self.apply(t.dom), self.apply(t.cod))
         if isinstance(t, TRow):
-            return self.apply_row(t)
+            row = self.walk_row(t)
+            return TRow({label: self.apply(f) for label, f in row.fields.items()}, row.tail)
         raise AssertionError(f"unexpected type node: {t!r}")
 
-    def apply_row(self, row: TRow) -> TRow:
-        fields = {label: self.apply(t) for label, t in row.fields.items()}
-        tail = row.tail
-        if tail is not None and tail.id in self.mapping:
-            image = self.mapping[tail.id]
-            if isinstance(image, TVar):
-                tail = image.var
+    def bind(self, v: TypeVar, t: Type) -> None:
+        """Bind the unbound variable `v` to `t`, after an occurs check
+        that follows the bindings of `t`'s variables."""
+        if isinstance(t, TVar) and t.var.id == v.id:
+            return
+        todo = [t]
+        while todo:
+            u = todo.pop()
+            if isinstance(u, TVar):
+                var = u.var
+            elif isinstance(u, TRow):
+                todo += u.fields.values()
+                var = u.tail
             else:
-                assert isinstance(image, TRow), "row variable bound to a non-row"
-                overlap = fields.keys() & image.fields.keys()
-                if overlap:
-                    raise DuplicateLabel(min(overlap), row)
-                fields.update(image.fields)
-                tail = image.tail
-        return TRow(fields, tail)
-
-    def compose(self, inner: Subst) -> Subst:
-        """``self . inner``: applying the result equals applying `inner`,
-        then `self`.  Identity bindings produced by the composition are
-        dropped so the result never maps a variable to itself."""
-        mapping: dict[int, Type] = {}
-        for vid, t in inner.mapping.items():
-            image = self.apply(t)
-            if isinstance(image, TVar) and image.var.id == vid:
+                if isinstance(u, TApp):
+                    todo += (u.fun, u.arg)
+                elif isinstance(u, TFun):
+                    todo += (u.dom, u.cod)
                 continue
-            mapping[vid] = image
-        for vid, t in self.mapping.items():
-            if vid not in inner.mapping:
-                mapping[vid] = t
-        return Subst(mapping)
+            if var is not None:
+                if var.id == v.id:
+                    raise OccursCheck(v, self.apply(t))
+                image = self.mapping.get(var.id)
+                if image is not None:
+                    todo.append(image)
+        assert type_kind(t) == v.kind, "binding would not respect kinds"
+        self.mapping[v.id] = t
 
-
-def _max_var_id(*types: Type) -> int:
-    return max((v.id for t in types for v in _iter_vars(t)), default=-1)
-
-
-def _bind(v: TypeVar, t: Type) -> Subst:
-    if isinstance(t, TVar) and t.var.id == v.id:
-        return Subst.empty()
-    if v in free_type_vars(t):
-        raise OccursCheck(v, t)
-    assert type_kind(t) == v.kind, "binding would not respect kinds"
-    return Subst({v.id: t})
+    def settled(self) -> Subst:
+        """A copy whose images mention no bound variable."""
+        return Subst({vid: self.apply(t) for vid, t in self.mapping.items()})
 
 
 def unify(t1: Type, t2: Type, fresh: FreshVars | None = None) -> Subst:
-    """Most general unifier of two types of equal kind.
+    """Most general unifier of two types of equal kind, settled.
 
     Structural everywhere except at row nodes, which unify through
     `unify_rows` and therefore ignore field order.  `fresh` supplies the
@@ -169,33 +216,50 @@ def unify(t1: Type, t2: Type, fresh: FreshVars | None = None) -> Subst:
     starting above every variable in either input is created.
     """
     if fresh is None:
-        fresh = FreshVars(_max_var_id(t1, t2) + 1)
-    return _unify(t1, t2, fresh)
+        fresh = FreshVars(max_var_id(t1, t2) + 1)
+    s = Subst()
+    _unify(t1, t2, fresh, s)
+    return _answer(s, t1, t2)
 
 
-def _unify(t1: Type, t2: Type, fresh: FreshVars) -> Subst:
+def _answer(s: Subst, *inputs: Type) -> Subst:
+    """`s` settled, once no row of `inputs` repeats a label that its
+    bound tail stands for.
+
+    A row matched field by field is in no image, so settling `s` alone
+    would not see a tail bound later in the step repeat one of its labels.
+    """
+    for t in inputs:
+        for row in open_rows(t):
+            s.walk_row(row)
+    return s.settled()
+
+
+def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
+    t1 = s.find(t1)
+    t2 = s.find(t2)
     if isinstance(t1, TVar):
-        return _bind(t1.var, t2)
-    if isinstance(t2, TVar):
-        return _bind(t2.var, t1)
-    if isinstance(t1, TCon) and isinstance(t2, TCon):
-        if t1 == t2:
-            return Subst.empty()
-        raise Mismatch(t1, t2)
-    if isinstance(t1, TApp) and isinstance(t2, TApp):
-        s1 = _unify(t1.fun, t2.fun, fresh)
-        s2 = _unify(s1.apply(t1.arg), s1.apply(t2.arg), fresh)
-        return s2.compose(s1)
-    if isinstance(t1, TFun) and isinstance(t2, TFun):
-        s1 = _unify(t1.dom, t2.dom, fresh)
-        s2 = _unify(s1.apply(t1.cod), s1.apply(t2.cod), fresh)
-        return s2.compose(s1)
-    if isinstance(t1, TRow) and isinstance(t2, TRow):
-        return unify_rows(t1, t2, fresh)
-    raise Mismatch(t1, t2)
+        s.bind(t1.var, t2)
+    elif isinstance(t2, TVar):
+        s.bind(t2.var, t1)
+    elif isinstance(t1, TCon) and isinstance(t2, TCon):
+        if t1 != t2:
+            raise Mismatch(t1, t2)
+    elif isinstance(t1, TApp) and isinstance(t2, TApp):
+        _unify(t1.fun, t2.fun, fresh, s)
+        _unify(t1.arg, t2.arg, fresh, s)
+    elif isinstance(t1, TFun) and isinstance(t2, TFun):
+        _unify(t1.dom, t2.dom, fresh, s)
+        _unify(t1.cod, t2.cod, fresh, s)
+    elif isinstance(t1, TRow) and isinstance(t2, TRow):
+        unify_rows(t1, t2, fresh, s)
+    else:
+        raise Mismatch(s.apply(t1), s.apply(t2))
 
 
-def unify_rows(r1: TRow, r2: TRow, fresh: FreshVars | None = None) -> Subst:
+def unify_rows(
+    r1: TRow, r2: TRow, fresh: FreshVars | None = None, subst: Subst | None = None
+) -> Subst:
     """Unify two rows regardless of field order or known size.
 
     Fields under labels common to both rows unify pointwise; because a
@@ -205,38 +269,41 @@ def unify_rows(r1: TRow, r2: TRow, fresh: FreshVars | None = None) -> Subst:
     closed side with leftovers on the other side fails with
     RowMissingLabel, two distinct tails meet in a fresh shared tail, and
     the same tail on both sides is only consistent when nothing is left.
+
+    With `subst`, the rows unify under its bindings, and `subst` itself
+    is extended and returned, unsettled.  Otherwise the answer is a new,
+    settled store.  When `fresh` is omitted, a supply starting above
+    every variable in the rows and in `subst` is created.
     """
+    s = subst if subst is not None else Subst()
     if fresh is None:
-        fresh = FreshVars(_max_var_id(r1, r2) + 1)
-    s = Subst.empty()
+        fresh = FreshVars(max([max_var_id(r1, r2, *s.mapping.values()), *s.mapping]) + 1)
     done: set[str] = set()
     while True:
-        a = s.apply_row(r1)
-        b = s.apply_row(r2)
+        a = s.walk_row(r1)
+        b = s.walk_row(r2)
         todo = sorted((a.fields.keys() & b.fields.keys()) - done)
         if not todo:
             break
         for label in todo:
-            step = _unify(s.apply(a.fields[label]), s.apply(b.fields[label]), fresh)
-            s = step.compose(s)
+            _unify(a.fields[label], b.fields[label], fresh, s)
             done.add(label)
     only1 = {label: t for label, t in a.fields.items() if label not in b.fields}
     only2 = {label: t for label, t in b.fields.items() if label not in a.fields}
     if only2 and a.tail is None:
-        raise RowMissingLabel(min(only2), a)
+        raise RowMissingLabel(min(only2), s.apply(a))
     if only1 and b.tail is None:
-        raise RowMissingLabel(min(only1), b)
+        raise RowMissingLabel(min(only1), s.apply(b))
     if a.tail is not None and b.tail is not None and a.tail.id == b.tail.id:
         if only1 or only2:
-            raise RowTailEscape(a.tail, b)
-        return s
-    if a.tail is None and b.tail is None:
-        return s
-    if b.tail is None:
-        return _bind(a.tail, TRow(only2, None)).compose(s)
-    if a.tail is None:
-        return _bind(b.tail, TRow(only1, None)).compose(s)
-    shared = fresh.fresh(ROW)
-    s1 = _bind(a.tail, TRow(only2, shared))
-    s2 = _bind(b.tail, s1.apply(TRow(only1, shared)))
-    return s2.compose(s1).compose(s)
+            raise RowTailEscape(a.tail, s.apply(b))
+    elif b.tail is None:
+        if a.tail is not None:
+            s.bind(a.tail, TRow(only2, None))
+    elif a.tail is None:
+        s.bind(b.tail, TRow(only1, None))
+    else:
+        shared = fresh.fresh(ROW)
+        s.bind(a.tail, TRow(only2, shared))
+        s.bind(b.tail, TRow(only1, shared))
+    return s if subst is not None else _answer(s, r1, r2)

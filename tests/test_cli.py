@@ -1,8 +1,12 @@
 """Tests for the command line driver."""
 
 import io
+import os
+import tempfile
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from rowml.cli import cmd_check, cmd_oracle, cmd_repl, main
 
@@ -77,6 +81,36 @@ class TestCheck:
         second = capsys.readouterr().out
         assert first.encode() == second.encode()
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "(" * 2000 + "1" + ")" * 2000,
+            "".join(f"\\x{i}. " for i in range(1500)) + "1",
+            "(\\f. f) " + " ".join(["1"] * 5000),
+            "\\r. " + "".join(f"{{a{i} = {i} | " for i in range(400)) + "r" + "}" * 400,
+            "\\r. r" + ".a" * 3000,
+            "{a = " * 800 + "1" + "}" * 800,
+            "".join(f"let x{i} = {i} in " for i in range(1500)) + "x0",
+        ],
+        ids=["parens", "lambdas", "application", "extensions", "selections", "records", "lets"],
+    )
+    def test_deep_nesting_is_a_located_error(self, tmp_path, capsys, src):
+        path = write(tmp_path, "deep.rml", src)
+        assert main(["check", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"{path}:1:1: error: program nested too deeply\n"
+        assert captured.err == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=40))
+    def test_any_bytes_end_with_an_exit_status(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "any.rml")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            out, err = io.StringIO(), io.StringIO()
+            assert cmd_check([path], out=out, err=err) in (0, 1, 2)
+
     def test_usage_error_without_files(self):
         with pytest.raises(SystemExit) as exc:
             main(["check"])
@@ -106,6 +140,10 @@ class TestRepl:
         lines = output.splitlines()
         assert lines[0].startswith("error:")
         assert lines[1] == "Int"
+
+    def test_deep_nesting_does_not_stop_the_loop(self):
+        output = self.run("(" * 2000 + "1" + ")" * 2000 + "\n1\n")
+        assert output == "error: program nested too deeply\nInt\n"
 
     def test_blank_lines_are_skipped(self):
         assert self.run("\n  \n1\n") == "Int\n"

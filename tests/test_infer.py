@@ -77,7 +77,7 @@ def deeper_vars(session: InferSession, *kinds) -> tuple[TypeVar, ...]:
     """Fresh variables one level below the session's, where the bound of
     a `let` makes its variables."""
     session.fresh.level += 1
-    made = tuple(session.fresh_var(kind) for kind in kinds)
+    made = tuple(session.fresh.fresh(kind) for kind in kinds)
     session.fresh.level -= 1
     return made
 
@@ -112,16 +112,16 @@ class TestGeneralize:
 
     def test_binding_lowers_the_image(self):
         session = InferSession()
-        x = session.fresh_var(STAR)
+        x = session.fresh.fresh(STAR)
         (b,) = deeper_vars(session, STAR)
         session.unify(TVar(x), TFun(TVar(b), INT), None)
         assert generalize(session, TVar(x)) == Scheme((), TFun(TVar(b), INT))
 
     def test_shared_row_tail_takes_the_lower_level(self):
         session = InferSession()
-        outer = session.fresh_var(ROW)
+        outer = session.fresh.fresh(ROW)
         session.fresh.level += 1
-        inner = session.fresh_var(ROW)
+        inner = session.fresh.fresh(ROW)
         session.unify(record({"a": INT}, outer), record({"b": INT}, inner), None)
         session.fresh.level -= 1
         s = generalize(session, record({}, inner))
@@ -304,6 +304,17 @@ class TestRecordErrors:
         assert exc.value.span is not None
         assert src[exc.value.span.start : exc.value.span.end] == "r.a"
 
+    def test_tail_bound_later_in_the_step_repeats_a_label_of_an_argument_row(self):
+        # a's row {x:Int | r} meets p's row field by field, so it is in no
+        # binding image; matching b then gives r's tail an x.  The error
+        # belongs to the application, not to the end of the program.
+        src = "\\r. (\\p. {u = p.a.x, v = p.b.x}) {a = {x = 1 | r}, b = r}"
+        with pytest.raises(UnifyFailure) as exc:
+            scheme_of(src)
+        assert isinstance(exc.value.cause, DuplicateLabel)
+        assert exc.value.span is not None
+        assert src[exc.value.span.start : exc.value.span.end] == src[4:]
+
     @pytest.mark.parametrize(
         "src, expected",
         [
@@ -394,7 +405,7 @@ class TestResultIsFullySubstituted:
         session = InferSession()
         t = infer_term(session, TypeEnv(), parse_term(src))
         assert session.resolve(t) == t
-        for image in list(session.bindings.values()):  # idempotency
+        for image in list(session.subst.mapping.values()):  # idempotency
             once = session.resolve(image)
             assert session.resolve(once) == once
 
@@ -437,13 +448,13 @@ class TestScale:
     def test_long_binding_chains_resolve_without_recursion(self):
         session = InferSession()
         n = 5 * sys.getrecursionlimit()
-        chain = [session.fresh_var(STAR) for _ in range(n)]
+        chain = [session.fresh.fresh(STAR) for _ in range(n)]
         for v, w in zip(chain, chain[1:]):
             session.unify(TVar(v), TVar(w), None)
         assert session.resolve(TVar(chain[0])) == TVar(chain[-1])
-        tails = [session.fresh_var(ROW) for _ in range(n)]
+        tails = [session.fresh.fresh(ROW) for _ in range(n)]
         for i, (v, w) in enumerate(zip(tails, tails[1:])):
-            session.bindings[v.id] = TRow({f"l{i}": INT}, w)
+            session.subst.mapping[v.id] = TRow({f"l{i}": INT}, w)
         resolved = session.resolve(record({}, tails[0])).arg
         assert len(resolved.fields) == n - 1 and resolved.tail == tails[-1]
 

@@ -118,7 +118,7 @@ class TestOracleAgrees:
 
     def test_disagrees_with_a_lying_unifier(self):
         def liar(r1, r2, fresh=None):
-            return Subst.empty()
+            return Subst()
 
         problem = (TRow({"a": INT}, RHO), TRow({"b": BOOL}, RHO2))
         assert not oracle_agrees(problem, self.SPACE, unifier=liar)

@@ -21,7 +21,6 @@ from rowml.syntax import (
     TypeVar,
     alpha_equal,
     canonicalize,
-    canonicalize_row,
     free_type_vars,
     free_vars_ordered,
     pretty_scheme,
@@ -67,38 +66,38 @@ def schemes():
     return types(2).map(close)
 
 
-# -- canonicalize_row --------------------------------------------------------
+# -- canonicalize on rows ----------------------------------------------------
 
 
 class TestCanonicalizeRow:
     def test_already_sorted(self):
         row = TRow({"age": INT, "name": STRING})
-        out = canonicalize_row(row)
+        out = canonicalize(row)
         assert out == row
         assert list(out.fields) == ["age", "name"]
 
     def test_reorders_iteration(self):
         row = TRow({"name": STRING, "age": INT})
-        out = canonicalize_row(row)
+        out = canonicalize(row)
         assert out == row  # same map, rows are unordered
         assert list(out.fields) == ["age", "name"]
 
     def test_empty_open_row(self):
         row = TRow({}, RHO)
-        out = canonicalize_row(row)
+        out = canonicalize(row)
         assert out == row
         assert out.tail is RHO
 
     @given(rows)
     def test_idempotent(self, row):
-        once = canonicalize_row(row)
-        assert canonicalize_row(once) == once
-        assert list(canonicalize_row(once).fields) == list(once.fields)
+        once = canonicalize(row)
+        assert canonicalize(once) == once
+        assert list(canonicalize(once).fields) == list(once.fields)
 
     @given(rows)
     def test_preserves_alpha_equal(self, row):
         lhs = Scheme((), TApp(LIST, TFun(row, INT)))
-        rhs = Scheme((), TApp(LIST, TFun(canonicalize_row(row), INT)))
+        rhs = Scheme((), TApp(LIST, TFun(canonicalize(row), INT)))
         assert alpha_equal(lhs, rhs)
 
 

@@ -21,6 +21,7 @@ from rowml.syntax import (
     alpha_equal,
     free_type_vars,
     record,
+    type_kind,
 )
 from rowml.unify import (
     DuplicateLabel,
@@ -64,49 +65,27 @@ class TestApply:
 
     def test_empty_substitution_is_identity(self):
         t = TFun(TVar(A), record({"x": TVar(B)}, RHO))
-        assert Subst.empty().apply(t) is t
+        assert Subst().apply(t) is t
 
     def test_tail_to_tail(self):
         s = Subst({RHO.id: TVar(RHO2)})
         assert s.apply(TRow({}, RHO)) == TRow({}, RHO2)
+
+    def test_images_are_read_through_their_bindings(self):
+        s = Subst({A.id: TFun(TVar(B), TVar(B)), B.id: INT})
+        assert s.apply(TVar(A)) == TFun(INT, INT)
+        assert s.settled().mapping == {A.id: TFun(INT, INT), B.id: INT}
+
+    def test_row_chains_merge_and_settle(self):
+        s = Subst({RHO1.id: TRow({"b": BOOL}, RHO2), RHO2.id: TRow({})})
+        assert s.apply(record({"a": INT}, RHO1)) == record({"a": INT, "b": BOOL})
+        assert_idempotent(s.settled())
 
     def test_merge_collision_is_reported(self):
         s = Subst({RHO.id: TRow({"name": INT})})
         with pytest.raises(DuplicateLabel) as exc:
             s.apply(TRow({"name": STRING}, RHO))
         assert exc.value.label == "name"
-
-
-class TestCompose:
-    def test_identity(self):
-        s = Subst({A.id: INT})
-        assert Subst.empty().compose(s).mapping == s.mapping
-        assert s.compose(Subst.empty()).mapping == s.mapping
-
-    def test_transitive_binding(self):
-        outer = Subst({B.id: INT})
-        inner = Subst({A.id: TVar(B)})
-        composed = outer.compose(inner)
-        assert composed.mapping == {A.id: INT, B.id: INT}
-
-    def test_row_composition_agrees_with_sequential_application(self):
-        outer = Subst({RHO2.id: TRow({})})
-        inner = Subst({RHO1.id: TRow({"b": BOOL}, RHO2)})
-        composed = outer.compose(inner)
-        assert composed.mapping == {
-            RHO1.id: TRow({"b": BOOL}),
-            RHO2.id: TRow({}),
-        }
-        probe = record({"a": INT}, RHO1)
-        assert composed.apply(probe) == outer.apply(inner.apply(probe))
-        assert_idempotent(composed)
-
-    def test_drops_identity_bindings(self):
-        outer = Subst({B.id: TVar(A)})
-        inner = Subst({A.id: TVar(B)})
-        composed = outer.compose(inner)
-        assert A.id not in composed.mapping
-        assert_idempotent(composed)
 
 
 class TestUnify:
@@ -125,6 +104,11 @@ class TestUnify:
     def test_occurs_check(self):
         with pytest.raises(OccursCheck):
             unify(TVar(A), TApp(LIST, TVar(A)))
+
+    def test_occurs_check_through_a_binding_of_the_same_step(self):
+        # the domains bind A to B; the occurs check must see A in List A
+        with pytest.raises(OccursCheck):
+            unify(TFun(TVar(A), TVar(B)), TFun(TVar(B), TApp(LIST, TVar(A))))
 
     def test_occurs_check_through_row_tail(self):
         with pytest.raises(OccursCheck):
@@ -197,6 +181,27 @@ class TestUnifyRows:
         s = unify_rows(r1, r2, FreshVars(100))
         assert_sound(s, r1, r2)
 
+    def test_given_store_is_extended_and_returned(self):
+        s = Subst({A.id: INT})
+        r1 = TRow({"a": TVar(A)}, RHO1)
+        r2 = TRow({"a": TVar(B), "b": BOOL})
+        out = unify_rows(r1, r2, FreshVars(100), subst=s)
+        assert out is s
+        assert s.mapping[A.id] == INT
+        assert s.apply(TVar(B)) == INT
+        assert s.mapping[RHO1.id] == TRow({"b": BOOL})
+
+    def test_tail_bound_after_a_row_was_matched_repeats_its_label(self):
+        # field a gives RHO1 and RHO2 one fresh tail; field b then binds
+        # that tail to {x:Int}, which RHO1's row in field a already has
+        r1 = TRow({"a": record({"x": INT}, RHO1), "b": record({}, RHO1)})
+        r2 = TRow({"a": record({"x": INT}, RHO2), "b": record({"x": INT})})
+        for left, right in ((r1, r2), (r2, r1)):
+            with pytest.raises(DuplicateLabel):
+                unify_rows(left, right)
+            with pytest.raises(DuplicateLabel):
+                unify(record(left.fields), record(right.fields))
+
     def test_empty_open_row_unifies_with_anything(self):
         s = unify_rows(TRow({}, RHO), TRow({"a": INT, "b": BOOL}))
         assert s.mapping == {RHO.id: TRow({"a": INT, "b": BOOL})}
@@ -211,7 +216,44 @@ tail_st = st.sampled_from((None, RHO1, RHO2))
 row_st = st.builds(TRow, st.dictionaries(label_st, field_st, max_size=3), tail_st)
 
 
+def nested_types():
+    leaves = st.sampled_from((INT, BOOL, TVar(A), TVar(B)))
+
+    def extend(inner):
+        records = st.builds(
+            record, st.dictionaries(label_st, inner, max_size=3), tail_st
+        )
+        return st.one_of(
+            st.builds(TFun, inner, inner), st.builds(TApp, st.just(LIST), inner), records
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def assert_kinds_kept(s: Subst, *types):
+    kinds = {v.id: v.kind for t in (*types, *s.mapping.values()) for v in free_type_vars(t)}
+    for vid, image in s.mapping.items():
+        assert type_kind(image) == kinds.get(vid, ROW)  # unlisted: a fresh tail
+
+
 class TestProperties:
+    @given(nested_types(), nested_types())
+    def test_nested_success_is_symmetric_and_sound(self, t1, t2):
+        try:
+            s12 = unify(t1, t2, FreshVars(100))
+        except UnifyError:
+            s12 = None
+        try:
+            s21 = unify(t2, t1, FreshVars(200))
+        except UnifyError:
+            s21 = None
+        assert (s12 is None) == (s21 is None)
+        for s in (s12, s21):
+            if s is not None:
+                assert_sound(s, t1, t2)
+                assert_idempotent(s)
+                assert_kinds_kept(s, t1, t2)
+
     @given(row_st, row_st)
     def test_success_is_symmetric_and_sound(self, r1, r2):
         try:
