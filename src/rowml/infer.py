@@ -169,8 +169,7 @@ class InferSession:
         its scheme repeats a label of one of the scheme's rows."""
         rows = self.let_rows
         for i, row in enumerate(rows):
-            if row.tail is not None and row.tail.id in self.subst.mapping:
-                rows[i] = self.subst.walk_row(row)
+            rows[i] = self.subst.walk_row(row)
 
     def check_bindings(self) -> None:
         """Raise DuplicateLabel if a tail bound after a binding was recorded

@@ -204,6 +204,8 @@ class Subst:
 
     def settled(self) -> Subst:
         """A copy whose images mention no bound variable."""
+        if len(self.mapping) < 2:  # `bind` keeps a variable out of its own image
+            return Subst(dict(self.mapping))
         return Subst({vid: self.apply(t) for vid, t in self.mapping.items()})
 
 
@@ -228,10 +230,12 @@ def _answer(s: Subst, *inputs: Type) -> Subst:
 
     A row matched field by field is in no image, so settling `s` alone
     would not see a tail bound later in the step repeat one of its labels.
+    Only a tail bound to a row with fields can add a label.
     """
-    for t in inputs:
-        for row in open_rows(t):
-            s.walk_row(row)
+    if any(isinstance(image, TRow) and image.fields for image in s.mapping.values()):
+        for t in inputs:
+            for row in open_rows(t):
+                s.walk_row(row)
     return s.settled()
 
 
@@ -297,13 +301,12 @@ def unify_rows(
     if a.tail is not None and b.tail is not None and a.tail.id == b.tail.id:
         if only1 or only2:
             raise RowTailEscape(a.tail, s.apply(b))
-    elif b.tail is None:
-        if a.tail is not None:
-            s.bind(a.tail, TRow(only2, None))
-    elif a.tail is None:
-        s.bind(b.tail, TRow(only1, None))
-    else:
+    elif a.tail is not None and b.tail is not None:
         shared = fresh.fresh(ROW)
         s.bind(a.tail, TRow(only2, shared))
         s.bind(b.tail, TRow(only1, shared))
+    elif a.tail is not None:
+        s.bind(a.tail, TRow(only2, None))
+    elif b.tail is not None:
+        s.bind(b.tail, TRow(only1, None))
     return s if subst is not None else _answer(s, r1, r2)
