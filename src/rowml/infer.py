@@ -2,11 +2,11 @@
 
 Algorithm W over mutable session state.  The session keeps a fresh
 variable supply, one triangular `Subst` of variable bindings and the
-level of every variable it made.  Each unification runs the pure unifier
-of `rowml.unify` on resolved inputs and records the bindings of its
-settled answer in the session's store as they are: the image of a bound
-variable may mention variables bound later, and `InferSession.resolve`
-follows the chains only where a decision needs the whole type.  Records
+level of every variable it made.  Each unification hands the unresolved
+types to `rowml.unify.unify` with the session's store, which it extends
+in place: the image of a bound variable may mention variables bound
+before or after it, and `InferSession.resolve` follows the chains only
+where a decision needs the whole type.  Records
 funnel all row reasoning through unification against a template
 ``Rec {l:a | r}``, so row unification is exercised exactly where
 function application (and the record primitives, which are typed as
@@ -15,16 +15,17 @@ applications of such templates) demands it.
 Generalization is by level, after Rémy (INRIA RR-1766, 1992) and
 Kiselyov, "How OCaml type checker works" (2013).  A `let` infers its
 bound one level deeper than its body.  Binding a variable lowers every
-variable of its image to the bound variable's level, so a variable still
-deeper than the session after the bound is free nowhere in the
-environment and may be quantified.
+variable its image reaches to the bound variable's level, in the walk of
+the occurs check, so a variable still deeper than the session after the
+bound is free nowhere in the environment and may be quantified.
 
 Resolving late leaves one check to be made on its own: a tail bound
 late can make a row recorded earlier repeat a label.  The session keeps
 the rows that can go bad this way and checks them where the verdict of
-eager resolution depended on them: the rows of the let-bound schemes in
-scope after every `let` bound, and the rows of every binding's image
-once, when the whole term is inferred.
+eager resolution depended on them: the rows a unification step met,
+when the step ends; the rows of the let-bound schemes in scope after
+every `let` bound; and the rows of every binding's image once, when the
+whole term is inferred.
 
 Inference is staged: `infer_program` first kind-checks every scheme of
 the initial environment, then runs inference; constraint solving never
@@ -33,6 +34,7 @@ consults the kind checker.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Union
 
 from rowml.kindcheck import KindError, UnboundTypeName, check_scheme
@@ -139,20 +141,22 @@ class InferSession:
     let-depth being inferred, and `fresh.levels` maps every variable the
     session made to the level it lives at; the variables of the initial
     environment, whose ids lie below `fresh_start`, are not in it and are
-    at level 0.
+    at level 0.  `subst` shares `fresh.levels` and lowers it as it binds.
 
     A tail bound late can make a row recorded earlier repeat a label.  Two
     lists keep the rows that can go bad this way, so they are checked
     without resolving every type again: `open_rows` holds the rows with
-    fields and a tail in the images of `subst`, and `let_rows` those in
-    the schemes of the `let`s being inferred, whose tails are not
-    quantified.
+    fields and a tail in the images of `subst`, which `subst` collects as
+    it binds, with `open_spans` the span of the step that bound each; and
+    `let_rows` holds those in the schemes of the `let`s being inferred,
+    whose tails are not quantified.
     """
 
     def __init__(self, fresh_start: int = 0) -> None:
-        self.subst = Subst()
         self.fresh = _LevelledVars(fresh_start)
         self.open_rows: list[TRow] = []
+        self.open_spans: list[SourceSpan | None] = []
+        self.subst = Subst(levels=self.fresh.levels, rows=self.open_rows, met=[])
         self.let_rows: list[TRow] = []
 
     def resolve(self, t: Type) -> Type:
@@ -171,45 +175,34 @@ class InferSession:
         for i, row in enumerate(rows):
             rows[i] = self.subst.walk_row(row)
 
-    def check_bindings(self) -> None:
-        """Raise DuplicateLabel if a tail bound after a binding was recorded
-        repeats a label of a row in the binding's image."""
-        for row in self.open_rows:
-            self.subst.walk_row(row)
+    def check_bindings(self, span: SourceSpan | None) -> None:
+        """Raise UnifyFailure if a tail bound after a binding was recorded
+        repeats a label of a row in the binding's image.  The error
+        carries the span of the step that made the binding, or `span`
+        when that step had none."""
+        for row, recorded in zip(self.open_rows, self.open_spans):
+            try:
+                self.subst.walk_row(row)
+            except UnifyError as exc:
+                raise UnifyFailure(exc, recorded if recorded is not None else span) from exc
 
     def unify(self, t1: Type, t2: Type, span: SourceSpan | None) -> None:
+        """Unify `t1` with `t2` in the session's store.  A failure, or a
+        row the step met that a tail bound later in the step makes repeat
+        a label, raises UnifyFailure at `span`."""
+        subst, rows = self.subst, self.open_rows
+        mark = len(rows)
         try:
-            step = unify(self.resolve(t1), self.resolve(t2), self.fresh)
+            unify(t1, t2, self.fresh, subst)
+            for row in subst.met:
+                subst.walk_row(row)
+            for row in islice(rows, mark, None):
+                subst.walk_row(row)
         except UnifyError as exc:
             raise UnifyFailure(exc, span) from exc
-        for vid, image in step.mapping.items():
-            self._bind(vid, image)
-
-    def _bind(self, vid: int, image: Type) -> None:
-        """Record one binding of a unification step, lower every variable
-        of `image` to the bound variable's level and keep its open rows."""
-        self.subst.mapping[vid] = image
-        level = self.fresh.levels.get(vid, 0)
-        todo = [image]
-        while todo:
-            t = todo.pop()
-            if isinstance(t, TVar):
-                self._lower(t.var, level)
-            elif isinstance(t, TApp):
-                todo += (t.fun, t.arg)
-            elif isinstance(t, TFun):
-                todo += (t.dom, t.cod)
-            elif isinstance(t, TRow):
-                todo += t.fields.values()
-                if t.tail is not None:
-                    self._lower(t.tail, level)
-                    if t.fields:
-                        self.open_rows.append(t)
-
-    def _lower(self, v: TypeVar, level: int) -> None:
-        levels = self.fresh.levels
-        if levels.get(v.id, 0) > level:
-            levels[v.id] = level
+        finally:
+            subst.met.clear()
+            self.open_spans += [span] * (len(rows) - mark)
 
 
 def instantiate(session: InferSession, scheme: Scheme) -> Type:
@@ -243,8 +236,11 @@ def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> 
 def infer_term(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
     """Infer the type of `term` under `gamma`, fully resolved."""
     inferred = _infer(session, gamma, term)
-    session.check_bindings()
-    return session.resolve(inferred)
+    session.check_bindings(term.span)
+    try:
+        return session.resolve(inferred)
+    except UnifyError as exc:  # a tail bound late repeats a label of the type
+        raise UnifyFailure(exc, term.span) from exc
 
 
 def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
@@ -359,6 +355,6 @@ def infer_program(
         if any(vid < ceiling for vid in session.subst.mapping):
             session.resolve_env(gamma)
         result = generalize(session, inferred)
-    except UnifyError as exc:
-        raise UnifyFailure(exc, None) from exc
+    except UnifyError as exc:  # a tail bound late repeats a label of the environment
+        raise UnifyFailure(exc, term.span) from exc
     return Scheme(result.quantified, canonicalize(result.body))

@@ -10,9 +10,10 @@ respects kinds.
 
 One `Subst` is threaded through a whole unification step: each binding
 is recorded as it is made and never re-applied to the bindings before
-it, so the store is triangular while the step runs.  The public entry
-points answer with a settled store, whose images mention no bound
-variable.
+it, so the store is triangular while the step runs.  Given no store, the
+public entry points answer with a new, settled one, whose images mention
+no bound variable; given the inference session's store, they extend it
+in place and leave it triangular.
 """
 
 from __future__ import annotations
@@ -102,10 +103,22 @@ class Subst:
     whose tail is bound merges the bound fields into the row, and a merge
     that repeats a label raises DuplicateLabel.  `unify` and `unify_rows`
     answer with `settled()` stores, whose images mention no bound
-    variable.
+    variable, unless they were given a store to extend.
+
+    The inference session's store also sets the three fields after
+    `mapping`, which `bind` and `unify_rows` fill as they go: `levels`
+    (variable id to let-depth, absent meaning 0) is lowered to the bound
+    variable's level for every variable an image reaches; `rows` collects
+    the rows with fields and a tail that are part of an image itself; and
+    `met` the other rows the step met that a tail bound later in it could
+    make repeat a label: rows compared while both tails stay open, and
+    the open rows reached through the bindings of an image.
     """
 
     mapping: dict[int, Type] = field(default_factory=dict)
+    levels: dict[int, int] | None = None
+    rows: list[TRow] | None = None
+    met: list[TRow] | None = None
 
     def find(self, t: Type) -> Type:
         """`t` itself unless it is a bound variable; else the end of its
@@ -176,17 +189,33 @@ class Subst:
 
     def bind(self, v: TypeVar, t: Type) -> None:
         """Bind the unbound variable `v` to `t`, after an occurs check
-        that follows the bindings of `t`'s variables."""
+        that follows the bindings of `t`'s variables.
+
+        The same walk keeps a session store's `levels` and rows: every
+        variable it meets is lowered to `v`'s level, so a variable that
+        an image reaches, through bound variables too, is generalized no
+        deeper than `v`.  The walk visits `t` itself first and the images
+        of its bound variables after, so it knows which rows are `t`'s
+        own (`rows`) and which it reached through a binding (`met`)."""
         if isinstance(t, TVar) and t.var.id == v.id:
             return
-        todo = [t]
-        while todo:
+        levels, rows = self.levels, self.rows
+        level = levels.get(v.id, 0) if levels is not None else 0
+        todo: list[Type] = [t]
+        images: list[Type] = []
+        while todo or images:
+            if not todo:
+                todo, images, rows = images, [], self.met
             u = todo.pop()
+            if isinstance(u, TCon):
+                continue
             if isinstance(u, TVar):
                 var = u.var
             elif isinstance(u, TRow):
                 todo += u.fields.values()
                 var = u.tail
+                if rows is not None and var is not None and u.fields:
+                    rows.append(u)
             else:
                 if isinstance(u, TApp):
                     todo += (u.fun, u.arg)
@@ -196,9 +225,11 @@ class Subst:
             if var is not None:
                 if var.id == v.id:
                     raise OccursCheck(v, self.apply(t))
+                if levels is not None and levels.get(var.id, 0) > level:
+                    levels[var.id] = level
                 image = self.mapping.get(var.id)
                 if image is not None:
-                    todo.append(image)
+                    images.append(image)
         assert type_kind(t) == v.kind, "binding would not respect kinds"
         self.mapping[v.id] = t
 
@@ -209,19 +240,29 @@ class Subst:
         return Subst({vid: self.apply(t) for vid, t in self.mapping.items()})
 
 
-def unify(t1: Type, t2: Type, fresh: FreshVars | None = None) -> Subst:
-    """Most general unifier of two types of equal kind, settled.
+def unify(
+    t1: Type, t2: Type, fresh: FreshVars | None = None, subst: Subst | None = None
+) -> Subst:
+    """Most general unifier of two types of equal kind.
 
     Structural everywhere except at row nodes, which unify through
-    `unify_rows` and therefore ignore field order.  `fresh` supplies the
-    tail variables row unification may need; when omitted, a supply
-    starting above every variable in either input is created.
+    `unify_rows` and therefore ignore field order.  With `subst`, the
+    types unify under its bindings, and `subst` itself is extended and
+    returned, unsettled.  Otherwise the answer is a new, settled store.
+    `fresh` supplies the tail variables row unification may need; when
+    omitted, a supply starting above every variable in the inputs and in
+    `subst` is created.
     """
+    s = subst if subst is not None else Subst()
     if fresh is None:
-        fresh = FreshVars(max_var_id(t1, t2) + 1)
-    s = Subst()
+        fresh = _supply_above(s, t1, t2)
     _unify(t1, t2, fresh, s)
-    return _answer(s, t1, t2)
+    return s if subst is not None else _answer(s, t1, t2)
+
+
+def _supply_above(s: Subst, *types: Type) -> FreshVars:
+    """A supply starting above every variable in `types` and in `s`."""
+    return FreshVars(max([max_var_id(*types, *s.mapping.values()), *s.mapping]) + 1)
 
 
 def _answer(s: Subst, *inputs: Type) -> Subst:
@@ -281,7 +322,7 @@ def unify_rows(
     """
     s = subst if subst is not None else Subst()
     if fresh is None:
-        fresh = FreshVars(max([max_var_id(r1, r2, *s.mapping.values()), *s.mapping]) + 1)
+        fresh = _supply_above(s, r1, r2)
     done: set[str] = set()
     while True:
         a = s.walk_row(r1)
@@ -292,8 +333,9 @@ def unify_rows(
         for label in todo:
             _unify(a.fields[label], b.fields[label], fresh, s)
             done.add(label)
-    only1 = {label: t for label, t in a.fields.items() if label not in b.fields}
-    only2 = {label: t for label, t in b.fields.items() if label not in a.fields}
+    only1, only2 = dict(a.fields), dict(b.fields)
+    for label in done:  # every shared label
+        del only1[label], only2[label]
     if only2 and a.tail is None:
         raise RowMissingLabel(min(only2), s.apply(a))
     if only1 and b.tail is None:
@@ -309,4 +351,8 @@ def unify_rows(
         s.bind(a.tail, TRow(only2, None))
     elif b.tail is not None:
         s.bind(b.tail, TRow(only1, None))
+    if s.met is not None and a.tail is not None and b.tail is not None:
+        # both rows now stand for the same fields and open tail, so either
+        # tells whether a tail bound later in the step repeats a label
+        s.met.append(r1)
     return s if subst is not None else _answer(s, r1, r2)

@@ -50,11 +50,12 @@ DELTA = base_kind_env()
 def sound_unification(counters):
     """Wrap every unification run by inference with the soundness check:
     the result applied to both inputs must give equal types (rows compare
-    as unordered maps)."""
+    as unordered maps).  Inference passes its own store, which the
+    unifier extends and returns."""
     real = infer_mod.unify
 
-    def checked(t1, t2, fresh=None):
-        sigma = real(t1, t2, fresh)
+    def checked(t1, t2, fresh=None, subst=None):
+        sigma = real(t1, t2, fresh, subst)
         counters["successes"] += 1
         if sigma.apply(t1) != sigma.apply(t2):
             counters["violations"] += 1

@@ -3,10 +3,13 @@ and the staging discipline."""
 
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import rowml.infer as infer_mod
 from rowml.infer import (
+    InferError,
     InferSession,
     KindFailure,
     NotARecord,
@@ -20,10 +23,12 @@ from rowml.infer import (
 from rowml.parser import parse_term
 from rowml.syntax import (
     INT,
+    LIST,
     ROW,
     STAR,
     STRING,
     Scheme,
+    TApp,
     TFun,
     TRow,
     TVar,
@@ -127,6 +132,21 @@ class TestGeneralize:
         s = generalize(session, record({}, inner))
         assert s.quantified == ()
         assert s.body.arg.fields == {"a": INT}
+
+    def test_binding_lowers_through_a_bound_variable(self):
+        # v's image mentions w, which is bound itself; the level-3 u in
+        # w's image must come up to v's level 1, or u would be generalized
+        session = InferSession()
+        session.fresh.level = 1
+        v = session.fresh.fresh(STAR)
+        session.fresh.level = 3
+        u, w = session.fresh.fresh(STAR), session.fresh.fresh(STAR)
+        session.unify(TVar(w), TFun(TVar(u), INT), None)
+        session.unify(TVar(v), TFun(TVar(w), INT), None)
+        assert session.subst.mapping[v.id] == TFun(TVar(w), INT)
+        assert session.fresh.levels[u.id] == 1
+        session.fresh.level = 1
+        assert generalize(session, TVar(v)) == Scheme((), TFun(TFun(TVar(u), INT), INT))
 
 
 class TestInferExamples:
@@ -286,14 +306,31 @@ class TestRecordErrors:
             infer_program("y.a", env=env, delta=delta)
         assert isinstance(exc.value.cause, DuplicateLabel)
         assert exc.value.cause.label == "a"
+        assert exc.value.span is not None  # the program's
 
     def test_late_tail_repeats_a_label_of_a_binding(self):
         # s is bound to Rec {a:Int | t}, where t is r's tail; r.a then binds
-        # t to a row with a.  s's image is never resolved again on the way.
+        # t to a row with a.  s's image is never resolved again on the way,
+        # so the error is found at the end and belongs to the step that
+        # bound s.
+        src = "\\r. (\\s. \\t. t) {a = 1 | r} r.a"
         with pytest.raises(UnifyFailure) as exc:
-            scheme_of("\\r. (\\s. \\t. t) {a = 1 | r} r.a")
+            scheme_of(src)
         assert isinstance(exc.value.cause, DuplicateLabel)
         assert exc.value.cause.label == "a"
+        span = exc.value.span
+        assert (span.line, span.col) == (1, 5)
+        assert src[span.start : span.end] == "(\\s. \\t. t) {a = 1 | r}"
+
+    def test_late_tail_repeats_a_label_of_a_restricted_row(self):
+        # r - x binds r's type to Rec {x:a | t}; .x then gives t an x
+        src = "\\r. (r - x).x"
+        with pytest.raises(UnifyFailure) as exc:
+            scheme_of(src)
+        assert isinstance(exc.value.cause, DuplicateLabel)
+        span = exc.value.span
+        assert (span.line, span.col) == (1, 5)
+        assert src[span.start : span.end] == "(r - x)"
 
     def test_late_tail_repeats_a_label_of_a_let_bound_scheme(self):
         # the inner let is inferred after r.a has bound the tail of s's row
@@ -314,6 +351,25 @@ class TestRecordErrors:
         assert isinstance(exc.value.cause, DuplicateLabel)
         assert exc.value.span is not None
         assert src[exc.value.span.start : exc.value.span.end] == src[4:]
+
+    @pytest.mark.parametrize(
+        "src, step",
+        [
+            # the last application binds its result to s's type, whose
+            # image holds the row that r.a made repeat a
+            ("\\r. (\\s. \\t. s) {a = 1 | r} r.a", "(\\s. \\t. s) {a = 1 | r} r.a"),
+            # .a gives the tail of the restricted row an a; the rest of the
+            # selected row is bound to a row whose field b, q's type,
+            # reaches the restricted row through q's binding
+            ("\\r. \\q. (({b = q | q}) - a).a", "(({b = q | q}) - a).a"),
+        ],
+    )
+    def test_row_made_to_repeat_a_label_fails_the_step_whose_images_reach_it(self, src, step):
+        with pytest.raises(UnifyFailure) as exc:
+            scheme_of(src)
+        assert isinstance(exc.value.cause, DuplicateLabel)
+        span = exc.value.span
+        assert src[span.start : span.end] == step
 
     @pytest.mark.parametrize(
         "src, expected",
@@ -475,3 +531,81 @@ class TestInferProgramPipeline:
 
         with pytest.raises(ParseError):
             infer_program("let = 1")
+
+
+# -- properties ---------------------------------------------------------------
+
+record_labels = st.sampled_from(("a", "b", "x"))
+
+
+def record_programs():
+    """Programs over two row-polymorphic parameters that extend, select
+    from and restrict records: a tail bound late often makes a row
+    recorded earlier repeat a label."""
+
+    def extend(inner):
+        return st.one_of(
+            st.builds(lambda l, v, e: f"{{{l} = {v} | {e}}}", record_labels, inner, inner),
+            st.builds(lambda e, l: f"({e}).{l}", inner, record_labels),
+            st.builds(lambda e, l: f"({e}) - {l}", inner, record_labels),
+            st.builds(lambda f, e: f"({f}) ({e})", inner, inner),
+            st.builds(lambda e1, e2: f"(\\s. \\t. t) ({e1}) ({e2})", inner, inner),
+            st.builds(lambda e1, e2: f"(let s = {e1} in {e2})", inner, inner),
+        )
+
+    leaves = st.sampled_from(("r", "q", "s", "1"))
+    return st.recursive(leaves, extend, max_leaves=12).map(lambda e: f"\\r. \\q. {e}")
+
+
+STAR_POOL = tuple(TypeVar(i) for i in range(3))
+ROW_POOL = tuple(TypeVar(i, ROW) for i in range(3, 6))
+
+
+def pool_types():
+    """Types over a fixed pool of variables, so that the steps of one
+    session share them."""
+    leaves = st.sampled_from((INT, *map(TVar, STAR_POOL)))
+
+    def extend(inner):
+        tails = st.sampled_from((None, *ROW_POOL))
+        return st.one_of(
+            st.builds(TFun, inner, inner),
+            st.builds(TApp, st.just(LIST), inner),
+            st.builds(record, st.dictionaries(record_labels, inner, max_size=2), tails),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(record_programs())
+    def test_every_inference_error_is_located(self, src):
+        try:
+            infer_program(src)
+        except InferError as exc:
+            assert exc.span is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3), min_size=6, max_size=6),
+        st.lists(
+            st.tuples(st.one_of(st.sampled_from(STAR_POOL).map(TVar), pool_types()), pool_types()),
+            min_size=2,
+            max_size=6,
+        ),
+    )
+    def test_session_steps_unify_and_keep_images_at_their_level(self, pool_levels, steps):
+        session = InferSession(fresh_start=6)
+        session.fresh.level = 3
+        levels = session.fresh.levels
+        levels.update(enumerate(pool_levels))
+        for t1, t2 in steps:
+            try:
+                session.unify(t1, t2, None)
+            except UnifyFailure:
+                return  # inference stops at a failed step
+            assert session.resolve(t1) == session.resolve(t2)
+            for vid, image in session.subst.mapping.items():
+                for var in free_type_vars(session.resolve(image)):
+                    assert levels.get(var.id, 0) <= levels.get(vid, 0)

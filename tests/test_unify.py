@@ -123,6 +123,17 @@ class TestUnify:
         with pytest.raises(Mismatch):
             unify(INT, TFun(INT, TVar(B)))
 
+    def test_given_store_is_extended_in_place(self):
+        # unresolved inputs unify under the store's bindings; the images
+        # already in it are not re-applied
+        c = TypeVar(5)
+        s = Subst({A.id: TFun(TVar(B), TVar(B))})
+        out = unify(TVar(A), TFun(INT, TVar(c)), FreshVars(100), s)
+        assert out is s
+        assert s.mapping[A.id] == TFun(TVar(B), TVar(B))
+        assert s.apply(TVar(A)) == TFun(INT, INT)
+        assert s.apply(TVar(c)) == INT
+
 
 SPACE = GroundSpace(labels=("a", "b", "name", "age"), max_row_size=3)
 
