@@ -74,7 +74,7 @@ from rowml.syntax import (
     open_rows,
     pretty_type,
 )
-from rowml.unify import Subst, UnifyError, unify
+from rowml.unify import DuplicateLabel, Subst, UnifyError, unify
 
 
 class InferError(Exception):
@@ -189,9 +189,12 @@ class InferSession:
     def unify(self, t1: Type, t2: Type, span: SourceSpan | None) -> None:
         """Unify `t1` with `t2` in the session's store.  A failure, or a
         row the step met that a tail bound later in the step makes repeat
-        a label, raises UnifyFailure at `span`."""
+        a label, raises UnifyFailure at `span`.  A failed step is taken
+        back first: if a row of either input already repeated a label,
+        that is the error, as it was for eager resolution of the inputs."""
         subst, rows = self.subst, self.open_rows
         mark = len(rows)
+        subst.trail = []
         try:
             unify(t1, t2, self.fresh, subst)
             for row in subst.met:
@@ -199,10 +202,23 @@ class InferSession:
             for row in islice(rows, mark, None):
                 subst.walk_row(row)
         except UnifyError as exc:
-            raise UnifyFailure(exc, span) from exc
+            subst.undo()
+            cause = self._input_row_error(t1, t2) or exc
+            raise UnifyFailure(cause, span) from cause
         finally:
+            subst.trail = None
             subst.met.clear()
             self.open_spans += [span] * (len(rows) - mark)
+
+    def _input_row_error(self, t1: Type, t2: Type) -> DuplicateLabel | None:
+        """The error resolving `t1` and then `t2` raises, if a row of
+        either repeats a label."""
+        try:
+            self.resolve(t1)
+            self.resolve(t2)
+        except DuplicateLabel as exc:
+            return exc
+        return None
 
 
 def instantiate(session: InferSession, scheme: Scheme) -> Type:

@@ -105,20 +105,37 @@ class Subst:
     answer with `settled()` stores, whose images mention no bound
     variable, unless they were given a store to extend.
 
-    The inference session's store also sets the three fields after
-    `mapping`, which `bind` and `unify_rows` fill as they go: `levels`
-    (variable id to let-depth, absent meaning 0) is lowered to the bound
-    variable's level for every variable an image reaches; `rows` collects
-    the rows with fields and a tail that are part of an image itself; and
-    `met` the other rows the step met that a tail bound later in it could
-    make repeat a label: rows compared while both tails stay open, and
-    the open rows reached through the bindings of an image.
+    The inference session's store also sets the fields after `mapping`,
+    which `bind` and `unify_rows` fill as they go: `levels` (variable id
+    to let-depth, absent meaning 0) is lowered to the bound variable's
+    level for every variable an image reaches; `rows` collects the rows
+    with fields and a tail that are part of an image itself; `met` the
+    other rows the step met that a tail bound later in it could make
+    repeat a label: rows compared while both tails stay open, and the
+    open rows reached through the bindings of an image.  While a step
+    runs, `trail` records every write to `mapping` with the image it
+    replaced, so that `undo` can take a failed step back.
     """
 
     mapping: dict[int, Type] = field(default_factory=dict)
     levels: dict[int, int] | None = None
     rows: list[TRow] | None = None
     met: list[TRow] | None = None
+    trail: list[tuple[int, Type | None]] | None = None
+
+    def _write(self, vid: int, t: Type) -> None:
+        if self.trail is not None:
+            self.trail.append((vid, self.mapping.get(vid)))
+        self.mapping[vid] = t
+
+    def undo(self) -> None:
+        """Take back every write recorded in `trail`, newest first."""
+        while self.trail:
+            vid, old = self.trail.pop()
+            if old is None:
+                del self.mapping[vid]
+            else:
+                self.mapping[vid] = old
 
     def find(self, t: Type) -> Type:
         """`t` itself unless it is a bound variable; else the end of its
@@ -133,7 +150,7 @@ class Subst:
             path.append(t.var.id)
             t = image
         for vid in path[:-1]:
-            self.mapping[vid] = t
+            self._write(vid, t)
         return t
 
     def walk_row(self, row: TRow) -> TRow:
@@ -162,7 +179,7 @@ class Subst:
             extra.update(image.fields)
             tail = image.tail
         if links > 1:
-            self.mapping[row.tail.id] = TRow(dict(extra), tail)
+            self._write(row.tail.id, TRow(dict(extra), tail))
         overlap = row.fields.keys() & extra.keys()
         if overlap:
             raise DuplicateLabel(min(overlap), row)
@@ -231,7 +248,7 @@ class Subst:
                 if image is not None:
                     images.append(image)
         assert type_kind(t) == v.kind, "binding would not respect kinds"
-        self.mapping[v.id] = t
+        self._write(v.id, t)
 
     def settled(self) -> Subst:
         """A copy whose images mention no bound variable."""

@@ -371,6 +371,16 @@ class TestRecordErrors:
         span = exc.value.span
         assert src[span.start : span.end] == step
 
+    def test_input_row_that_already_repeats_a_label_is_the_error(self):
+        # r.a makes s's row repeat a; the last application fails on t's
+        # type before it reaches s, but s's row is one of its inputs
+        src = "\\r. (\\s. \\t. \\f. f (t 1) s) {a = 1 | r} {z = r.a}"
+        with pytest.raises(UnifyFailure) as exc:
+            scheme_of(src)
+        assert isinstance(exc.value.cause, DuplicateLabel)
+        span = exc.value.span
+        assert src[span.start : span.end] == src[4:]
+
     @pytest.mark.parametrize(
         "src, expected",
         [

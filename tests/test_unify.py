@@ -134,6 +134,17 @@ class TestUnify:
         assert s.apply(TVar(A)) == TFun(INT, INT)
         assert s.apply(TVar(c)) == INT
 
+    def test_undo_takes_back_every_write_of_the_trail(self):
+        c = TypeVar(5)
+        s = Subst({A.id: TVar(B), B.id: TVar(c)})
+        before = dict(s.mapping)
+        s.trail = []
+        unify(TVar(A), INT, FreshVars(100), s)
+        assert s.mapping[A.id] == TVar(c)  # the chain was compressed
+        assert s.apply(TVar(A)) == INT
+        s.undo()
+        assert s.mapping == before
+
 
 SPACE = GroundSpace(labels=("a", "b", "name", "age"), max_row_size=3)
 
