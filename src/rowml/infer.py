@@ -203,22 +203,16 @@ class InferSession:
                 subst.walk_row(row)
         except UnifyError as exc:
             subst.undo()
-            cause = self._input_row_error(t1, t2) or exc
-            raise UnifyFailure(cause, span) from cause
+            try:
+                self.resolve(t1)
+                self.resolve(t2)
+            except DuplicateLabel as first:
+                raise UnifyFailure(first, span) from first
+            raise UnifyFailure(exc, span) from exc
         finally:
             subst.trail = None
             subst.met.clear()
             self.open_spans += [span] * (len(rows) - mark)
-
-    def _input_row_error(self, t1: Type, t2: Type) -> DuplicateLabel | None:
-        """The error resolving `t1` and then `t2` raises, if a row of
-        either repeats a label."""
-        try:
-            self.resolve(t1)
-            self.resolve(t2)
-        except DuplicateLabel as exc:
-            return exc
-        return None
 
 
 def instantiate(session: InferSession, scheme: Scheme) -> Type:
