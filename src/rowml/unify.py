@@ -350,9 +350,8 @@ def unify_rows(
         for label in todo:
             _unify(a.fields[label], b.fields[label], fresh, s)
             done.add(label)
-    only1, only2 = dict(a.fields), dict(b.fields)
-    for label in done:  # every shared label
-        del only1[label], only2[label]
+    only1 = {label: t for label, t in a.fields.items() if label not in b.fields}
+    only2 = {label: t for label, t in b.fields.items() if label not in a.fields}
     if only2 and a.tail is None:
         raise RowMissingLabel(min(only2), s.apply(a))
     if only1 and b.tail is None:
