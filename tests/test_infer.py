@@ -616,6 +616,10 @@ class TestProperties:
             except UnifyFailure:
                 return  # inference stops at a failed step
             assert session.resolve(t1) == session.resolve(t2)
+            try:
+                session.check_bindings(None)
+            except UnifyFailure:
+                return  # an image's row repeats a label: inference rejects at the end
             for vid, image in session.subst.mapping.items():
                 for var in free_type_vars(session.resolve(image)):
                     assert levels.get(var.id, 0) <= levels.get(vid, 0)
