@@ -4,9 +4,9 @@ Algorithm W over mutable session state.  The session keeps a fresh
 variable supply, one triangular `Subst` of variable bindings and the
 level of every variable it made.  Each unification hands the unresolved
 types to `rowml.unify.unify` with the session's store, which it extends
-in place: the image of a bound variable may mention variables bound
-before or after it, and `InferSession.resolve` follows the chains only
-where a decision needs the whole type.  Records
+in place as one atomic step: the image of a bound variable may mention
+variables bound before or after it, and `InferSession.resolve` follows
+the chains only where a decision needs the whole type.  Records
 funnel all row reasoning through unification against a template
 ``Rec {l:a | r}``, so row unification is exercised exactly where
 function application (and the record primitives, which are typed as
@@ -20,12 +20,12 @@ the occurs check, so a variable still deeper than the session after the
 bound is free nowhere in the environment and may be quantified.
 
 Resolving late leaves one check to be made on its own: a tail bound
-late can make a row recorded earlier repeat a label.  The session keeps
-the rows that can go bad this way and checks them where the verdict of
-eager resolution depended on them: the rows a unification step met,
-when the step ends; the rows of the let-bound schemes in scope after
-every `let` bound; and the rows of every binding's image once, when the
-whole term is inferred.
+late can make a row recorded earlier repeat a label.  These rows are
+checked where the verdict of eager resolution depended on them: the
+rows a unification step met, by the step itself when it ends; the rows
+of the let-bound schemes in scope, by the session after every `let`
+bound; and the rows of every binding's image, by the session once, when
+the whole term is inferred.
 
 Inference is staged: `infer_program` first kind-checks every scheme of
 the initial environment, then runs inference; constraint solving never
@@ -34,7 +34,6 @@ consults the kind checker.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Union
 
 from rowml.kindcheck import KindError, UnboundTypeName, check_scheme
@@ -143,20 +142,19 @@ class InferSession:
     environment, whose ids lie below `fresh_start`, are not in it and are
     at level 0.  `subst` shares `fresh.levels` and lowers it as it binds.
 
-    A tail bound late can make a row recorded earlier repeat a label.  Two
-    lists keep the rows that can go bad this way, so they are checked
-    without resolving every type again: `open_rows` holds the rows with
-    fields and a tail in the images of `subst`, which `subst` collects as
-    it binds, with `open_spans` the span of the step that bound each; and
-    `let_rows` holds those in the schemes of the `let`s being inferred,
-    whose tails are not quantified.
+    A tail bound late can make a row recorded earlier repeat a label.  A
+    unification step checks the rows it met itself.  Two lists keep the
+    rows that can still go bad this way, so they are checked without
+    resolving every type again: `subst.rows` holds the rows with fields
+    and a tail in the images of `subst`, with `open_spans` the span of the
+    step that bound each; and `let_rows` holds those in the schemes of the
+    `let`s being inferred, whose tails are not quantified.
     """
 
     def __init__(self, fresh_start: int = 0) -> None:
         self.fresh = _LevelledVars(fresh_start)
-        self.open_rows: list[TRow] = []
+        self.subst = Subst(levels=self.fresh.levels)
         self.open_spans: list[SourceSpan | None] = []
-        self.subst = Subst(levels=self.fresh.levels, rows=self.open_rows, met=[])
         self.let_rows: list[TRow] = []
 
     def resolve(self, t: Type) -> Type:
@@ -180,39 +178,21 @@ class InferSession:
         repeats a label of a row in the binding's image.  The error
         carries the span of the step that made the binding, or `span`
         when that step had none."""
-        for row, recorded in zip(self.open_rows, self.open_spans):
+        for row, recorded in zip(self.subst.rows, self.open_spans):
             try:
                 self.subst.walk_row(row)
             except UnifyError as exc:
                 raise UnifyFailure(exc, recorded if recorded is not None else span) from exc
 
     def unify(self, t1: Type, t2: Type, span: SourceSpan | None) -> None:
-        """Unify `t1` with `t2` in the session's store.  A failure, or a
-        row the step met that a tail bound later in the step makes repeat
-        a label, raises UnifyFailure at `span`.  A failed step is taken
-        back first: if a row of either input already repeated a label,
-        that is the error, as it was for eager resolution of the inputs."""
-        subst, rows = self.subst, self.open_rows
-        mark = len(rows)
-        subst.trail = []
+        """Unify `t1` with `t2` in the session's store, as one atomic step
+        of `rowml.unify.unify`.  Its failure raises UnifyFailure at `span`,
+        which is also recorded for each row the step adds to `subst.rows`."""
         try:
-            unify(t1, t2, self.fresh, subst)
-            for row in subst.met:
-                subst.walk_row(row)
-            for row in islice(rows, mark, None):
-                subst.walk_row(row)
+            unify(t1, t2, self.fresh, self.subst)
         except UnifyError as exc:
-            subst.undo()
-            try:
-                self.resolve(t1)
-                self.resolve(t2)
-            except DuplicateLabel as first:
-                raise UnifyFailure(first, span) from first
             raise UnifyFailure(exc, span) from exc
-        finally:
-            subst.trail = None
-            subst.met.clear()
-            self.open_spans += [span] * (len(rows) - mark)
+        self.open_spans += [span] * (len(self.subst.rows) - len(self.open_spans))
 
 
 def instantiate(session: InferSession, scheme: Scheme) -> Type:
@@ -240,7 +220,11 @@ def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> 
     while isinstance(head, TApp):
         head = session.subst.find(head.fun)
     if isinstance(head, (TCon, TFun)) and head != REC:
-        raise NotARecord(session.resolve(t), span)
+        try:
+            actual = session.resolve(t)
+        except DuplicateLabel as exc:  # a tail bound late repeats a label of `t`
+            raise UnifyFailure(exc, span) from exc
+        raise NotARecord(actual, span)
 
 
 def infer_term(session: InferSession, gamma: TypeEnv, term: Term) -> Type:

@@ -255,12 +255,7 @@ def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assign
     return out
 
 
-def oracle_agrees(
-    problem: Problem,
-    space: GroundSpace,
-    unifier=None,
-    fresh_start: int = 1_000_000,
-) -> bool:
+def oracle_agrees(problem: Problem, space: GroundSpace, unifier=None) -> bool:
     """Run the unifier and the brute-force enumeration on one problem.
 
     True when both report no solution, or when the unifier's answer (a)
@@ -272,7 +267,7 @@ def oracle_agrees(
     run = unifier if unifier is not None else unify_rows
     r1, r2 = problem
     try:
-        sigma = run(r1, r2, FreshVars(fresh_start))
+        sigma = run(r1, r2, FreshVars(1_000_000))
     except UnifyError:
         sigma = None
     solutions = ground_solutions(problem, space)

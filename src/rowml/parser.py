@@ -49,7 +49,6 @@ from rowml.syntax import (
     STAR,
     Select,
     TApp,
-    TCon,
     TFun,
     TRow,
     TVar,
@@ -353,7 +352,7 @@ class _Parser:
         if tok.kind == "ident":
             self.next()
             if tok.text[0].isupper():
-                con = ctx.constructors.get(tok.text)
+                con = BASE_CONSTRUCTORS.get(tok.text)
                 if con is None:
                     raise ParseError(
                         tok.span, ("a known type constructor",), f"'{tok.text}'"
@@ -399,8 +398,7 @@ class _TypeContext:
     """Names to variables: each name gets one variable whose kind is
     fixed by its first use (row tail vs. field/arrow position)."""
 
-    def __init__(self, constructors: dict[str, TCon]) -> None:
-        self.constructors = constructors
+    def __init__(self) -> None:
         self.vars: dict[str, TypeVar] = {}
 
     def var(self, tok: _Token, kind) -> TypeVar:
@@ -440,14 +438,11 @@ def parse_term(src: str) -> Term:
     return t
 
 
-def parse_type(src: str, constructors: dict[str, TCon] | None = None) -> Type:
-    """Parse a complete type expression.
-
-    `constructors` maps names to known constructors and defaults to the
-    built-in ones (Int, String, Bool, List, Rec).
-    """
+def parse_type(src: str) -> Type:
+    """Parse a complete type expression over the built-in constructors
+    (Int, String, Bool, List, Rec)."""
     parser = _Parser(_tokenize(src))
-    ctx = _TypeContext(BASE_CONSTRUCTORS if constructors is None else constructors)
+    ctx = _TypeContext()
     t = parser.type_(ctx)
     parser.expect("eof", "end of input")
     return t

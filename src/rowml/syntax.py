@@ -443,37 +443,33 @@ def _kind_atom(k: Kind) -> str:
 
 def pretty_type(t: Type, names: dict[int, str] | None = None) -> str:
     """Render a type; variables not in `names` print as ``t<id>``."""
-    table = names or {}
+    return _pretty(t, names or {})
 
-    def var_name(v: TypeVar) -> str:
-        return table.get(v.id, f"t{v.id}")
 
-    def go(t: Type) -> str:
-        if isinstance(t, TVar):
-            return var_name(t.var)
-        if isinstance(t, TCon):
-            return t.name
-        if isinstance(t, TFun):
-            dom = go(t.dom)
-            if isinstance(t.dom, TFun):
-                dom = f"({dom})"
-            return f"{dom} -> {go(t.cod)}"
-        if isinstance(t, TApp):
-            fun = go(t.fun)
-            if isinstance(t.fun, TFun):
-                fun = f"({fun})"
-            arg = go(t.arg)
-            if isinstance(t.arg, (TApp, TFun)):
-                arg = f"({arg})"
-            return f"{fun} {arg}"
-        if isinstance(t, TRow):
-            inner = ", ".join(f"{l}:{go(t.fields[l])}" for l in sorted(t.fields))
-            if t.tail is not None:
-                inner += f" | {var_name(t.tail)}"
-            return "{" + inner + "}"
-        raise AssertionError(f"unexpected type node: {t!r}")
-
-    return go(t)
+def _pretty(t: Type, names: dict[int, str]) -> str:
+    if isinstance(t, TVar):
+        return names.get(t.var.id, f"t{t.var.id}")
+    if isinstance(t, TCon):
+        return t.name
+    if isinstance(t, TFun):
+        dom = _pretty(t.dom, names)
+        if isinstance(t.dom, TFun):
+            dom = f"({dom})"
+        return f"{dom} -> {_pretty(t.cod, names)}"
+    if isinstance(t, TApp):
+        fun = _pretty(t.fun, names)
+        if isinstance(t.fun, TFun):
+            fun = f"({fun})"
+        arg = _pretty(t.arg, names)
+        if isinstance(t.arg, (TApp, TFun)):
+            arg = f"({arg})"
+        return f"{fun} {arg}"
+    if isinstance(t, TRow):
+        inner = ", ".join(f"{l}:{_pretty(t.fields[l], names)}" for l in sorted(t.fields))
+        if t.tail is not None:
+            inner += f" | {names.get(t.tail.id, f't{t.tail.id}')}"
+        return "{" + inner + "}"
+    raise AssertionError(f"unexpected type node: {t!r}")
 
 
 def pretty_scheme(s: Scheme) -> str:

@@ -10,15 +10,20 @@ respects kinds.
 
 One `Subst` is threaded through a whole unification step: each binding
 is recorded as it is made and never re-applied to the bindings before
-it, so the store is triangular while the step runs.  Given no store, the
-public entry points answer with a new, settled one, whose images mention
-no bound variable; given the inference session's store, they extend it
-in place and leave it triangular.
+it, so the store is triangular.  A step is atomic.  When it ends, it
+walks once more the rows that a tail it bound late could make repeat a
+label.  When it fails, it takes back every write it made, and a row of
+an input that already repeated a label under the old bindings is the
+error.  Given no store, the public entry points answer with a new,
+settled one, whose images mention no bound variable; given the
+inference session's store, they extend it in place and leave it
+triangular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from rowml.syntax import (
     FreshVars,
@@ -31,7 +36,6 @@ from rowml.syntax import (
     Type,
     TypeVar,
     max_var_id,
-    open_rows,
     pretty_type,
     pretty_types_shared,
     type_kind,
@@ -105,27 +109,29 @@ class Subst:
     answer with `settled()` stores, whose images mention no bound
     variable, unless they were given a store to extend.
 
-    The inference session's store also sets the fields after `mapping`,
-    which `bind` and `unify_rows` fill as they go: `levels` (variable id
-    to let-depth, absent meaning 0) is lowered to the bound variable's
-    level for every variable an image reaches; `rows` collects the rows
-    with fields and a tail that are part of an image itself; `met` the
-    other rows the step met that a tail bound later in it could make
-    repeat a label: rows compared while both tails stay open, and the
-    open rows reached through the bindings of an image.  While a step
-    runs, `trail` records every write to `mapping` with the image it
-    replaced, so that `undo` can take a failed step back.
+    `levels` maps a variable id to its let-depth, absent meaning 0.  `bind`
+    lowers it to the bound variable's level for every variable an image
+    reaches; the inference session shares it with its variable supply.
+
+    The unifier keeps the other fields as it goes.  `rows` collects the
+    rows with fields and a tail that are part of an image itself, in the
+    order they were bound.  While a step runs, `met` holds the other rows
+    it met that a tail bound later in it could make repeat a label: rows
+    compared while both tails stay open, and the open rows reached through
+    the bindings of an image.  `trail` records every write to `mapping`
+    since the last step began, with the image it replaced, so that `undo`
+    can take a failed step back.  `stepping` is set while a step runs.
     """
 
     mapping: dict[int, Type] = field(default_factory=dict)
-    levels: dict[int, int] | None = None
-    rows: list[TRow] | None = None
-    met: list[TRow] | None = None
-    trail: list[tuple[int, Type | None]] | None = None
+    levels: dict[int, int] = field(default_factory=dict)
+    rows: list[TRow] = field(default_factory=list, init=False)
+    met: list[TRow] = field(default_factory=list, init=False)
+    trail: list[tuple[int, Type | None]] = field(default_factory=list, init=False)
+    stepping: bool = field(default=False, init=False)
 
     def _write(self, vid: int, t: Type) -> None:
-        if self.trail is not None:
-            self.trail.append((vid, self.mapping.get(vid)))
+        self.trail.append((vid, self.mapping.get(vid)))
         self.mapping[vid] = t
 
     def undo(self) -> None:
@@ -208,8 +214,8 @@ class Subst:
         """Bind the unbound variable `v` to `t`, after an occurs check
         that follows the bindings of `t`'s variables.
 
-        The same walk keeps a session store's `levels` and rows: every
-        variable it meets is lowered to `v`'s level, so a variable that
+        The same walk keeps `levels` and the rows: every variable it
+        meets is lowered to `v`'s level, so a variable that
         an image reaches, through bound variables too, is generalized no
         deeper than `v`.  The walk visits `t` itself first and the images
         of its bound variables after, so it knows which rows are `t`'s
@@ -217,7 +223,7 @@ class Subst:
         if isinstance(t, TVar) and t.var.id == v.id:
             return
         levels, rows = self.levels, self.rows
-        level = levels.get(v.id, 0) if levels is not None else 0
+        level = levels.get(v.id, 0)
         todo: list[Type] = [t]
         images: list[Type] = []
         while todo or images:
@@ -231,7 +237,7 @@ class Subst:
             elif isinstance(u, TRow):
                 todo += u.fields.values()
                 var = u.tail
-                if rows is not None and var is not None and u.fields:
+                if var is not None and u.fields:
                     rows.append(u)
             else:
                 if isinstance(u, TApp):
@@ -242,7 +248,7 @@ class Subst:
             if var is not None:
                 if var.id == v.id:
                     raise OccursCheck(v, self.apply(t))
-                if levels is not None and levels.get(var.id, 0) > level:
+                if levels.get(var.id, 0) > level:
                     levels[var.id] = level
                 image = self.mapping.get(var.id)
                 if image is not None:
@@ -265,36 +271,71 @@ def unify(
     Structural everywhere except at row nodes, which unify through
     `unify_rows` and therefore ignore field order.  With `subst`, the
     types unify under its bindings, and `subst` itself is extended and
-    returned, unsettled.  Otherwise the answer is a new, settled store.
-    `fresh` supplies the tail variables row unification may need; when
-    omitted, a supply starting above every variable in the inputs and in
-    `subst` is created.
+    returned, unsettled; a failed step leaves its `mapping` as it was.
+    Otherwise the answer is a new, settled store.  `fresh` supplies the
+    tail variables row unification may need; when omitted, a supply
+    starting above every variable in the inputs and in `subst` is created.
     """
+    return _step(_unify, t1, t2, fresh, subst)
+
+
+def unify_rows(
+    r1: TRow, r2: TRow, fresh: FreshVars | None = None, subst: Subst | None = None
+) -> Subst:
+    """Unify two rows regardless of field order or known size.
+
+    Fields under labels common to both rows unify pointwise; because a
+    pointwise step can instantiate a tail and reveal new common labels,
+    this repeats until the shared labels are exhausted.  The remaining
+    fields on each side are then pushed into the other side's tail: a
+    closed side with leftovers on the other side fails with
+    RowMissingLabel, two distinct tails meet in a fresh shared tail, and
+    the same tail on both sides is only consistent when nothing is left.
+
+    `fresh` and `subst` are as for `unify`.  Inside a step of `unify`,
+    this is the step's row case and extends its store.
+    """
+    return _step(_unify_rows, r1, r2, fresh, subst)
+
+
+def _step(solve, t1: Type, t2: Type, fresh: FreshVars | None, subst: Subst | None) -> Subst:
+    """Run `solve` as one atomic step on `subst`, or on a new store that
+    is settled when the step ends."""
     s = subst if subst is not None else Subst()
+    if s.stepping:  # the row case of a step in progress
+        solve(t1, t2, fresh, s)
+        return s
     if fresh is None:
         fresh = _supply_above(s, t1, t2)
-    _unify(t1, t2, fresh, s)
-    return s if subst is not None else _answer(s, t1, t2)
+    rows, mark = s.rows, len(s.rows)
+    s.trail.clear()
+    s.stepping = True
+    try:
+        solve(t1, t2, fresh, s)
+        # a tail bound late in the step may repeat a label of a row it met
+        # or of a row in one of its images
+        for row in s.met:
+            s.walk_row(row)
+        for row in islice(rows, mark, None):
+            s.walk_row(row)
+    except UnifyError:
+        s.undo()
+        del rows[mark:]
+        try:  # a row of an input that already repeated a label is the error
+            s.apply(t1)
+            s.apply(t2)
+        finally:
+            s.undo()  # the re-resolve's path compression
+        raise
+    finally:
+        s.stepping = False
+        s.met.clear()
+    return s if subst is not None else s.settled()
 
 
 def _supply_above(s: Subst, *types: Type) -> FreshVars:
     """A supply starting above every variable in `types` and in `s`."""
     return FreshVars(max([max_var_id(*types, *s.mapping.values()), *s.mapping]) + 1)
-
-
-def _answer(s: Subst, *inputs: Type) -> Subst:
-    """`s` settled, once no row of `inputs` repeats a label that its
-    bound tail stands for.
-
-    A row matched field by field is in no image, so settling `s` alone
-    would not see a tail bound later in the step repeat one of its labels.
-    Only a tail bound to a row with fields can add a label.
-    """
-    if any(isinstance(image, TRow) and image.fields for image in s.mapping.values()):
-        for t in inputs:
-            for row in open_rows(t):
-                s.walk_row(row)
-    return s.settled()
 
 
 def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
@@ -319,27 +360,7 @@ def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
         raise Mismatch(s.apply(t1), s.apply(t2))
 
 
-def unify_rows(
-    r1: TRow, r2: TRow, fresh: FreshVars | None = None, subst: Subst | None = None
-) -> Subst:
-    """Unify two rows regardless of field order or known size.
-
-    Fields under labels common to both rows unify pointwise; because a
-    pointwise step can instantiate a tail and reveal new common labels,
-    this repeats until the shared labels are exhausted.  The remaining
-    fields on each side are then pushed into the other side's tail: a
-    closed side with leftovers on the other side fails with
-    RowMissingLabel, two distinct tails meet in a fresh shared tail, and
-    the same tail on both sides is only consistent when nothing is left.
-
-    With `subst`, the rows unify under its bindings, and `subst` itself
-    is extended and returned, unsettled.  Otherwise the answer is a new,
-    settled store.  When `fresh` is omitted, a supply starting above
-    every variable in the rows and in `subst` is created.
-    """
-    s = subst if subst is not None else Subst()
-    if fresh is None:
-        fresh = _supply_above(s, r1, r2)
+def _unify_rows(r1: TRow, r2: TRow, fresh: FreshVars, s: Subst) -> None:
     done: set[str] = set()
     while True:
         a = s.walk_row(r1)
@@ -367,8 +388,7 @@ def unify_rows(
         s.bind(a.tail, TRow(only2, None))
     elif b.tail is not None:
         s.bind(b.tail, TRow(only1, None))
-    if s.met is not None and a.tail is not None and b.tail is not None:
+    if a.tail is not None and b.tail is not None:
         # both rows now stand for the same fields and open tail, so either
         # tells whether a tail bound later in the step repeats a label
         s.met.append(r1)
-    return s if subst is not None else _answer(s, r1, r2)

@@ -381,6 +381,17 @@ class TestRecordErrors:
         span = exc.value.span
         assert src[span.start : span.end] == src[4:]
 
+    def test_not_a_record_whose_row_already_repeats_a_label_fails_at_the_selection(self):
+        # r.a makes f's row repeat a; f.x selects from a function, and
+        # resolving f's type for the NotARecord message meets that row first
+        src = "\\r. let f = \\u. {a = 1 | r} in (\\s. \\t. t) r.a (f.x)"
+        with pytest.raises(UnifyFailure) as exc:
+            scheme_of(src)
+        assert isinstance(exc.value.cause, DuplicateLabel)
+        span = exc.value.span
+        assert (span.line, span.col) == (1, 48)
+        assert src[span.start : span.end] == "(f.x)"
+
     @pytest.mark.parametrize(
         "src, expected",
         [

@@ -1,6 +1,8 @@
 """Tests for the type/term syntax: canonical rows, alpha equivalence,
 free variables, and printing."""
 
+import gc
+
 import hypothesis.strategies as st
 from hypothesis import given
 
@@ -28,6 +30,7 @@ from rowml.syntax import (
     record,
     type_kind,
 )
+from rowml.unify import Mismatch
 
 A = TypeVar(0)
 B = TypeVar(1)
@@ -253,6 +256,17 @@ class TestPretty:
 
     def test_unnamed_free_vars(self):
         assert pretty_type(TVar(TypeVar(42))) == "t42"
+
+    def test_printing_leaves_no_garbage_cycle(self):
+        s = Scheme((A, RHO), TFun(record({"name": TVar(A)}, RHO), TVar(A)))
+        gc.collect()
+        gc.disable()
+        try:
+            pretty_scheme(s)
+            Mismatch(INT, TFun(INT, TVar(A)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_canonicalize_deep(self):
         t = record({"x": record({"b": INT, "a": BOOL})})

@@ -146,6 +146,36 @@ class TestUnify:
         assert s.mapping == before
 
 
+    def test_failed_step_leaves_the_given_store_as_it_was(self):
+        # the step compresses A's chain and binds c before Int meets Bool
+        c = TypeVar(5)
+        s = Subst({A.id: TVar(B), B.id: TVar(c)})
+        before = dict(s.mapping)
+        with pytest.raises(Mismatch):
+            unify(TFun(TVar(A), INT), TFun(INT, BOOL), FreshVars(100), s)
+        assert s.mapping == before
+
+    def test_failed_step_reports_an_input_row_that_already_repeats_a_label(self):
+        # under the store, RHO's row already has a; the step binds the
+        # input's row to c before Int meets Bool
+        c = TypeVar(5)
+        s = Subst({RHO.id: TRow({"a": INT}, RHO2)})
+        before = dict(s.mapping)
+        with pytest.raises(DuplicateLabel):
+            unify(TFun(record({"a": INT}, RHO), INT), TFun(TVar(c), BOOL), FreshVars(100), s)
+        assert s.mapping == before
+
+    def test_failed_step_reports_its_own_error_under_the_old_bindings(self):
+        # the step binds RHO to {a:Bool}, which makes the input row
+        # {a:Int | RHO} repeat a, and then fails on Int against Bool
+        row = record({"a": INT}, RHO)
+        t1 = TFun(TFun(row, record({}, RHO)), INT)
+        t2 = TFun(TFun(row, record({"a": BOOL})), BOOL)
+        with pytest.raises(Mismatch):
+            unify(t1, t2)
+        with pytest.raises(Mismatch):
+            unify(t1, t2, FreshVars(100), Subst())
+
 SPACE = GroundSpace(labels=("a", "b", "name", "age"), max_row_size=3)
 
 
