@@ -19,13 +19,13 @@ variable its image reaches to the bound variable's level, in the walk of
 the occurs check, so a variable still deeper than the session after the
 bound is free nowhere in the environment and may be quantified.
 
-Resolving late leaves one check to be made on its own: a tail bound
-late can make a row recorded earlier repeat a label.  These rows are
-checked where the verdict of eager resolution depended on them: the
-rows a unification step met, by the step itself when it ends; the rows
-of the let-bound schemes in scope, by the session after every `let`
-bound; and the rows of every binding's image, by the session once, when
-the whole term is inferred.
+Every row the session builds is registered with the store, so its
+tail lacks the row's labels, and the rows of the initial environment
+are registered before inference begins.  A repeated label is then the
+error of the unification step that would make it; nothing is walked
+again afterwards.  `generalize` moves the labels a quantified row
+variable lacks into its scheme, and `instantiate` gives them to the
+variable's fresh copy.
 
 Inference is staged: `infer_program` first kind-checks every scheme of
 the initial environment, then runs inference; constraint solving never
@@ -69,11 +69,10 @@ from rowml.syntax import (
     base_kind_env,
     canonicalize,
     free_vars_ordered,
-    max_var_id,
-    open_rows,
     pretty_type,
+    scan_rows,
 )
-from rowml.unify import DuplicateLabel, Subst, UnifyError, unify
+from rowml.unify import Subst, UnifyError, unify
 
 
 class InferError(Exception):
@@ -141,21 +140,14 @@ class InferSession:
     session made to the level it lives at; the variables of the initial
     environment, whose ids lie below `fresh_start`, are not in it and are
     at level 0.  `subst` shares `fresh.levels` and lowers it as it binds.
-
-    A tail bound late can make a row recorded earlier repeat a label.  A
-    unification step checks the rows it met itself.  Two lists keep the
-    rows that can still go bad this way, so they are checked without
-    resolving every type again: `subst.rows` holds the rows with fields
-    and a tail in the images of `subst`, with `open_spans` the span of the
-    step that bound each; and `let_rows` holds those in the schemes of the
-    `let`s being inferred, whose tails are not quantified.
+    `subst.lacks` holds the labels each unbound row variable must lack;
+    every row the session builds is registered there before it is
+    unified, so no step walks its inputs' rows.
     """
 
     def __init__(self, fresh_start: int = 0) -> None:
         self.fresh = _LevelledVars(fresh_start)
         self.subst = Subst(levels=self.fresh.levels)
-        self.open_spans: list[SourceSpan | None] = []
-        self.let_rows: list[TRow] = []
 
     def resolve(self, t: Type) -> Type:
         """`t` with every bound variable replaced by what it stands for."""
@@ -163,56 +155,51 @@ class InferSession:
 
     def resolve_env(self, gamma: TypeEnv) -> TypeEnv:
         return TypeEnv(
-            tuple((name, Scheme(s.quantified, self.resolve(s.body))) for name, s in gamma)
+            tuple(
+                (name, Scheme(s.quantified, self.resolve(s.body), s.lacks)) for name, s in gamma
+            )
         )
-
-    def check_let_rows(self) -> None:
-        """Raise DuplicateLabel if a tail bound since a `let` generalized
-        its scheme repeats a label of one of the scheme's rows."""
-        rows = self.let_rows
-        for i, row in enumerate(rows):
-            rows[i] = self.subst.walk_row(row)
-
-    def check_bindings(self, span: SourceSpan | None) -> None:
-        """Raise UnifyFailure if a tail bound after a binding was recorded
-        repeats a label of a row in the binding's image.  The error
-        carries the span of the step that made the binding, or `span`
-        when that step had none."""
-        for row, recorded in zip(self.subst.rows, self.open_spans):
-            try:
-                self.subst.walk_row(row)
-            except UnifyError as exc:
-                raise UnifyFailure(exc, recorded if recorded is not None else span) from exc
 
     def unify(self, t1: Type, t2: Type, span: SourceSpan | None) -> None:
         """Unify `t1` with `t2` in the session's store, as one atomic step
-        of `rowml.unify.unify`.  Its failure raises UnifyFailure at `span`,
-        which is also recorded for each row the step adds to `subst.rows`."""
+        of `rowml.unify.unify`.  Its failure raises UnifyFailure at `span`."""
         try:
             unify(t1, t2, self.fresh, self.subst)
         except UnifyError as exc:
             raise UnifyFailure(exc, span) from exc
-        self.open_spans += [span] * (len(self.subst.rows) - len(self.open_spans))
+
+    def template_row(self, label: str, field: Type) -> TRow:
+        """The row ``{label:field | rest}`` of a record template, over a
+        fresh tail `rest` that lacks `label`."""
+        row = TRow({label: field}, self.fresh.fresh(ROW))
+        self.subst.register(row)
+        return row
 
 
 def instantiate(session: InferSession, scheme: Scheme) -> Type:
     """The scheme's body with every quantified variable replaced by a
-    fresh variable of the same kind."""
+    fresh variable of the same kind, which lacks the labels the
+    quantified one lacks."""
     if not scheme.quantified:
         return scheme.body
     renaming = Subst(
         {v.id: TVar(session.fresh.fresh(v.kind)) for v in scheme.quantified}
     )
+    for v, labels in scheme.lacks:
+        session.subst.lacks[renaming.mapping[v.id].var.id] = frozenset(labels)
     return renaming.apply(scheme.body)
 
 
 def generalize(session: InferSession, tau: Type) -> Scheme:
     """Quantify the variables of the resolved `tau` that live deeper than
-    the session's current level, in first-occurrence order."""
+    the session's current level, in first-occurrence order, and move the
+    labels they lack from the store into the scheme."""
     tau = session.resolve(tau)
     level, levels = session.fresh.level, session.fresh.levels
     quantified = tuple(v for v in free_vars_ordered(tau) if levels.get(v.id, 0) > level)
-    return Scheme(quantified, tau)
+    store = session.subst.lacks
+    lacks = tuple((v, store.pop(v.id)) for v in quantified if v.id in store)
+    return Scheme(quantified, tau, lacks)
 
 
 def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> None:
@@ -220,21 +207,12 @@ def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> 
     while isinstance(head, TApp):
         head = session.subst.find(head.fun)
     if isinstance(head, (TCon, TFun)) and head != REC:
-        try:
-            actual = session.resolve(t)
-        except DuplicateLabel as exc:  # a tail bound late repeats a label of `t`
-            raise UnifyFailure(exc, span) from exc
-        raise NotARecord(actual, span)
+        raise NotARecord(session.resolve(t), span)
 
 
 def infer_term(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
     """Infer the type of `term` under `gamma`, fully resolved."""
-    inferred = _infer(session, gamma, term)
-    session.check_bindings(term.span)
-    try:
-        return session.resolve(inferred)
-    except UnifyError as exc:  # a tail bound late repeats a label of the type
-        raise UnifyFailure(exc, term.span) from exc
+    return session.resolve(_infer(session, gamma, term))
 
 
 def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
@@ -264,19 +242,8 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
         session.fresh.level += 1
         bound = _infer(session, gamma, term.bound)
         session.fresh.level -= 1
-        try:  # a tail bound late repeats a label
-            session.check_let_rows()
-            scheme = generalize(session, bound)
-        except UnifyError as exc:
-            raise UnifyFailure(exc, term.bound.span) from exc
-        mark = len(session.let_rows)
-        quantified = {v.id for v in scheme.quantified}
-        session.let_rows += (
-            row for row in open_rows(scheme.body) if row.tail.id not in quantified
-        )
-        body = _infer(session, gamma.extend(term.name, scheme), term.body)
-        del session.let_rows[mark:]
-        return body
+        scheme = generalize(session, bound)
+        return _infer(session, gamma.extend(term.name, scheme), term.body)
 
     if isinstance(term, RecordLit):
         fields = {label: _infer(session, gamma, value) for label, value in term.fields.items()}
@@ -286,30 +253,23 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
         rec_type = _infer(session, gamma, term.record)
         _require_record(session, rec_type, term.span)
         value = TVar(session.fresh.fresh(STAR))
-        rest = session.fresh.fresh(ROW)
-        session.unify(rec_type, TApp(REC, TRow({term.label: value}, rest)), term.span)
+        session.unify(rec_type, TApp(REC, session.template_row(term.label, value)), term.span)
         return value
 
     if isinstance(term, Extend):
         value = _infer(session, gamma, term.value)
         rec_type = _infer(session, gamma, term.record)
         _require_record(session, rec_type, term.span)
-        rest = session.fresh.fresh(ROW)
-        session.unify(rec_type, TApp(REC, TRow({}, rest)), term.span)
-        extended = TRow({term.label: value}, rest)
-        try:
-            session.subst.walk_row(extended)
-        except UnifyError as exc:  # the tail already carries this label
-            raise UnifyFailure(exc, term.span) from exc
+        extended = session.template_row(term.label, value)
+        session.unify(rec_type, TApp(REC, TRow({}, extended.tail)), term.span)
         return TApp(REC, extended)
 
     if isinstance(term, Restrict):
         rec_type = _infer(session, gamma, term.record)
         _require_record(session, rec_type, term.span)
-        value = TVar(session.fresh.fresh(STAR))
-        rest = session.fresh.fresh(ROW)
-        session.unify(rec_type, TApp(REC, TRow({term.label: value}, rest)), term.span)
-        return TApp(REC, TRow({}, rest))
+        row = session.template_row(term.label, TVar(session.fresh.fresh(STAR)))
+        session.unify(rec_type, TApp(REC, row), term.span)
+        return TApp(REC, TRow({}, row.tail))
 
     raise AssertionError(f"unexpected term node: {term!r}")
 
@@ -330,25 +290,23 @@ def infer_program(
     term = parse_term(src)
     kind_env = delta if delta is not None else base_kind_env()
     gamma = env if env is not None else TypeEnv()
+    top = -1
+    free_rows: dict[int, frozenset[str]] = {}  # the labels the environment's free row variables lack
     for _, scheme in gamma:
         try:
             check_scheme(kind_env, scheme)
         except (KindError, UnboundTypeName) as exc:
             raise KindFailure(exc) from exc
-    ceiling = 1 + max_var_id(
-        *(scheme.body for _, scheme in gamma),
-        *(TVar(v) for _, scheme in gamma for v in scheme.quantified),
-    )
-    session = InferSession(fresh_start=ceiling)
-    try:
-        session.fresh.level += 1
-        inferred = infer_term(session, gamma, term)
-        session.fresh.level -= 1
-        # A tail bound late may repeat a label of an environment row, but
-        # only if a variable of the environment, below the ceiling, is bound.
-        if any(vid < ceiling for vid in session.subst.mapping):
-            session.resolve_env(gamma)
-        result = generalize(session, inferred)
-    except UnifyError as exc:  # a tail bound late repeats a label of the environment
-        raise UnifyFailure(exc, term.span) from exc
-    return Scheme(result.quantified, canonicalize(result.body))
+        rows: dict[int, frozenset[str]] = {}
+        top = max(top, scan_rows(scheme.body, rows), *(v.id for v in scheme.quantified))
+        for v in scheme.quantified:
+            rows.pop(v.id, None)
+        for vid, labels in rows.items():
+            free_rows[vid] = free_rows.get(vid, frozenset()).union(labels)
+    session = InferSession(fresh_start=top + 1)
+    session.subst.lacks.update(free_rows)
+    session.fresh.level += 1
+    inferred = infer_term(session, gamma, term)
+    session.fresh.level -= 1
+    result = generalize(session, inferred)
+    return Scheme(result.quantified, canonicalize(result.body), result.lacks)

@@ -123,16 +123,32 @@ def record(fields: dict[str, Type], tail: TypeVar | None = None) -> Type:
 class Scheme:
     """A type quantified over kinded variables, e.g. ``forall a:*. a -> a``.
 
-    A scheme with no quantifiers is just a monomorphic type.
+    `lacks` pairs each quantified row variable that must lack labels with
+    those labels, sorted, in the order of `quantified`.  Building a scheme
+    puts it in that form and adds the labels of every row of the body
+    that the variable ends.  A scheme with no quantifiers is just a
+    monomorphic type.
     """
 
     quantified: tuple[TypeVar, ...]
     body: Type
+    lacks: tuple[tuple[TypeVar, tuple[str, ...]], ...] = ()
 
     def __post_init__(self) -> None:
         ids = [v.id for v in self.quantified]
         if len(set(ids)) != len(ids):
             raise ValueError("scheme quantifies the same variable twice")
+        rows = [v for v in self.quantified if v.kind == ROW]
+        if not rows and not self.lacks:
+            return
+        labels: dict[int, frozenset[str]] = {}
+        scan_rows(self.body, labels)
+        for v, lacked in self.lacks:
+            if v not in rows:
+                raise ValueError(f"t{v.id} lacks labels but is no quantified row variable")
+            labels[v.id] = labels.get(v.id, frozenset()).union(lacked)
+        lacks = tuple((v, tuple(sorted(labels[v.id]))) for v in rows if labels.get(v.id))
+        object.__setattr__(self, "lacks", lacks)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +302,6 @@ def _iter_vars(t: Type) -> Iterator[TypeVar]:
             yield t.tail
 
 
-def max_var_id(*types: Type) -> int:
-    """The highest variable id in `types`, or -1 when they have none."""
-    return max((v.id for t in types for v in _iter_vars(t)), default=-1)
-
-
 def free_vars_ordered(t: Type) -> list[TypeVar]:
     """Free variables of a type in first-occurrence order.
 
@@ -306,21 +317,33 @@ def free_vars_ordered(t: Type) -> list[TypeVar]:
     return out
 
 
-def open_rows(t: Type) -> list[TRow]:
-    """The rows in `t` that have fields and a tail."""
-    rows: list[TRow] = []
+def scan_rows(t: Type, lacks: dict[int, frozenset[str]]) -> int:
+    """Add the labels of every row of `t` that has fields and a tail to
+    `lacks` under the tail's id, and return the highest variable id in
+    `t`, or -1 when it has none."""
+    top = -1
     todo = [t]
     while todo:
         t = todo.pop()
-        if isinstance(t, TApp):
-            todo += (t.fun, t.arg)
+        if isinstance(t, TCon):
+            continue
+        if isinstance(t, TRow):
+            todo += t.fields.values()
+            tail = t.tail
+            if tail is not None:
+                if tail.id > top:
+                    top = tail.id
+                if t.fields:
+                    old = lacks.get(tail.id)
+                    lacks[tail.id] = frozenset(t.fields) if old is None else old.union(t.fields)
+        elif isinstance(t, TVar):
+            if t.var.id > top:
+                top = t.var.id
         elif isinstance(t, TFun):
             todo += (t.dom, t.cod)
-        elif isinstance(t, TRow):
-            todo += t.fields.values()
-            if t.fields and t.tail is not None:
-                rows.append(t)
-    return rows
+        elif isinstance(t, TApp):
+            todo += (t.fun, t.arg)
+    return top
 
 
 def free_type_vars(x: Union[Type, Scheme, TypeEnv]) -> set[TypeVar]:
@@ -382,44 +405,31 @@ def alpha_equal(s1: Scheme, s2: Scheme) -> bool:
 
     Free variables must match exactly; quantified variables are paired
     up by position of first use, and paired variables must agree on
-    kind.
+    kind and on the labels they lack.
     """
-    q1 = {v.id for v in s1.quantified}
-    q2 = {v.id for v in s2.quantified}
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
+    return _alpha_normal(s1) == _alpha_normal(s2)
 
-    def vars_eq(v1: TypeVar, v2: TypeVar) -> bool:
-        if (v1.id in q1) != (v2.id in q2) or v1.kind != v2.kind:
-            return False
-        if v1.id not in q1:
-            return v1.id == v2.id
-        if v1.id in fwd or v2.id in bwd:
-            return fwd.get(v1.id) == v2.id and bwd.get(v2.id) == v1.id
-        fwd[v1.id] = v2.id
-        bwd[v2.id] = v1.id
-        return True
 
-    def go(t1: Type, t2: Type) -> bool:
-        if isinstance(t1, TVar) and isinstance(t2, TVar):
-            return vars_eq(t1.var, t2.var)
-        if isinstance(t1, TCon) and isinstance(t2, TCon):
-            return t1 == t2
-        if isinstance(t1, TApp) and isinstance(t2, TApp):
-            return go(t1.fun, t2.fun) and go(t1.arg, t2.arg)
-        if isinstance(t1, TFun) and isinstance(t2, TFun):
-            return go(t1.dom, t2.dom) and go(t1.cod, t2.cod)
-        if isinstance(t1, TRow) and isinstance(t2, TRow):
-            if set(t1.fields) != set(t2.fields):
-                return False
-            if not all(go(t1.fields[l], t2.fields[l]) for l in sorted(t1.fields)):
-                return False
-            if (t1.tail is None) != (t2.tail is None):
-                return False
-            return t1.tail is None or vars_eq(t1.tail, t2.tail)
-        return False
+def _alpha_normal(s: Scheme) -> tuple[Type, dict[TypeVar, tuple[str, ...]]]:
+    """`s`'s body and lacks with its quantified variables renamed to
+    negative ids, in first-occurrence order."""
+    quantified = {v.id for v in s.quantified}
+    used = [v for v in free_vars_ordered(s.body) if v.id in quantified]
+    names = {v.id: TypeVar(-1 - i, v.kind) for i, v in enumerate(used)}
+    return _rename(s.body, names), {names.get(v.id, v): labels for v, labels in s.lacks}
 
-    return go(s1.body, s2.body)
+
+def _rename(t: Type, names: dict[int, TypeVar]) -> Type:
+    if isinstance(t, TVar):
+        return TVar(names.get(t.var.id, t.var))
+    if isinstance(t, TApp):
+        return TApp(_rename(t.fun, names), _rename(t.arg, names))
+    if isinstance(t, TFun):
+        return TFun(_rename(t.dom, names), _rename(t.cod, names))
+    if isinstance(t, TRow):
+        tail = None if t.tail is None else names.get(t.tail.id, t.tail)
+        return TRow({label: _rename(f, names) for label, f in t.fields.items()}, tail)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +484,9 @@ def _pretty(t: Type, names: dict[int, str]) -> str:
 
 def pretty_scheme(s: Scheme) -> str:
     """Render a scheme, renaming variables to ``a, b, c, ...`` in
-    first-occurrence order; monomorphic schemes print as bare types."""
+    first-occurrence order; monomorphic schemes print as bare types.  A
+    row variable's kind shows the labels it lacks beyond those the rows
+    of the body imply, as in ``∀a:row∖{x}. Rec { | a} -> Int``."""
     names: dict[int, str] = {}
     order: list[TypeVar] = []
     seq = _var_names()
@@ -487,8 +499,18 @@ def pretty_scheme(s: Scheme) -> str:
         if v.id not in names:
             names[v.id] = next(seq)
             order.append(v)
-    prefix = "".join(f"∀{names[v.id]}:{_kind_atom(v.kind)}. " for v in order)
+    implied: dict[int, frozenset[str]] = {}
+    if s.lacks:
+        scan_rows(s.body, implied)
+    lacks = {v.id: [l for l in labels if l not in implied.get(v.id, ())] for v, labels in s.lacks}
+    prefix = "".join(
+        f"∀{names[v.id]}:{_kind_atom(v.kind)}{_lacks_suffix(lacks.get(v.id))}. " for v in order
+    )
     return prefix + pretty_type(s.body, names)
+
+
+def _lacks_suffix(labels: list[str] | None) -> str:
+    return "∖{" + ", ".join(labels) + "}" if labels else ""
 
 
 def pretty_types_shared(types: Iterable[Type]) -> list[str]:
@@ -511,36 +533,31 @@ def _quote(s: str) -> str:
 
 def pretty_term(t: Term) -> str:
     """Render a term in the concrete syntax accepted by the parser."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Lit):
+        return _quote(t.value) if isinstance(t.value, str) else str(t.value)
+    if isinstance(t, Lam):
+        return f"\\{t.param}. {pretty_term(t.body)}"
+    if isinstance(t, Let):
+        return f"let {t.name} = {pretty_term(t.bound)} in {pretty_term(t.body)}"
+    if isinstance(t, App):
+        fun = pretty_term(t.fun)
+        if isinstance(t.fun, (Lam, Let)):
+            fun = f"({fun})"
+        return f"{fun} {_term_atom(t.arg)}"
+    if isinstance(t, Select):
+        return f"{_term_atom(t.record)}.{t.label}"
+    if isinstance(t, Restrict):
+        return f"{_term_atom(t.record)} - {t.label}"
+    if isinstance(t, RecordLit):
+        inner = ", ".join(f"{l} = {pretty_term(t.fields[l])}" for l in sorted(t.fields))
+        return "{" + inner + "}"
+    if isinstance(t, Extend):
+        return f"{{{t.label} = {pretty_term(t.value)} | {pretty_term(t.record)}}}"
+    raise AssertionError(f"unexpected term node: {t!r}")
 
-    def atom(t: Term) -> str:
-        s = go(t)
-        if isinstance(t, (Lam, Let, App)):
-            return f"({s})"
-        return s
 
-    def go(t: Term) -> str:
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Lit):
-            return _quote(t.value) if isinstance(t.value, str) else str(t.value)
-        if isinstance(t, Lam):
-            return f"\\{t.param}. {go(t.body)}"
-        if isinstance(t, Let):
-            return f"let {t.name} = {go(t.bound)} in {go(t.body)}"
-        if isinstance(t, App):
-            fun = go(t.fun)
-            if isinstance(t.fun, (Lam, Let)):
-                fun = f"({fun})"
-            return f"{fun} {atom(t.arg)}"
-        if isinstance(t, Select):
-            return f"{atom(t.record)}.{t.label}"
-        if isinstance(t, Restrict):
-            return f"{atom(t.record)} - {t.label}"
-        if isinstance(t, RecordLit):
-            inner = ", ".join(f"{l} = {go(t.fields[l])}" for l in sorted(t.fields))
-            return "{" + inner + "}"
-        if isinstance(t, Extend):
-            return f"{{{t.label} = {go(t.value)} | {go(t.record)}}}"
-        raise AssertionError(f"unexpected term node: {t!r}")
-
-    return go(t)
+def _term_atom(t: Term) -> str:
+    s = pretty_term(t)
+    return f"({s})" if isinstance(t, (Lam, Let, App)) else s

@@ -8,22 +8,27 @@ meet in a fresh shared tail; when one side is closed its missing labels
 are a hard error.  Every variable binding passes an occurs check and
 respects kinds.
 
+Rows stay duplicate-free because every unbound row variable carries the
+labels it must lack (Rémy, "Type checking records and variants in a
+natural extension of ML", POPL 1989; Gaster & Jones 1996): those of
+each row it ends.  Binding a row variable to a row that has one of them
+is a DuplicateLabel; otherwise the labels pass on to the variable that
+ends the row.
+
 One `Subst` is threaded through a whole unification step: each binding
 is recorded as it is made and never re-applied to the bindings before
-it, so the store is triangular.  A step is atomic.  When it ends, it
-walks once more the rows that a tail it bound late could make repeat a
-label.  When it fails, it takes back every write it made, and a row of
-an input that already repeated a label under the old bindings is the
-error.  Given no store, the public entry points answer with a new,
-settled one, whose images mention no bound variable; given the
-inference session's store, they extend it in place and leave it
-triangular.
+it, so the store is triangular.  A step is atomic: when it fails, it
+takes back every write it made.  Given no store, the public entry
+points seed the labels to lack from the rows of their inputs and answer
+with a new, settled store, whose images mention no bound variable; given
+the inference session's store, whose rows are registered already, they
+extend it in place and leave it triangular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from typing import Iterable
 
 from rowml.syntax import (
     FreshVars,
@@ -35,9 +40,9 @@ from rowml.syntax import (
     TVar,
     Type,
     TypeVar,
-    max_var_id,
     pretty_type,
     pretty_types_shared,
+    scan_rows,
     type_kind,
 )
 
@@ -88,7 +93,7 @@ class RowTailEscape(UnifyError):
 
 
 class DuplicateLabel(UnifyError):
-    """Substituting a tail produced a row with a repeated label, e.g. by
+    """Binding a row variable would make a row repeat a label, e.g. by
     extending a record with a label it already has."""
 
     def __init__(self, label: str, row: TRow) -> None:
@@ -113,35 +118,37 @@ class Subst:
     lowers it to the bound variable's level for every variable an image
     reaches; the inference session shares it with its variable supply.
 
-    The unifier keeps the other fields as it goes.  `rows` collects the
-    rows with fields and a tail that are part of an image itself, in the
-    order they were bound.  While a step runs, `met` holds the other rows
-    it met that a tail bound later in it could make repeat a label: rows
-    compared while both tails stay open, and the open rows reached through
-    the bindings of an image.  `trail` records every write to `mapping`
-    since the last step began, with the image it replaced, so that `undo`
-    can take a failed step back.  `stepping` is set while a step runs.
+    `lacks` maps an unbound row variable's id to the labels it must lack,
+    absent meaning none.  `register` adds the labels of a row to the
+    variable that ends it, and `bind` checks them and passes them on, so
+    no row reached through the store repeats a label.  `trail` records
+    every write to `mapping` and `lacks` since the last step began, with
+    the value it replaced, so that `undo` can take a failed step back.
+    `stepping` is set while a step runs.
     """
 
     mapping: dict[int, Type] = field(default_factory=dict)
     levels: dict[int, int] = field(default_factory=dict)
-    rows: list[TRow] = field(default_factory=list, init=False)
-    met: list[TRow] = field(default_factory=list, init=False)
-    trail: list[tuple[int, Type | None]] = field(default_factory=list, init=False)
+    lacks: dict[int, frozenset[str]] = field(default_factory=dict, init=False)
+    trail: list[tuple[dict, int, object]] = field(default_factory=list, init=False)
     stepping: bool = field(default=False, init=False)
 
-    def _write(self, vid: int, t: Type) -> None:
-        self.trail.append((vid, self.mapping.get(vid)))
-        self.mapping[vid] = t
+    def _write(self, table: dict, vid: int, value: object) -> None:
+        """Set `table[vid]` to `value`, or drop it when `value` is None."""
+        self.trail.append((table, vid, table.get(vid)))
+        if value is None:
+            del table[vid]
+        else:
+            table[vid] = value
 
     def undo(self) -> None:
         """Take back every write recorded in `trail`, newest first."""
         while self.trail:
-            vid, old = self.trail.pop()
+            table, vid, old = self.trail.pop()
             if old is None:
-                del self.mapping[vid]
+                del table[vid]
             else:
-                self.mapping[vid] = old
+                table[vid] = old
 
     def find(self, t: Type) -> Type:
         """`t` itself unless it is a bound variable; else the end of its
@@ -156,15 +163,15 @@ class Subst:
             path.append(t.var.id)
             t = image
         for vid in path[:-1]:
-            self._write(vid, t)
+            self._write(self.mapping, vid, t)
         return t
 
     def walk_row(self, row: TRow) -> TRow:
         """`row` with the fields its tail stands for merged in and the
         tail replaced by the unbound variable that ends the tail's chain;
         field types are left as they are.  A chain of more than one link
-        is rebound straight to its merged fields.  Raises DuplicateLabel
-        when the merge repeats a label."""
+        is rebound straight to its merged fields.  Raises DuplicateLabel,
+        before any write, when the merge repeats a label."""
         tail = row.tail
         if tail is None or tail.id not in self.mapping:
             return row
@@ -184,11 +191,11 @@ class Subst:
                 raise DuplicateLabel(min(overlap), image)
             extra.update(image.fields)
             tail = image.tail
-        if links > 1:
-            self._write(row.tail.id, TRow(dict(extra), tail))
         overlap = row.fields.keys() & extra.keys()
         if overlap:
             raise DuplicateLabel(min(overlap), row)
+        if links > 1:
+            self._write(self.mapping, row.tail.id, TRow(dict(extra), tail))
         extra.update(row.fields)
         return TRow(extra, tail)
 
@@ -210,25 +217,38 @@ class Subst:
             return TRow({label: self.apply(f) for label, f in row.fields.items()}, row.tail)
         raise AssertionError(f"unexpected type node: {t!r}")
 
+    def _lack(self, vid: int, labels: Iterable[str]) -> None:
+        old = self.lacks.get(vid)
+        if old is None:
+            self._write(self.lacks, vid, frozenset(labels))
+        elif not old.issuperset(labels):
+            self._write(self.lacks, vid, old.union(labels))
+
+    def register(self, row: TRow) -> None:
+        """Record that the variable ending `row`'s tail chain lacks the
+        row's labels.  Raises DuplicateLabel, with nothing written, when
+        the row repeats a label under the store's bindings."""
+        end = self.walk_row(row)
+        if end.tail is not None and end.fields:
+            self._lack(end.tail.id, end.fields.keys())
+
     def bind(self, v: TypeVar, t: Type) -> None:
         """Bind the unbound variable `v` to `t`, after an occurs check
         that follows the bindings of `t`'s variables.
 
-        The same walk keeps `levels` and the rows: every variable it
-        meets is lowered to `v`'s level, so a variable that
-        an image reaches, through bound variables too, is generalized no
-        deeper than `v`.  The walk visits `t` itself first and the images
-        of its bound variables after, so it knows which rows are `t`'s
-        own (`rows`) and which it reached through a binding (`met`)."""
+        The same walk lowers every variable it meets to `v`'s level, so a
+        variable that an image reaches, through bound variables too, is
+        generalized no deeper than `v`.  A row variable hands the labels
+        it lacks on to the variable that ends `t`'s tail chain, and drops
+        its own entry; when `t` already has one of them, that is a
+        DuplicateLabel naming the least such label, and nothing is
+        bound."""
         if isinstance(t, TVar) and t.var.id == v.id:
             return
-        levels, rows = self.levels, self.rows
+        levels = self.levels
         level = levels.get(v.id, 0)
         todo: list[Type] = [t]
-        images: list[Type] = []
-        while todo or images:
-            if not todo:
-                todo, images, rows = images, [], self.met
+        while todo:
             u = todo.pop()
             if isinstance(u, TCon):
                 continue
@@ -237,8 +257,6 @@ class Subst:
             elif isinstance(u, TRow):
                 todo += u.fields.values()
                 var = u.tail
-                if var is not None and u.fields:
-                    rows.append(u)
             else:
                 if isinstance(u, TApp):
                     todo += (u.fun, u.arg)
@@ -252,15 +270,27 @@ class Subst:
                     levels[var.id] = level
                 image = self.mapping.get(var.id)
                 if image is not None:
-                    images.append(image)
+                    todo.append(image)
         assert type_kind(t) == v.kind, "binding would not respect kinds"
-        self._write(v.id, t)
+        lacks = self.lacks.get(v.id)
+        if lacks is not None:
+            row = self.walk_row(t if isinstance(t, TRow) else TRow({}, t.var))
+            clash = row.fields.keys() & lacks
+            if clash:
+                raise DuplicateLabel(min(clash), row)
+            if row.tail is not None:
+                self._lack(row.tail.id, lacks)
+            self._write(self.lacks, v.id, None)
+        self._write(self.mapping, v.id, t)
 
     def settled(self) -> Subst:
         """A copy whose images mention no bound variable."""
         if len(self.mapping) < 2:  # `bind` keeps a variable out of its own image
-            return Subst(dict(self.mapping))
-        return Subst({vid: self.apply(t) for vid, t in self.mapping.items()})
+            out = Subst(dict(self.mapping))
+        else:
+            out = Subst({vid: self.apply(t) for vid, t in self.mapping.items()})
+        out.lacks = self.lacks
+        return out
 
 
 def unify(
@@ -269,9 +299,10 @@ def unify(
     """Most general unifier of two types of equal kind.
 
     Structural everywhere except at row nodes, which unify through
-    `unify_rows` and therefore ignore field order.  With `subst`, the
-    types unify under its bindings, and `subst` itself is extended and
-    returned, unsettled; a failed step leaves its `mapping` as it was.
+    `unify_rows` and therefore ignore field order.  With `subst`, whose
+    `register` the inputs' rows have been through, the types unify under
+    its bindings, and `subst` itself is extended and returned, unsettled;
+    a failed step leaves its `mapping` and `lacks` as they were.
     Otherwise the answer is a new, settled store.  `fresh` supplies the
     tail variables row unification may need; when omitted, a supply
     starting above every variable in the inputs and in `subst` is created.
@@ -299,43 +330,30 @@ def unify_rows(
 
 
 def _step(solve, t1: Type, t2: Type, fresh: FreshVars | None, subst: Subst | None) -> Subst:
-    """Run `solve` as one atomic step on `subst`, or on a new store that
-    is settled when the step ends."""
+    """Run `solve` as one atomic step on `subst`, or on a new store,
+    seeded with the labels its inputs' row variables lack, that is
+    settled when the step ends."""
     s = subst if subst is not None else Subst()
     if s.stepping:  # the row case of a step in progress
         solve(t1, t2, fresh, s)
         return s
-    if fresh is None:
-        fresh = _supply_above(s, t1, t2)
-    rows, mark = s.rows, len(s.rows)
+    if subst is None:
+        top = max(scan_rows(t1, s.lacks), scan_rows(t2, s.lacks))
+        if fresh is None:
+            fresh = FreshVars(top + 1)
+    elif fresh is None:
+        images = (scan_rows(t, {}) for t in (t1, t2, *s.mapping.values()))
+        fresh = FreshVars(max(*images, *s.mapping) + 1)
     s.trail.clear()
     s.stepping = True
     try:
         solve(t1, t2, fresh, s)
-        # a tail bound late in the step may repeat a label of a row it met
-        # or of a row in one of its images
-        for row in s.met:
-            s.walk_row(row)
-        for row in islice(rows, mark, None):
-            s.walk_row(row)
     except UnifyError:
         s.undo()
-        del rows[mark:]
-        try:  # a row of an input that already repeated a label is the error
-            s.apply(t1)
-            s.apply(t2)
-        finally:
-            s.undo()  # the re-resolve's path compression
         raise
     finally:
         s.stepping = False
-        s.met.clear()
     return s if subst is not None else s.settled()
-
-
-def _supply_above(s: Subst, *types: Type) -> FreshVars:
-    """A supply starting above every variable in `types` and in `s`."""
-    return FreshVars(max([max_var_id(*types, *s.mapping.values()), *s.mapping]) + 1)
 
 
 def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
@@ -388,7 +406,3 @@ def _unify_rows(r1: TRow, r2: TRow, fresh: FreshVars, s: Subst) -> None:
         s.bind(a.tail, TRow(only2, None))
     elif b.tail is not None:
         s.bind(b.tail, TRow(only1, None))
-    if a.tail is not None and b.tail is not None:
-        # both rows now stand for the same fields and open tail, so either
-        # tells whether a tail bound later in the step repeats a label
-        s.met.append(r1)

@@ -29,6 +29,26 @@ class TestCheck:
         assert main(["check", path]) == 0
         assert capsys.readouterr().out == f"{path}: Rec {{age:Int, name:String}}\n"
 
+    def test_scheme_shows_the_labels_a_row_variable_lacks(self, tmp_path, capsys):
+        path = write(tmp_path, "lacks.rml", "\\r. (\\s. \\t. 1) {a = 1 | r} {b = 2 | {x = 3 | r}}")
+        assert main(["check", path]) == 0
+        assert capsys.readouterr().out == f"{path}: ∀a:row∖{{a, b, x}}. Rec {{ | a}} -> Int\n"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "(\\r. let s = {a = 1 | r} in 1) {a = 5}",
+            "(\\r. let s = {a = 1 | r} in r.a) {a = 5}",
+            "(\\r. let s = {a = 1 | r} in let t = 3 in r.a) {a = 5}",
+            "let f = \\r. (\\s. 1) {a = 1 | r} in f {a = 5}",
+        ],
+    )
+    def test_extending_a_record_with_a_label_it_has_is_an_error(self, tmp_path, capsys, src):
+        path = write(tmp_path, "dup.rml", src)
+        assert main(["check", path]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{path}:1:") and "duplicate record label 'a'" in out
+
     def test_missing_label_reports_error(self, tmp_path, capsys):
         path = write(tmp_path, "bad.rml", "(\\r. r.name) {age = 7}")
         assert main(["check", path]) == 1

@@ -4,13 +4,16 @@ free variables, and printing."""
 import gc
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from rowml.syntax import (
+    App,
     ArrowKind,
     BOOL,
     INT,
     LIST,
+    Lam,
     ROW,
     STAR,
     STRING,
@@ -21,11 +24,13 @@ from rowml.syntax import (
     TVar,
     TypeEnv,
     TypeVar,
+    Var,
     alpha_equal,
     canonicalize,
     free_type_vars,
     free_vars_ordered,
     pretty_scheme,
+    pretty_term,
     pretty_type,
     record,
     type_kind,
@@ -182,6 +187,29 @@ class TestAlphaEqual:
         assert alpha_equal(s, s3)
 
 
+    def test_paired_row_variables_lack_the_same_labels(self):
+        s1 = Scheme((RHO,), record({}, RHO), ((RHO, ("a",)),))
+        s2 = Scheme((RHO2,), record({}, RHO2), ((RHO2, ("a",)),))
+        bare = Scheme((RHO2,), record({}, RHO2))
+        assert alpha_equal(s1, s2)
+        assert not alpha_equal(s1, bare) and not alpha_equal(bare, s1)
+
+
+class TestSchemeLacks:
+    def test_body_rows_add_the_labels_they_imply(self):
+        body = TFun(record({"name": TVar(A)}, RHO), record({"age": INT}, RHO))
+        s = Scheme((A, RHO), body, ((RHO, {"x"}),))
+        assert s.lacks == ((RHO, ("age", "name", "x")),)
+        assert Scheme((A, RHO), body).lacks == ((RHO, ("age", "name")),)
+        assert Scheme((A,), body).lacks == ()  # RHO is free
+
+    def test_lacks_only_on_a_quantified_row_variable(self):
+        with pytest.raises(ValueError):
+            Scheme((A,), TVar(A), ((A, ("x",)),))
+        with pytest.raises(ValueError):
+            Scheme((), record({}, RHO), ((RHO, ("x",)),))
+
+
 # -- free_type_vars ----------------------------------------------------------
 
 
@@ -258,15 +286,24 @@ class TestPretty:
         assert pretty_type(TVar(TypeVar(42))) == "t42"
 
     def test_printing_leaves_no_garbage_cycle(self):
-        s = Scheme((A, RHO), TFun(record({"name": TVar(A)}, RHO), TVar(A)))
+        s = Scheme((A, RHO), TFun(record({"name": TVar(A)}, RHO), TVar(A)), ((RHO, ("x",)),))
+        twice = Lam("f", Lam("x", App(Var("f"), App(Var("f"), Var("x")))))
         gc.collect()
         gc.disable()
         try:
             pretty_scheme(s)
             Mismatch(INT, TFun(INT, TVar(A)))
+            pretty_term(twice)
+            alpha_equal(s, s)
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_row_binder_shows_the_labels_the_body_does_not_imply(self):
+        body = TFun(record({"b": INT}, RHO), INT)
+        s = Scheme((RHO,), body, ((RHO, ("x", "b", "a")),))
+        assert pretty_scheme(s) == "∀a:row∖{a, x}. Rec {b:Int | a} -> Int"
+        assert pretty_scheme(Scheme((RHO,), body, ((RHO, ("b",)),))) == "∀a:row. Rec {b:Int | a} -> Int"
 
     def test_canonicalize_deep(self):
         t = record({"x": record({"b": INT, "a": BOOL})})

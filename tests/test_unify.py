@@ -156,25 +156,59 @@ class TestUnify:
         assert s.mapping == before
 
     def test_failed_step_reports_an_input_row_that_already_repeats_a_label(self):
-        # under the store, RHO's row already has a; the step binds the
-        # input's row to c before Int meets Bool
-        c = TypeVar(5)
+        # under the store, RHO's row already has a, so the input row
+        # {a:Int | RHO} cannot be registered
         s = Subst({RHO.id: TRow({"a": INT}, RHO2)})
-        before = dict(s.mapping)
-        with pytest.raises(DuplicateLabel):
-            unify(TFun(record({"a": INT}, RHO), INT), TFun(TVar(c), BOOL), FreshVars(100), s)
-        assert s.mapping == before
+        s.register(TRow({"b": INT}, RHO2))
+        before, lacks = dict(s.mapping), dict(s.lacks)
+        with pytest.raises(DuplicateLabel) as exc:
+            s.register(TRow({"a": INT}, RHO))
+        assert exc.value.label == "a"
+        assert (s.mapping, s.lacks) == (before, lacks)
 
     def test_failed_step_reports_its_own_error_under_the_old_bindings(self):
-        # the step binds RHO to {a:Bool}, which makes the input row
-        # {a:Int | RHO} repeat a, and then fails on Int against Bool
+        # the input row {a:Int | RHO} makes RHO lack a, so binding RHO to
+        # {a:Bool} fails before Int meets Bool
         row = record({"a": INT}, RHO)
         t1 = TFun(TFun(row, record({}, RHO)), INT)
         t2 = TFun(TFun(row, record({"a": BOOL})), BOOL)
-        with pytest.raises(Mismatch):
+        with pytest.raises(DuplicateLabel):
             unify(t1, t2)
+        s = Subst()
+        s.register(row.arg)
+        with pytest.raises(DuplicateLabel):
+            unify(t1, t2, FreshVars(100), s)
+        assert (s.mapping, s.lacks) == ({}, {RHO.id: frozenset("a")})
+
+    def test_failed_step_leaves_the_lacks_sets_as_they_were(self):
+        # the step binds RHO1 to {b:Int | fresh} and hands RHO1's labels
+        # on to the fresh tail before Int meets Bool
+        s = Subst()
+        s.register(TRow({"a": INT}, RHO1))
+        s.register(TRow({"c": INT}, RHO2))
+        before = dict(s.lacks)
+        t1 = TFun(record({"a": INT}, RHO1), INT)
+        t2 = TFun(record({"a": INT, "b": INT}, RHO2), BOOL)
         with pytest.raises(Mismatch):
-            unify(t1, t2, FreshVars(100), Subst())
+            unify(t1, t2, FreshVars(100), s)
+        assert s.mapping == {} and s.lacks == before
+
+    def test_binding_a_row_variable_hands_its_labels_on(self):
+        s = unify_rows(TRow({"a": INT}, RHO1), TRow({"b": INT}, RHO2), FreshVars(100))
+        shared = s.walk_row(TRow({}, RHO1)).tail
+        assert s.lacks == {shared.id: frozenset("ab")}
+        # binding one row variable to another unites their labels
+        s = Subst()
+        s.register(TRow({"a": INT, "x": INT}, RHO1))
+        s.register(TRow({"a": INT, "y": INT}, RHO2))
+        unify_rows(TRow({"a": INT}, RHO1), TRow({"a": INT}, RHO2), FreshVars(100), s)
+        shared = s.walk_row(TRow({}, RHO1)).tail
+        assert s.lacks == {shared.id: frozenset("axy")}
+        # a closed row meets the labels a tail lacks
+        t1 = TFun(record({"b": INT, "c": INT}, RHO1), record({}, RHO1))
+        with pytest.raises(DuplicateLabel) as exc:
+            unify(t1, TFun(TVar(A), record({"c": INT, "b": INT})))
+        assert exc.value.label == "b"  # the least label that overlaps
 
 SPACE = GroundSpace(labels=("a", "b", "name", "age"), max_row_size=3)
 
