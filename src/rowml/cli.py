@@ -24,6 +24,11 @@ from rowml.parser import ParseError
 from rowml.syntax import BOOL, INT, STRING, pretty_scheme, pretty_type
 
 
+# The alphabets `rowml oracle` draws its labels and base types from.
+ORACLE_LABELS = string.ascii_lowercase
+ORACLE_TYPES = (INT, BOOL, STRING)
+
+
 def _error_line(path: str, err: Exception) -> str:
     span = getattr(err, "span", None)
     line = span.line if span is not None else 1
@@ -85,8 +90,8 @@ def cmd_oracle(labels: int, types: int, max_size: int, samples: int, out=None) -
     """Exhaustive plus sampled oracle campaign over the requested space."""
     out = out if out is not None else sys.stdout
     space = GroundSpace(
-        labels=tuple(string.ascii_lowercase[:labels]),
-        base_types=(INT, BOOL, STRING)[:types],
+        labels=tuple(ORACLE_LABELS[:labels]),
+        base_types=ORACLE_TYPES[:types],
         max_row_size=max_size,
     )
     exhaustive = run_campaign(exhaustive_problems(space), space)
@@ -118,8 +123,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub.add_parser("repl", help="interactive type-at-a-time loop")
 
     oracle = sub.add_parser("oracle", help="compare the row unifier with brute force")
-    oracle.add_argument("--labels", type=int, default=3, help="label alphabet size")
-    oracle.add_argument("--types", type=int, default=3, help="how many base types")
+    oracle.add_argument(
+        "--labels", type=int, default=3, help=f"label alphabet size, 1 to {len(ORACLE_LABELS)}"
+    )
+    oracle.add_argument(
+        "--types", type=int, default=3, help=f"how many base types, 1 to {len(ORACLE_TYPES)}"
+    )
     oracle.add_argument("--max-size", type=int, default=3, help="largest ground row")
     oracle.add_argument("--samples", type=int, default=10000, help="random problems")
 
@@ -131,6 +140,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "oracle":
         if min(args.labels, args.types) < 1 or args.max_size < 0 or args.samples < 0:
             parser.error("oracle bounds must be positive")
+        if args.labels > len(ORACLE_LABELS) or args.types > len(ORACLE_TYPES):
+            parser.error(
+                f"oracle alphabets hold at most {len(ORACLE_LABELS)} labels"
+                f" and {len(ORACLE_TYPES)} base types"
+            )
         return cmd_oracle(args.labels, args.types, args.max_size, args.samples)
     raise AssertionError("unreachable")
 

@@ -11,13 +11,22 @@ The solution side is computed here by enumeration and map merging only;
 it shares nothing with the unifier beyond the syntax types.  Comparison
 is always relative to the space: both sides only count assignments
 whose rows fit inside it.
+
+Ground rows are sorted (label, type name) tuples, numbered once per
+space by `_ground_row_keys`.  The instance side loops over the images'
+residual variables: for each choice of residual star types it grounds
+every image once, and an open image `{F | rho}` reads its value for
+each ground row of rho, by number, from the fit table `_fits(F, space)`,
+which holds the merged row where it is duplicate-free and fits the
+space and None elsewhere.  Every table is a `functools` cache keyed by
+ground rows and the space, whose hash is computed once.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
@@ -43,18 +52,24 @@ Assignment = frozenset  # of (variable id, GroundRow | type name)
 
 @dataclass(frozen=True)
 class GroundSpace:
-    """The finite space ground solutions are drawn from."""
+    """The finite space ground solutions are drawn from.
+
+    Every oracle table is cached per space, so the space's hash is taken
+    once, here, rather than on each lookup; `type_names` is fixed too."""
 
     labels: tuple[str, ...] = ("a", "b", "c", "d")
     base_types: tuple[TCon, ...] = (INT, BOOL, STRING)
     max_row_size: int = 3
+    type_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         assert self.labels and self.base_types and self.max_row_size >= 0
+        object.__setattr__(self, "type_names", tuple(t.name for t in self.base_types))
+        object.__setattr__(self, "_hash", hash((self.labels, self.base_types, self.max_row_size)))
 
-    @property
-    def type_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.base_types)
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +142,10 @@ def _problem_vars(problem: Problem) -> tuple[list[TypeVar], list[TypeVar]]:
 def _ground_fields(side: TRow, star_env: dict[int, str]) -> GroundRow:
     return tuple(
         sorted(
-            (label, t.name if isinstance(t, TCon) else star_env[t.var.id])
-            for label, t in side.fields.items()
+            [
+                (label, t.name if isinstance(t, TCon) else star_env[t.var.id])
+                for label, t in side.fields.items()
+            ]
         )
     )
 
@@ -141,19 +158,22 @@ def ground_solutions(problem: Problem, space: GroundSpace) -> set[Assignment]:
     rows = _ground_row_keys(space)
     solutions: set[Assignment] = set()
     tail1, tail2 = r1.tail, r2.tail
+    star_ids = [v.id for v in star_vars]
     for combo in itertools.product(space.type_names, repeat=len(star_vars)):
-        star_env = {v.id: name for v, name in zip(star_vars, combo)}
-        star_items = tuple((v.id, star_env[v.id]) for v in star_vars)
+        star_items = tuple(zip(star_ids, combo))
+        star_env = dict(star_items)
         fields1 = _ground_fields(r1, star_env)
         fields2 = _ground_fields(r2, star_env)
         if tail1 is None and tail2 is None:
             if fields1 == fields2:
                 solutions.add(frozenset(star_items))
         elif tail1 is not None and tail2 is not None and tail1.id == tail2.id:
-            for key in rows:
-                m1 = _merge(fields1, key)
-                if m1 is not None and m1 == _merge(fields2, key):
-                    solutions.add(frozenset(star_items + ((tail1.id, key),)))
+            # A tail row merged into both sides leaves them equal exactly
+            # when their own fields are, the merges being disjoint unions.
+            if fields1 == fields2:
+                for key in rows:
+                    if _merge(fields1, key) is not None:
+                        solutions.add(frozenset(star_items + ((tail1.id, key),)))
         elif tail1 is not None and tail2 is not None:
             index1 = _absorption_index(fields1, space)
             index2 = _absorption_index(fields2, space)
@@ -174,43 +194,39 @@ def ground_solutions(problem: Problem, space: GroundSpace) -> set[Assignment]:
     return solutions
 
 
-def _ground_row_value(
-    t: Type, row_env: dict[int, GroundRow], star_env: dict[int, str]
-) -> Optional[GroundRow]:
-    if isinstance(t, TVar):
-        return row_env[t.var.id]
-    assert isinstance(t, TRow)
-    fields = _ground_fields(t, star_env)
-    if t.tail is None:
-        return fields
-    return _merge(fields, row_env[t.tail.id])
+def _within(row: GroundRow, space: GroundSpace) -> bool:
+    """Whether the ground row fits the space's size and labels."""
+    return len(row) <= space.max_row_size and all(label in space.labels for label, _ in row)
 
 
-def _admissible(
-    problem: Problem,
-    row_assignment: dict[int, GroundRow],
-    star_assignment: dict[int, str],
-) -> bool:
-    """Whether substituting the assignment into the problem keeps both
-    rows duplicate-free (assignments that do not are no solutions and no
-    instances either)."""
-    for side in problem:
-        if side.tail is None:
-            continue
-        fields = _ground_fields(side, star_assignment)
-        if _merge(fields, row_assignment[side.tail.id]) is None:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _fits(fields: GroundRow, space: GroundSpace) -> tuple[Optional[GroundRow], ...]:
+    """For an image `{fields | rho}`: by the index of each ground row of
+    rho, the merged row when it is duplicate-free and within the space,
+    else None."""
+    table: list[Optional[GroundRow]] = []
+    for key in _ground_row_keys(space):
+        merged = _merge(fields, key)
+        table.append(merged if merged is not None and _within(merged, space) else None)
+    return tuple(table)
 
 
 def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assignment]:
     """Ground instances of the substitution, restricted to assignments
     that fit in the space (labels and size) and are admissible for the
-    problem."""
+    problem: substituting them keeps both rows duplicate-free.
+
+    The residual variables of the images range over the space.  For each
+    choice of residual star types, every row variable's image and every
+    open side of the problem are grounded once; an open image
+    `{F | rho}` then reads its value for each ground row of rho, by index,
+    from the table `_fits(F, space)`, so the loop over residual rows does
+    one table read per row variable and one merge per open side."""
     row_vars, star_vars = _problem_vars(problem)
     images: dict[int, Type] = {}
     for v in row_vars:
-        images[v.id] = sigma.mapping.get(v.id, TRow({}, v))
+        image = sigma.mapping.get(v.id, TVar(v))
+        images[v.id] = TRow({}, image.var) if isinstance(image, TVar) else image
     for v in star_vars:
         images[v.id] = sigma.mapping.get(v.id, TVar(v))
 
@@ -221,37 +237,42 @@ def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assign
             bucket = residual_rows if free.kind == ROW else residual_stars
             if free not in bucket:
                 bucket.append(free)
+    position = {v.id: i for i, v in enumerate(residual_rows)}
+    indices = range(len(_ground_row_keys(space)))
+    choices = list(itertools.product(indices, repeat=len(residual_rows)))
 
-    rows = _ground_row_keys(space)
-    label_set = set(space.labels)
     out: set[Assignment] = set()
-    for row_choice in itertools.product(rows, repeat=len(residual_rows)):
-        row_env = {v.id: key for v, key in zip(residual_rows, row_choice)}
-        for star_choice in itertools.product(space.type_names, repeat=len(residual_stars)):
-            star_env = {v.id: name for v, name in zip(residual_stars, star_choice)}
-            row_values: dict[int, GroundRow] = {}
-            valid = True
-            for v in row_vars:
-                value = _ground_row_value(images[v.id], row_env, star_env)
-                if (
-                    value is None
-                    or len(value) > space.max_row_size
-                    or any(label not in label_set for label, _ in value)
-                ):
-                    valid = False
-                    break
-                row_values[v.id] = value
-            if not valid:
-                continue
-            star_values: dict[int, str] = {}
-            for v in star_vars:
-                image = images[v.id]
-                star_values[v.id] = (
-                    image.name if isinstance(image, TCon) else star_env[image.var.id]
-                )
-            if not _admissible(problem, row_values, star_values):
-                continue
-            out.add(frozenset(tuple(row_values.items()) + tuple(star_values.items())))
+    for star_choice in itertools.product(space.type_names, repeat=len(residual_stars)):
+        star_env = {v.id: name for v, name in zip(residual_stars, star_choice)}
+        values: dict[int, str | GroundRow] = {}
+        for v in star_vars:
+            image = images[v.id]
+            values[v.id] = image.name if isinstance(image, TCon) else star_env[image.var.id]
+        open_sides = [
+            (_ground_fields(side, values), side.tail.id)
+            for side in problem
+            if side.tail is not None
+        ]
+        tables: list[tuple[int, tuple[Optional[GroundRow], ...], int]] = []
+        for v in row_vars:
+            image = images[v.id]
+            fields = _ground_fields(image, star_env)
+            if image.tail is not None:
+                tables.append((v.id, _fits(fields, space), position[image.tail.id]))
+            elif _within(fields, space):
+                values[v.id] = fields
+            else:
+                break
+        else:
+            for choice in choices:
+                for vid, table, at in tables:
+                    value = table[choice[at]]
+                    if value is None:
+                        break
+                    values[vid] = value
+                else:
+                    if all(_merge(fields, values[tail]) is not None for fields, tail in open_sides):
+                        out.add(frozenset(values.items()))
     return out
 
 

@@ -122,8 +122,9 @@ class Subst:
     absent meaning none.  `register` adds the labels of a row to the
     variable that ends it, and `bind` checks them and passes them on, so
     no row reached through the store repeats a label.  `trail` records
-    every write to `mapping` and `lacks` since the last step began, with
-    the value it replaced, so that `undo` can take a failed step back.
+    every write to `mapping`, `levels` and `lacks` since the last step
+    began, with the value it replaced, so that `undo` can take a failed
+    step back.
     `stepping` is set while a step runs.
     """
 
@@ -267,7 +268,7 @@ class Subst:
                 if var.id == v.id:
                     raise OccursCheck(v, self.apply(t))
                 if levels.get(var.id, 0) > level:
-                    levels[var.id] = level
+                    self._write(levels, var.id, level)
                 image = self.mapping.get(var.id)
                 if image is not None:
                     todo.append(image)
@@ -302,7 +303,7 @@ def unify(
     `unify_rows` and therefore ignore field order.  With `subst`, whose
     `register` the inputs' rows have been through, the types unify under
     its bindings, and `subst` itself is extended and returned, unsettled;
-    a failed step leaves its `mapping` and `lacks` as they were.
+    a failed step leaves its `mapping`, `levels` and `lacks` as they were.
     Otherwise the answer is a new, settled store.  `fresh` supplies the
     tail variables row unification may need; when omitted, a supply
     starting above every variable in the inputs and in `subst` is created.

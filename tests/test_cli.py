@@ -185,6 +185,22 @@ class TestOracleCommand:
             main(["oracle", "--labels", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--types", "4"], ["--types", "9"], ["--labels", "27"], ["--labels", "99", "--types", "4"]],
+    )
+    def test_alphabets_beyond_their_range_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "at most 26 labels and 3 base types" in err
+
+    def test_largest_alphabets_are_accepted(self, capsys):
+        flags = ["--labels", "26", "--types", "3", "--max-size", "0", "--samples", "20"]
+        assert main(["oracle", *flags]) == 0
+        assert capsys.readouterr().out == "26 problems, 0 failures\n"  # 6 exhaustive
+
     def test_main_dispatches(self, capsys):
         assert main(["oracle", "--labels", "1", "--types", "1", "--max-size", "1", "--samples", "5"]) == 0
         assert "failures" in capsys.readouterr().out

@@ -1,12 +1,16 @@
 """Tests for the brute-force row-unification oracle."""
 
+import itertools
 import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from rowml.oracle import (
     CampaignResult,
     GroundSpace,
+    _instances_within,
     enumerate_ground_rows,
     exhaustive_problems,
     ground_solutions,
@@ -14,12 +18,18 @@ from rowml.oracle import (
     run_campaign,
     sample_problems,
 )
-from rowml.syntax import BOOL, INT, ROW, STAR, STRING, TRow, TVar, TypeVar
-from rowml.unify import Subst, unify_rows
+from rowml.syntax import BOOL, INT, ROW, STAR, STRING, TCon, TRow, TVar, TypeVar, free_type_vars
+from rowml.unify import Subst, UnifyError, unify_rows
 
 RHO = TypeVar(1, ROW)
 RHO2 = TypeVar(2, ROW)
 ALPHA = TypeVar(3, STAR)
+BETA = TypeVar(4, STAR)
+# variables that only substitutions mention: the residuals
+RHO3 = TypeVar(5, ROW)
+RHO4 = TypeVar(6, ROW)
+GAMMA = TypeVar(7, STAR)
+DELTA = TypeVar(8, STAR)
 
 
 def expected_row_count(space: GroundSpace) -> int:
@@ -209,3 +219,144 @@ class TestSampling:
         space = GroundSpace(labels=("a", "b", "c"), max_row_size=2)
         result = run_campaign(sample_problems(150, space, seed=3), space)
         assert result.ok
+
+
+def naive_instances(sigma: Subst, problem, space: GroundSpace) -> set:
+    """The definition `_instances_within` implements: every assignment of
+    ground rows and base types to the residual variables of the images,
+    substituted into the images, then kept when each row variable's value
+    is duplicate-free and fits the space, and both sides of the problem
+    stay duplicate-free under the values."""
+    problem_vars = {v for side in problem for v in free_type_vars(side)}
+    images = {
+        v: sigma.mapping.get(v.id, TRow({}, v) if v.kind == ROW else TVar(v)) for v in problem_vars
+    }
+    residuals = sorted(
+        {r for image in images.values() for r in free_type_vars(image)}, key=lambda r: r.id
+    )
+    ground_rows = [
+        {label: t.name for label, t in row.fields.items()} for row in enumerate_ground_rows(space)
+    ]
+    names = [t.name for t in space.base_types]
+    labels = set(space.labels)
+
+    def ground(t, env):
+        return t.name if isinstance(t, TCon) else env[t.var.id]
+
+    def ground_row(t, env):
+        """The label-to-name map of a row (or row variable), None when a
+        label repeats."""
+        if isinstance(t, TVar):
+            return env[t.var.id]
+        fields = {label: ground(f, env) for label, f in t.fields.items()}
+        extra = env[t.tail.id] if t.tail is not None else {}
+        if fields.keys() & extra.keys():
+            return None
+        return {**fields, **extra}
+
+    out = set()
+    choices = [ground_rows if r.kind == ROW else names for r in residuals]
+    for choice in itertools.product(*choices):
+        env = {r.id: value for r, value in zip(residuals, choice)}
+        values = {}
+        for v, image in images.items():
+            if v.kind == ROW:
+                row = ground_row(image, env)
+                if row is None or len(row) > space.max_row_size or not set(row) <= labels:
+                    break
+                values[v.id] = row
+            else:
+                values[v.id] = ground(image, env)
+        else:
+            if all(ground_row(side, values) is not None for side in problem):
+                out.add(
+                    frozenset(
+                        (vid, tuple(sorted(value.items())) if isinstance(value, dict) else value)
+                        for vid, value in values.items()
+                    )
+                )
+    return out
+
+
+# Each space lacks a label of the pool that problems and images draw
+# from, and all but one hold rows smaller than their label sets, so the
+# label and size filters both have work to do.
+POOL_LABELS = ("a", "b", "c")
+NAIVE_SPACES = [
+    GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=1),
+    GroundSpace(labels=("b", "c"), base_types=(INT,), max_row_size=2),
+    GroundSpace(labels=("a", "c"), base_types=(INT, BOOL), max_row_size=1),
+]
+
+
+def fields_over(types):
+    return st.dictionaries(st.sampled_from(POOL_LABELS), st.sampled_from(types), max_size=2)
+
+
+def problems():
+    problem_types = (INT, BOOL, TVar(ALPHA), TVar(BETA))
+    return st.tuples(
+        st.builds(TRow, fields_over(problem_types), st.sampled_from((None, RHO))),
+        st.builds(TRow, fields_over(problem_types), st.sampled_from((None, RHO, RHO2))),
+    )
+
+
+def hand_built_substitutions():
+    """Images for the problem variables: closed or open rows over the
+    label pool with residual tails and field types, bare residual row
+    variables, residual star variables or base types."""
+    image_types = (INT, BOOL, TVar(GAMMA), TVar(DELTA))
+    row_image = st.one_of(
+        st.builds(TRow, fields_over(image_types), st.sampled_from((None, RHO3, RHO4))),
+        st.sampled_from((TVar(RHO3), TVar(RHO4))),
+    )
+    star_image = st.sampled_from((INT, BOOL, TVar(GAMMA), TVar(DELTA)))
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            RHO.id: row_image,
+            RHO2.id: row_image,
+            ALPHA.id: star_image,
+            BETA.id: star_image,
+        },
+    )
+
+
+class TestInstancesWithin:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(NAIVE_SPACES), problems(), hand_built_substitutions())
+    def test_hand_built_substitutions_match_the_definition(self, space, problem, mapping):
+        sigma = Subst(mapping)
+        assert _instances_within(sigma, problem, space) == naive_instances(sigma, problem, space)
+
+    @pytest.mark.parametrize(
+        "mapping, residual_rows",
+        [
+            ({RHO.id: TRow({"b": BOOL}), RHO2.id: TRow({"a": INT})}, 0),
+            ({RHO.id: TRow({"b": BOOL, "c": INT}), RHO2.id: TRow({})}, 0),  # outside the space
+            ({RHO.id: TRow({"b": TVar(GAMMA)}, RHO3), RHO2.id: TRow({"a": INT}, RHO3)}, 1),
+            ({RHO.id: TRow({"c": INT}, RHO3), RHO2.id: TRow({}, RHO3)}, 1),  # c is outside
+            ({RHO.id: TVar(RHO3), RHO2.id: TRow({"a": BOOL}, RHO4)}, 2),
+            ({}, 2),
+        ],
+    )
+    def test_residual_row_variables_match_the_definition(self, mapping, residual_rows):
+        problem = (TRow({"a": INT}, RHO), TRow({"b": TVar(ALPHA)}, RHO2))
+        space = NAIVE_SPACES[0]
+        sigma = Subst({**mapping, ALPHA.id: TVar(DELTA)})
+        images = [sigma.mapping.get(v.id, TVar(v)) for v in (RHO, RHO2)]
+        residuals = {v for t in images for v in free_type_vars(t) if v.kind == ROW}
+        assert len(residuals) == residual_rows
+        assert _instances_within(sigma, problem, space) == naive_instances(sigma, problem, space)
+
+    def test_unifier_answers_match_the_definition(self):
+        space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=1)
+        for problem in itertools.chain(
+            exhaustive_problems(space), sample_problems(300, space, seed=5)
+        ):
+            try:
+                sigma = unify_rows(*problem)
+            except UnifyError:
+                continue
+            got = _instances_within(sigma, problem, space)
+            assert got == naive_instances(sigma, problem, space)
