@@ -37,10 +37,8 @@ from rowml.syntax import (
     Type,
     TypeEnv,
     TypeVar,
-    alpha_equal,
     base_kind_env,
     canonicalize,
-    free_type_vars,
     pretty_scheme,
     pretty_term,
     pretty_type,

@@ -9,6 +9,7 @@ usage errors such as unreadable files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import string
 import sys
 from typing import Sequence
@@ -94,19 +95,17 @@ def cmd_oracle(labels: int, types: int, max_size: int, samples: int, out=None) -
         base_types=ORACLE_TYPES[:types],
         max_row_size=max_size,
     )
-    exhaustive = run_campaign(exhaustive_problems(space), space)
-    sampled = run_campaign(sample_problems(samples, space), space)
-    problems = exhaustive.problems + sampled.problems
-    failures = exhaustive.failures + sampled.failures
-    print(f"{problems} problems, {failures} failures", file=out)
-    first = exhaustive.first_failure or sampled.first_failure
-    if first is not None:
-        left, right = first
+    result = run_campaign(
+        itertools.chain(exhaustive_problems(space), sample_problems(samples, space)), space
+    )
+    print(f"{result.problems} problems, {result.failures} failures", file=out)
+    if result.first_failure is not None:
+        left, right = result.first_failure
         print(
             f"first counterexample: {pretty_type(left)} =row= {pretty_type(right)}",
             file=out,
         )
-    return 0 if failures == 0 else 1
+    return 0 if result.failures == 0 else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

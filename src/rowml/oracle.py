@@ -10,7 +10,7 @@ difference rather than a syntactic mismatch.
 The solution side is computed here by enumeration and map merging only;
 it shares nothing with the unifier beyond the syntax types.  Comparison
 is always relative to the space: both sides only count assignments
-whose rows fit inside it.
+whose rows fit inside it, by size, labels and field types.
 
 Ground rows are sorted (label, type name) tuples, numbered once per
 space by `_ground_row_keys`.  The instance side loops over the images'
@@ -82,13 +82,6 @@ def _ground_row_keys(space: GroundSpace) -> tuple[GroundRow, ...]:
             for types in itertools.product(names, repeat=size):
                 keys.append(tuple(zip(combo, types)))
     return tuple(keys)
-
-
-def enumerate_ground_rows(space: GroundSpace) -> Iterator[TRow]:
-    """All closed rows over the space, sizes 0 through max_row_size."""
-    by_name = {t.name: t for t in space.base_types}
-    for key in _ground_row_keys(space):
-        yield TRow({label: by_name[name] for label, name in key}, None)
 
 
 @lru_cache(maxsize=None)
@@ -195,8 +188,10 @@ def ground_solutions(problem: Problem, space: GroundSpace) -> set[Assignment]:
 
 
 def _within(row: GroundRow, space: GroundSpace) -> bool:
-    """Whether the ground row fits the space's size and labels."""
-    return len(row) <= space.max_row_size and all(label in space.labels for label, _ in row)
+    """Whether the ground row fits the space's size, labels and types."""
+    return len(row) <= space.max_row_size and all(
+        label in space.labels and name in space.type_names for label, name in row
+    )
 
 
 @lru_cache(maxsize=None)
@@ -213,8 +208,8 @@ def _fits(fields: GroundRow, space: GroundSpace) -> tuple[Optional[GroundRow], .
 
 def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assignment]:
     """Ground instances of the substitution, restricted to assignments
-    that fit in the space (labels and size) and are admissible for the
-    problem: substituting them keeps both rows duplicate-free.
+    that fit in the space (size, labels and types) and are admissible
+    for the problem: substituting them keeps both rows duplicate-free.
 
     The residual variables of the images range over the space.  For each
     choice of residual star types, every row variable's image and every
@@ -357,10 +352,6 @@ class CampaignResult:
     problems: int
     failures: int
     first_failure: Problem | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
 
 
 def run_campaign(

@@ -346,18 +346,6 @@ def scan_rows(t: Type, lacks: dict[int, frozenset[str]]) -> int:
     return top
 
 
-def free_type_vars(x: Union[Type, Scheme, TypeEnv]) -> set[TypeVar]:
-    """The set of free type variables of a type, scheme, or environment."""
-    if isinstance(x, Scheme):
-        return free_type_vars(x.body) - set(x.quantified)
-    if isinstance(x, TypeEnv):
-        out: set[TypeVar] = set()
-        for _, scheme in x:
-            out |= free_type_vars(scheme)
-        return out
-    return set(_iter_vars(x))
-
-
 def type_kind(t: Type) -> Kind:
     """The kind of a type, computed from the kinds its leaves carry.
 
@@ -392,43 +380,6 @@ def canonicalize(t: Type) -> Type:
         return TFun(canonicalize(t.dom), canonicalize(t.cod))
     if isinstance(t, TRow):
         return TRow({label: canonicalize(t.fields[label]) for label in sorted(t.fields)}, t.tail)
-    return t
-
-
-# ---------------------------------------------------------------------------
-# Alpha equivalence
-
-
-def alpha_equal(s1: Scheme, s2: Scheme) -> bool:
-    """Whether two schemes are equal up to renaming of their quantified
-    variables, ignoring row field order everywhere.
-
-    Free variables must match exactly; quantified variables are paired
-    up by position of first use, and paired variables must agree on
-    kind and on the labels they lack.
-    """
-    return _alpha_normal(s1) == _alpha_normal(s2)
-
-
-def _alpha_normal(s: Scheme) -> tuple[Type, dict[TypeVar, tuple[str, ...]]]:
-    """`s`'s body and lacks with its quantified variables renamed to
-    negative ids, in first-occurrence order."""
-    quantified = {v.id for v in s.quantified}
-    used = [v for v in free_vars_ordered(s.body) if v.id in quantified]
-    names = {v.id: TypeVar(-1 - i, v.kind) for i, v in enumerate(used)}
-    return _rename(s.body, names), {names.get(v.id, v): labels for v, labels in s.lacks}
-
-
-def _rename(t: Type, names: dict[int, TypeVar]) -> Type:
-    if isinstance(t, TVar):
-        return TVar(names.get(t.var.id, t.var))
-    if isinstance(t, TApp):
-        return TApp(_rename(t.fun, names), _rename(t.arg, names))
-    if isinstance(t, TFun):
-        return TFun(_rename(t.dom, names), _rename(t.cod, names))
-    if isinstance(t, TRow):
-        tail = None if t.tail is None else names.get(t.tail.id, t.tail)
-        return TRow({label: _rename(f, names) for label, f in t.fields.items()}, tail)
     return t
 
 

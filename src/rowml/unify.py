@@ -21,8 +21,8 @@ it, so the store is triangular.  A step is atomic: when it fails, it
 takes back every write it made.  Given no store, the public entry
 points seed the labels to lack from the rows of their inputs and answer
 with a new, settled store, whose images mention no bound variable; given
-the inference session's store, whose rows are registered already, they
-extend it in place and leave it triangular.
+the inference session's store, whose rows are registered already, and
+its variable supply, they extend it in place and leave it triangular.
 """
 
 from __future__ import annotations
@@ -305,8 +305,9 @@ def unify(
     its bindings, and `subst` itself is extended and returned, unsettled;
     a failed step leaves its `mapping`, `levels` and `lacks` as they were.
     Otherwise the answer is a new, settled store.  `fresh` supplies the
-    tail variables row unification may need; when omitted, a supply
-    starting above every variable in the inputs and in `subst` is created.
+    tail variables row unification may need.  A given store needs it, or
+    ValueError is raised; without one, an omitted supply starts above
+    every variable in the inputs.
     """
     return _step(_unify, t1, t2, fresh, subst)
 
@@ -343,8 +344,7 @@ def _step(solve, t1: Type, t2: Type, fresh: FreshVars | None, subst: Subst | Non
         if fresh is None:
             fresh = FreshVars(top + 1)
     elif fresh is None:
-        images = (scan_rows(t, {}) for t in (t1, t2, *s.mapping.values()))
-        fresh = FreshVars(max(*images, *s.mapping) + 1)
+        raise ValueError("unifying in a given store needs a fresh variable supply")
     s.trail.clear()
     s.stepping = True
     try:

@@ -35,9 +35,8 @@ from rowml.syntax import (
     TVar,
     TypeEnv,
     TypeVar,
-    alpha_equal,
     base_kind_env,
-    free_type_vars,
+    free_vars_ordered,
     pretty_scheme,
     record,
 )
@@ -59,20 +58,20 @@ class TestInstantiate:
         t2 = instantiate(session, s)
         assert isinstance(t1, TFun) and t1.dom == t1.cod
         assert t1 != t2  # distinct fresh variables each time
-        assert A not in free_type_vars(t1)
+        assert A not in free_vars_ordered(t1)
 
     def test_row_binder_gets_row_kind(self):
         session = InferSession(fresh_start=10)
         s = Scheme((RHO,), record({"name": STRING}, RHO))
         t = instantiate(session, s)
-        (v,) = free_type_vars(t)
+        (v,) = free_vars_ordered(t)
         assert v.kind == ROW and v != RHO
 
     def test_free_vars_survive_instantiation(self):
         session = InferSession(fresh_start=10)
         b = TypeVar(5)
         s = Scheme((A,), TFun(TVar(A), TVar(b)))
-        assert free_type_vars(instantiate(session, s)) >= free_type_vars(s)
+        assert b in free_vars_ordered(instantiate(session, s))
 
     def test_monomorphic_is_identity(self):
         session = InferSession()
@@ -179,7 +178,7 @@ class TestInferExamples:
         got = scheme_of("\\r. r.name")
         a, rho = TypeVar(50), TypeVar(51, ROW)
         want = Scheme((a, rho), TFun(record({"name": TVar(a)}, rho), TVar(a)))
-        assert alpha_equal(got, want)
+        assert pretty_scheme(got) == pretty_scheme(want)
 
     def test_missing_label_is_reported(self):
         with pytest.raises(UnifyFailure) as exc:
@@ -212,13 +211,13 @@ class TestInferExamples:
         want = Scheme(
             (rho,), TFun(record({}, rho), record({"x": INT}, rho))
         )
-        assert alpha_equal(got, want)
+        assert pretty_scheme(got) == pretty_scheme(want)
 
     def test_restriction(self):
         got = scheme_of("\\r. r - x")
         a, rho = TypeVar(61), TypeVar(62, ROW)
         want = Scheme((a, rho), TFun(record({"x": TVar(a)}, rho), record({}, rho)))
-        assert alpha_equal(got, want)
+        assert pretty_scheme(got) == pretty_scheme(want)
 
     def test_extension_after_restriction_replaces_field(self):
         src = '\\r. {x = "s" | r - x}'
@@ -228,7 +227,7 @@ class TestInferExamples:
             (a, rho),
             TFun(record({"x": TVar(a)}, rho), record({"x": STRING}, rho)),
         )
-        assert alpha_equal(got, want)
+        assert pretty_scheme(got) == pretty_scheme(want)
 
     def test_nested_records(self):
         src = '{outer = {inner = 1}, flag = "y"}'
@@ -683,5 +682,5 @@ class TestProperties:
                 return  # inference stops at a failed step
             assert session.resolve(t1) == session.resolve(t2)
             for vid, image in session.subst.mapping.items():
-                for var in free_type_vars(session.resolve(image)):
+                for var in free_vars_ordered(session.resolve(image)):
                     assert levels.get(var.id, 0) <= levels.get(vid, 0)

@@ -5,20 +5,20 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from rowml.oracle import (
     CampaignResult,
     GroundSpace,
+    _ground_row_keys,
     _instances_within,
-    enumerate_ground_rows,
     exhaustive_problems,
     ground_solutions,
     oracle_agrees,
     run_campaign,
     sample_problems,
 )
-from rowml.syntax import BOOL, INT, ROW, STAR, STRING, TCon, TRow, TVar, TypeVar, free_type_vars
+from rowml.syntax import BOOL, INT, ROW, STAR, STRING, TCon, TRow, TVar, TypeVar, free_vars_ordered
 from rowml.unify import Subst, UnifyError, unify_rows
 
 RHO = TypeVar(1, ROW)
@@ -42,18 +42,17 @@ def expected_row_count(space: GroundSpace) -> int:
 class TestEnumerateGroundRows:
     def test_single_label_single_type(self):
         space = GroundSpace(labels=("a",), base_types=(INT,), max_row_size=1)
-        rows = list(enumerate_ground_rows(space))
-        assert rows == [TRow({}), TRow({"a": INT})]
+        assert _ground_row_keys(space) == ((), (("a", "Int"),))
 
     def test_two_labels_two_types(self):
         space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2)
-        rows = list(enumerate_ground_rows(space))
+        rows = _ground_row_keys(space)
         assert len(rows) == 9  # 1 + 2*2 + 1*4
         assert len(rows) == expected_row_count(space)
 
     def test_size_zero(self):
         space = GroundSpace(max_row_size=0)
-        assert list(enumerate_ground_rows(space)) == [TRow({})]
+        assert _ground_row_keys(space) == ((),)
 
     @pytest.mark.parametrize("labels,types,size", [(3, 2, 2), (4, 3, 3), (2, 3, 1)])
     def test_count_formula(self, labels, types, size):
@@ -62,12 +61,13 @@ class TestEnumerateGroundRows:
             base_types=(INT, BOOL, STRING)[:types],
             max_row_size=size,
         )
-        assert len(list(enumerate_ground_rows(space))) == expected_row_count(space)
+        assert len(_ground_row_keys(space)) == expected_row_count(space)
 
     def test_rows_are_distinct(self):
         space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2)
-        rows = list(enumerate_ground_rows(space))
-        assert len({tuple(sorted((l, t.name) for l, t in r.fields.items())) for r in rows}) == len(rows)
+        rows = _ground_row_keys(space)
+        assert all(list(row) == sorted(row) for row in rows)
+        assert len(set(rows)) == len(rows)
 
 
 class TestGroundSolutions:
@@ -142,6 +142,12 @@ class TestOracleAgrees:
         problem = (TRow({"name": STRING}, RHO), TRow({"name": STRING}))
         assert not oracle_agrees(problem, self.SPACE, unifier=naysayer)
 
+    def test_instances_hold_only_the_space_types(self):
+        # {ρ ↦ {a:Bool}} unifies the rows but is no assignment over a
+        # space without Bool, where the problem has no solution.
+        space = GroundSpace(labels=("a",), base_types=(INT,), max_row_size=1)
+        assert oracle_agrees((TRow({}, RHO), TRow({"a": BOOL})), space)
+
     def test_mutated_unifier_is_caught_by_a_campaign(self):
         def swapped(r1, r2, fresh=None):
             sigma = unify_rows(r1, r2, fresh)
@@ -168,7 +174,6 @@ class TestOracleAgrees:
         space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2)
         result = run_campaign(exhaustive_problems(space), space)
         assert result == CampaignResult(problems=486, failures=0, first_failure=None)
-        assert result.ok
 
     def test_exhaustive_with_variable_fields(self):
         # exhaustive over a tiny space where fields may also be type
@@ -218,25 +223,23 @@ class TestSampling:
     def test_small_sampled_campaign(self):
         space = GroundSpace(labels=("a", "b", "c"), max_row_size=2)
         result = run_campaign(sample_problems(150, space, seed=3), space)
-        assert result.ok
+        assert result.failures == 0
 
 
 def naive_instances(sigma: Subst, problem, space: GroundSpace) -> set:
     """The definition `_instances_within` implements: every assignment of
     ground rows and base types to the residual variables of the images,
     substituted into the images, then kept when each row variable's value
-    is duplicate-free and fits the space, and both sides of the problem
-    stay duplicate-free under the values."""
-    problem_vars = {v for side in problem for v in free_type_vars(side)}
+    is duplicate-free and fits the space's size, labels and types, and
+    both sides of the problem stay duplicate-free under the values."""
+    problem_vars = {v for side in problem for v in free_vars_ordered(side)}
     images = {
         v: sigma.mapping.get(v.id, TRow({}, v) if v.kind == ROW else TVar(v)) for v in problem_vars
     }
     residuals = sorted(
-        {r for image in images.values() for r in free_type_vars(image)}, key=lambda r: r.id
+        {r for image in images.values() for r in free_vars_ordered(image)}, key=lambda r: r.id
     )
-    ground_rows = [
-        {label: t.name for label, t in row.fields.items()} for row in enumerate_ground_rows(space)
-    ]
+    ground_rows = [dict(key) for key in _ground_row_keys(space)]
     names = [t.name for t in space.base_types]
     labels = set(space.labels)
 
@@ -262,7 +265,12 @@ def naive_instances(sigma: Subst, problem, space: GroundSpace) -> set:
         for v, image in images.items():
             if v.kind == ROW:
                 row = ground_row(image, env)
-                if row is None or len(row) > space.max_row_size or not set(row) <= labels:
+                if (
+                    row is None
+                    or len(row) > space.max_row_size
+                    or not set(row) <= labels
+                    or not set(row.values()) <= set(names)
+                ):
                     break
                 values[v.id] = row
             else:
@@ -279,8 +287,8 @@ def naive_instances(sigma: Subst, problem, space: GroundSpace) -> set:
 
 
 # Each space lacks a label of the pool that problems and images draw
-# from, and all but one hold rows smaller than their label sets, so the
-# label and size filters both have work to do.
+# from, all but one hold rows smaller than their label sets, and one
+# lacks Bool, so the label, size and type filters all have work to do.
 POOL_LABELS = ("a", "b", "c")
 NAIVE_SPACES = [
     GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=1),
@@ -325,6 +333,7 @@ def hand_built_substitutions():
 class TestInstancesWithin:
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(NAIVE_SPACES), problems(), hand_built_substitutions())
+    @example(NAIVE_SPACES[1], (TRow({}, RHO), TRow({"b": BOOL})), {RHO.id: TRow({"b": BOOL})})
     def test_hand_built_substitutions_match_the_definition(self, space, problem, mapping):
         sigma = Subst(mapping)
         assert _instances_within(sigma, problem, space) == naive_instances(sigma, problem, space)
@@ -345,7 +354,7 @@ class TestInstancesWithin:
         space = NAIVE_SPACES[0]
         sigma = Subst({**mapping, ALPHA.id: TVar(DELTA)})
         images = [sigma.mapping.get(v.id, TVar(v)) for v in (RHO, RHO2)]
-        residuals = {v for t in images for v in free_type_vars(t) if v.kind == ROW}
+        residuals = {v for t in images for v in free_vars_ordered(t) if v.kind == ROW}
         assert len(residuals) == residual_rows
         assert _instances_within(sigma, problem, space) == naive_instances(sigma, problem, space)
 

@@ -145,8 +145,10 @@ def record_literals():
 
 def applied_programs():
     """``(\\r. \\q. (\\s. \\t. \\u. e) e1 e2 e3) R Q`` for record literals
-    R and Q."""
-    outer = expressions(("r", "q"))
+    R and Q.  Each argument e1, e2, e3 is a record literal, `r`, `q` or an
+    expression over `r` and `q`, so that inference accepts about a fifth
+    of the programs and they get evaluated."""
+    outer = st.one_of(record_literals(), st.sampled_from(("r", "q")), expressions(("r", "q")))
     return st.builds(
         lambda e, e1, e2, e3, r, q: f"(\\r. \\q. (\\s. \\t. \\u. {e}) ({e1}) ({e2}) ({e3})) {r} {q}",
         expressions(("r", "q", "s", "t", "u")),

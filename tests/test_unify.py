@@ -18,8 +18,8 @@ from rowml.syntax import (
     TRow,
     TVar,
     TypeVar,
-    alpha_equal,
-    free_type_vars,
+    free_vars_ordered,
+    pretty_scheme,
     record,
     type_kind,
 )
@@ -44,7 +44,7 @@ RHO2 = TypeVar(4, ROW)
 
 def assert_idempotent(s: Subst):
     for image in s.mapping.values():
-        assert not {v.id for v in free_type_vars(image)} & s.mapping.keys()
+        assert not {v.id for v in free_vars_ordered(image)} & s.mapping.keys()
 
 
 def assert_sound(s: Subst, t1, t2):
@@ -133,6 +133,16 @@ class TestUnify:
         assert s.mapping[A.id] == TFun(TVar(B), TVar(B))
         assert s.apply(TVar(A)) == TFun(INT, INT)
         assert s.apply(TVar(c)) == INT
+
+    def test_given_store_needs_a_supply(self):
+        s = Subst({A.id: TFun(TVar(B), TVar(B))})
+        for run, t1, t2 in (
+            (unify, TVar(A), TFun(INT, INT)),
+            (unify_rows, TRow({"a": INT}, RHO1), TRow({"b": INT}, RHO2)),
+        ):
+            with pytest.raises(ValueError):
+                run(t1, t2, None, s)
+        assert s.mapping == {A.id: TFun(TVar(B), TVar(B))} and not s.trail
 
     def test_undo_takes_back_every_write_of_the_trail(self):
         c = TypeVar(5)
@@ -317,7 +327,7 @@ def nested_types():
 
 
 def assert_kinds_kept(s: Subst, *types):
-    kinds = {v.id: v.kind for t in (*types, *s.mapping.values()) for v in free_type_vars(t)}
+    kinds = {v.id: v.kind for t in (*types, *s.mapping.values()) for v in free_vars_ordered(t)}
     for vid, image in s.mapping.items():
         assert type_kind(image) == kinds.get(vid, ROW)  # unlisted: a fresh tail
 
@@ -375,8 +385,8 @@ class TestProperties:
             lhs = Scheme((), straight.apply(probe))
             rhs = Scheme((), shuffled.apply(probe))
             # fresh tails may differ by id; compare after closing over them
-            close = lambda s: Scheme(tuple(sorted(free_type_vars(s.body), key=lambda v: v.id)), s.body)
-            assert alpha_equal(close(lhs), close(rhs))
+            close = lambda s: Scheme(tuple(free_vars_ordered(s.body)), s.body)
+            assert pretty_scheme(close(lhs)) == pretty_scheme(close(rhs))
 
     @given(row_st, row_st)
     def test_substitutions_are_idempotent(self, r1, r2):
