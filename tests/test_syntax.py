@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from rowml.infer import InferSession, infer_program, instantiate
 from rowml.syntax import (
     App,
     ArrowKind,
@@ -25,8 +26,10 @@ from rowml.syntax import (
     TFun,
     TRow,
     TVar,
+    TypeEnv,
     TypeVar,
     Var,
+    base_kind_env,
     canonicalize,
     free_vars_ordered,
     pretty_scheme,
@@ -213,6 +216,22 @@ class TestSchemeLacks:
 
 
 class TestFreeTypeVars:
+    def test_quantifier_removes(self):
+        s = Scheme((A,), TFun(TVar(A), TVar(B)))
+        assert pretty_scheme(s) == f"∀a:*. a -> t{B.id}"
+
+    def test_env_union(self):
+        # the environment's free variables stay free in the program's
+        # scheme; only y's instantiated quantifier is generalized
+        env = TypeEnv().extend("x", Scheme((), TVar(A)))
+        env = env.extend("y", Scheme((B,), TFun(TVar(B), TVar(B))))
+        env = env.extend("z", Scheme((), record({}, RHO)))
+        delta = base_kind_env().with_vars([A, RHO])
+        s = infer_program("{x = x, y = y, z = z}", env=env, delta=delta)
+        free = set(free_vars_ordered(s.body)) - set(s.quantified)
+        assert free == {A, RHO}
+        assert len(s.quantified) == 1 and s.quantified[0] not in (A, B, RHO)
+
     def test_row_tail_is_free(self):
         assert free_vars_ordered(record({"name": STRING}, RHO)) == [RHO]
 
@@ -222,6 +241,14 @@ class TestFreeTypeVars:
     def test_ordered_traversal_sorts_rows(self):
         t = record({"b": TVar(B), "a": TVar(A)}, RHO)
         assert free_vars_ordered(t) == [A, B, RHO]
+
+    @given(schemes())
+    def test_instantiated_body_covers_scheme(self, s):
+        s = Scheme(s.quantified[:1], s.body)  # leave the rest free
+        free = set(free_vars_ordered(s.body)) - set(s.quantified)
+        body = set(free_vars_ordered(instantiate(InferSession(fresh_start=10), s)))
+        assert body >= free
+        assert not body & set(s.quantified)
 
 
 # -- kinds and printing ------------------------------------------------------
