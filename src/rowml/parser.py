@@ -1,5 +1,14 @@
 """Lexer and recursive-descent parser for the surface language.
 
+Lexical rules: whitespace is space, tab, CR and LF.  An identifier is a
+letter or ``_``, then letters, digits or ``_`` (Unicode: a character
+for which `str.isalpha` holds, then ones for which `str.isalnum` does).
+An integer is decimal digits (`str.isdecimal`, what `int` reads).  A
+string is double-quoted on one line, with the escapes
+``\\\\ \\" \\n \\t``.  Comments run from ``--`` to the end of the line.
+Keywords: ``let``, ``in``.  A span's line and column count characters
+from 1.
+
 Term grammar::
 
     term   ::= "\\" ident "." term
@@ -26,15 +35,14 @@ Type grammar::
 Names starting with an upper-case letter are type constructors, others
 are type variables.  A variable used as a row tail has kind row, any
 other use has kind ``*``; one name may not be used both ways.
-
-Comments run from ``--`` to end of line.  Keywords: ``let``, ``in``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from rowml.syntax import (
     App,
@@ -59,9 +67,8 @@ from rowml.syntax import (
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Byte range in the input plus the 1-based line/column of its start."""
+class SourceSpan(NamedTuple):
+    """Character range in the input plus the 1-based line/column of its start."""
 
     start: int
     end: int
@@ -82,15 +89,26 @@ class ParseError(Exception):
         super().__init__(f"expected {what}, found {found}")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
-
-
-_KEYWORDS = {"let", "in"}
-_SIMPLE = {
+# Splitting on tokens leaves the space between them, which must be
+# whitespace.  `[^\W\d]` also takes numeric characters such as 'Ⅻ' that
+# are no letters; `_tokenize` rejects those.
+_TOKEN = re.compile(
+    r"""( [^\W\d]\w*                    # identifier or keyword
+        | \d+                          # integer
+        | "(?:[^"\\\n]|\\[\\"nt])*"     # string
+        | --[^\n]*                     # comment
+        | ->
+        | [-\\.(){},|=:]
+        )""",
+    re.VERBOSE,
+)
+_SPACE = " \t\r\n"
+# The longest well-formed prefix of a string that does not close.
+_STRING_PREFIX = re.compile(r'"(?:[^"\\\n]|\\[\\"nt])*')
+_ESCAPE = re.compile(r"\\(.)")
+_STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+# The kind of every token whose text is fixed.
+_KINDS = {
     "\\": "lambda",
     ".": "dot",
     "(": "lparen",
@@ -101,88 +119,76 @@ _SIMPLE = {
     "|": "pipe",
     "=": "equals",
     ":": "colon",
+    "-": "minus",
+    "->": "arrow",
+    "let": "let",
+    "in": "in",
+    "": "eof",
 }
-_STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos, line, col = 0, 1, 1
-
-    def span(start: int, start_line: int, start_col: int) -> SourceSpan:
-        return SourceSpan(start, pos, start_line, start_col)
-
-    def advance() -> str:
-        nonlocal pos, line, col
-        c = src[pos]
-        pos += 1
-        if c == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-        return c
-
-    while pos < len(src):
-        c = src[pos]
-        if c in " \t\r\n":
-            advance()
-            continue
-        if src.startswith("--", pos):
-            while pos < len(src) and src[pos] != "\n":
-                advance()
-            continue
-        start, start_line, start_col = pos, line, col
-        if c.isalpha() or c == "_":
-            while pos < len(src) and (src[pos].isalnum() or src[pos] == "_"):
-                advance()
-            text = src[start:pos]
-            kind = text if text in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, text, span(start, start_line, start_col)))
-            continue
-        if c.isdigit():
-            while pos < len(src) and src[pos].isdigit():
-                advance()
-            tokens.append(_Token("int", src[start:pos], span(start, start_line, start_col)))
-            continue
-        if c == '"':
-            advance()
-            chars: list[str] = []
-            while True:
-                if pos >= len(src) or src[pos] == "\n":
-                    raise ParseError(
-                        span(start, start_line, start_col), ("closing '\"'",), "end of string"
-                    )
-                c = advance()
-                if c == '"':
-                    break
-                if c == "\\":
-                    if pos >= len(src) or src[pos] not in _STRING_ESCAPES:
-                        raise ParseError(
-                            span(start, start_line, start_col),
-                            ("escape sequence",),
-                            repr(src[pos]) if pos < len(src) else "end of input",
-                        )
-                    chars.append(_STRING_ESCAPES[advance()])
-                else:
-                    chars.append(c)
-            tokens.append(_Token("string", "".join(chars), span(start, start_line, start_col)))
-            continue
-        if c == "-":
-            advance()
-            if pos < len(src) and src[pos] == ">":
-                advance()
-                tokens.append(_Token("arrow", "->", span(start, start_line, start_col)))
+def _tokenize(src: str):
+    """The tokens of `src` as parallel lists: kind, text (a string
+    literal's value), start, end, and the line and column of the start.
+    The last token is "eof"."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    pos, line, line_start = 0, 1, 0
+    parts = _TOKEN.split(src)
+    parts.append("")  # the end of input, after the trailing space
+    pairs = iter(parts)
+    for space, text in zip(pairs, pairs):
+        if space:
+            if space.strip(_SPACE):
+                raise _lex_error(src, pos + len(space) - len(space.lstrip(_SPACE)))
+            if "\n" in space:
+                line += space.count("\n")
+                line_start = pos + space.rindex("\n") + 1
+            pos += len(space)
+        start = pos
+        pos += len(text)
+        kind = _KINDS.get(text)
+        if kind is None:
+            c = text[0]
+            if c.isalpha() or c == "_":
+                kind = "ident"
+            elif c.isdecimal():
+                kind = "int"
+            elif c == '"':
+                kind = "string"
+                text = text[1:-1]
+                if "\\" in text:
+                    text = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e[1]], text)
+            elif c == "-":
+                continue  # a comment
             else:
-                tokens.append(_Token("minus", "-", span(start, start_line, start_col)))
-            continue
-        if c in _SIMPLE:
-            advance()
-            tokens.append(_Token(_SIMPLE[c], c, span(start, start_line, start_col)))
-            continue
-        raise ParseError(SourceSpan(pos, pos + 1, line, col), ("a token",), repr(c))
-    tokens.append(_Token("eof", "", SourceSpan(pos, pos, line, col)))
-    return tokens
+                raise _lex_error(src, start)
+        kinds.append(kind)
+        texts.append(text)
+        starts.append(start)
+        ends.append(pos)
+        lines.append(line)
+        cols.append(start - line_start + 1)
+    return kinds, texts, starts, ends, lines, cols
+
+
+def _lex_error(src: str, pos: int) -> ParseError:
+    """The error for position `pos`, where no token starts: a character
+    that starts none, or a string that meets a newline, the end of the
+    input or a bad escape before it closes."""
+    line = src.count("\n", 0, pos) + 1
+    col = pos - src.rfind("\n", 0, pos)
+    if src[pos] != '"':
+        return ParseError(SourceSpan(pos, pos + 1, line, col), ("a token",), repr(src[pos]))
+    end = _STRING_PREFIX.match(src, pos).end()
+    if end == len(src) or src[end] == "\n":
+        return ParseError(SourceSpan(pos, end, line, col), ("closing '\"'",), "end of string")
+    found = repr(src[end + 1]) if end + 1 < len(src) else "end of input"
+    return ParseError(SourceSpan(pos, end + 1, line, col), ("escape sequence",), found)
 
 
 _TOKEN_NAMES = {
@@ -191,248 +197,234 @@ _TOKEN_NAMES = {
     "string": "string literal",
     "eof": "end of input",
 }
-
-
-def _describe(tok: _Token) -> str:
-    if tok.kind in _TOKEN_NAMES:
-        return _TOKEN_NAMES[tok.kind]
-    return f"'{tok.text}'"
-
-
 _ATOM_START = ("ident", "int", "string", "lparen", "lbrace")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
+    """Recursive descent over the token lists of `_tokenize`; a token is
+    addressed by its index."""
+
+    def __init__(self, src: str) -> None:
+        self.kinds, self.texts, self.starts, self.ends, self.lines, self.cols = _tokenize(src)
         self.pos = 0
+        # Type variables by name; a name's first use fixes its kind (row
+        # tail vs. field/arrow position).
+        self.type_vars: dict[str, TypeVar] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def span(self, i: int, end: int | None = None) -> SourceSpan:
+        """Token `i`'s span, or the span from its start to `end`."""
+        return SourceSpan(
+            self.starts[i], self.ends[i] if end is None else end, self.lines[i], self.cols[i]
+        )
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, description: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.span, (description,), _describe(tok))
-        return self.next()
+    def expect(self, kind: str, description: str) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self.fail(description)
+        self.pos = i + 1
+        return i
 
     def fail(self, *expected: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(tok.span, expected, _describe(tok))
+        i = self.pos
+        found = _TOKEN_NAMES.get(self.kinds[i]) or f"'{self.texts[i]}'"
+        return ParseError(self.span(i), expected, found)
 
     # -- terms --------------------------------------------------------------
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "lambda":
-            self.next()
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "lambda":
+            self.pos = i + 1
             param = self.expect("ident", "identifier")
             self.expect("dot", "'.'")
             body = self.term()
-            return Lam(param.text, body, span=_join(tok.span, _term_span(body)))
-        if tok.kind == "let":
-            self.next()
+            return Lam(self.texts[param], body, span=self.span(i, body.span.end))
+        if kind == "let":
+            self.pos = i + 1
             name = self.expect("ident", "identifier")
             self.expect("equals", "'='")
             bound = self.term()
             self.expect("in", "'in'")
             body = self.term()
-            return Let(name.text, bound, body, span=_join(tok.span, _term_span(body)))
+            return Let(self.texts[name], bound, body, span=self.span(i, body.span.end))
         return self.application()
 
     def application(self) -> Term:
         t = self.atom()
-        while self.peek().kind in _ATOM_START:
+        while self.kinds[self.pos] in _ATOM_START:
             arg = self.atom()
-            t = App(t, arg, span=_join(_term_span(t), _term_span(arg)))
+            t = App(t, arg, span=_join(t.span, arg.span.end))
         return t
 
     def atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            t: Term = Var(tok.text, span=tok.span)
-        elif tok.kind == "int":
-            self.next()
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "ident":
+            self.pos = i + 1
+            t: Term = Var(self.texts[i], span=self.span(i))
+        elif kind == "int":
+            self.pos = i + 1
+            text = self.texts[i]
             try:
-                value = int(tok.text)
+                value = int(text)
             except ValueError:  # more digits than the interpreter converts
                 limit = sys.get_int_max_str_digits()
                 raise ParseError(
-                    tok.span,
+                    self.span(i),
                     (f"integer literal of at most {limit} digits",),
-                    f"{len(tok.text)} digits",
+                    f"{len(text)} digits",
                 ) from None
-            t = Lit(value, span=tok.span)
-        elif tok.kind == "string":
-            self.next()
-            t = Lit(tok.text, span=tok.span)
-        elif tok.kind == "lparen":
-            self.next()
+            t = Lit(value, span=self.span(i))
+        elif kind == "string":
+            self.pos = i + 1
+            t = Lit(self.texts[i], span=self.span(i))
+        elif kind == "lparen":
+            self.pos = i + 1
             t = self.term()
             close = self.expect("rparen", "')'")
-            t = _with_span(t, _join(tok.span, close.span))
-        elif tok.kind == "lbrace":
+            t = dataclasses.replace(t, span=self.span(i, self.ends[close]))
+        elif kind == "lbrace":
             t = self.record()
         else:
             raise self.fail("identifier", "literal", "'('", "'{'")
         return self.postfix(t)
 
     def postfix(self, t: Term) -> Term:
+        kinds = self.kinds
         while True:
-            tok = self.peek()
-            if tok.kind == "dot":
-                self.next()
+            kind = kinds[self.pos]
+            if kind == "dot" or kind == "minus":
+                self.pos += 1
                 label = self.expect("ident", "identifier")
-                t = Select(t, label.text, span=_join(_term_span(t), label.span))
-            elif tok.kind == "minus":
-                self.next()
-                label = self.expect("ident", "identifier")
-                t = Restrict(t, label.text, span=_join(_term_span(t), label.span))
+                node = Select if kind == "dot" else Restrict
+                t = node(t, self.texts[label], span=_join(t.span, self.ends[label]))
             else:
                 return t
 
     def record(self) -> Term:
         open_ = self.expect("lbrace", "'{'")
-        fields: list[tuple[_Token, Term]] = []
-        if self.peek().kind == "ident":
+        kinds, texts = self.kinds, self.texts
+        fields: list[tuple[int, Term]] = []
+        if kinds[self.pos] == "ident":
             while True:
                 label = self.expect("ident", "identifier")
                 self.expect("equals", "'='")
                 fields.append((label, self.term()))
-                if self.peek().kind != "comma":
+                if kinds[self.pos] != "comma":
                     break
-                self.next()
-        elif self.peek().kind != "rbrace":
+                self.pos += 1
+        elif kinds[self.pos] != "rbrace":
             raise self.fail("identifier", "'}'")
         seen: set[str] = set()
         for label, _ in fields:
-            if label.text in seen:
-                raise ParseError(label.span, ("a distinct label",), f"duplicate label '{label.text}'")
-            seen.add(label.text)
-        if self.peek().kind == "pipe":
-            pipe = self.next()
+            if texts[label] in seen:
+                raise ParseError(
+                    self.span(label), ("a distinct label",), f"duplicate label '{texts[label]}'"
+                )
+            seen.add(texts[label])
+        if kinds[self.pos] == "pipe":
             if not fields:
-                raise ParseError(pipe.span, ("at least one field before '|'",), "'|'")
+                raise ParseError(self.span(self.pos), ("at least one field before '|'",), "'|'")
+            self.pos += 1
             tail = self.term()
             close = self.expect("rbrace", "'}'")
-            span = _join(open_.span, close.span)
+            span = self.span(open_, self.ends[close])
             t = tail
             for label, value in reversed(fields):
-                t = Extend(label.text, value, t, span=span)
+                t = Extend(texts[label], value, t, span=span)
             return t
         close = self.expect("rbrace", "'}'")
         return RecordLit(
-            {label.text: value for label, value in fields},
-            span=_join(open_.span, close.span),
+            {texts[label]: value for label, value in fields},
+            span=self.span(open_, self.ends[close]),
         )
 
     # -- types --------------------------------------------------------------
 
-    def type_(self, ctx: _TypeContext) -> Type:
-        t = self.type_application(ctx)
-        if self.peek().kind == "arrow":
-            self.next()
-            return TFun(t, self.type_(ctx))
+    def type_(self) -> Type:
+        t = self.type_application()
+        if self.kinds[self.pos] == "arrow":
+            self.pos += 1
+            return TFun(t, self.type_())
         return t
 
-    def type_application(self, ctx: _TypeContext) -> Type:
-        t = self.type_atom(ctx)
-        while self.peek().kind in ("ident", "lparen", "lbrace"):
-            t = TApp(t, self.type_atom(ctx))
+    def type_application(self) -> Type:
+        t = self.type_atom()
+        while self.kinds[self.pos] in ("ident", "lparen", "lbrace"):
+            t = TApp(t, self.type_atom())
         return t
 
-    def type_atom(self, ctx: _TypeContext) -> Type:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            if tok.text[0].isupper():
-                con = BASE_CONSTRUCTORS.get(tok.text)
+    def type_atom(self) -> Type:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "ident":
+            self.pos = i + 1
+            name = self.texts[i]
+            if name[0].isupper():
+                con = BASE_CONSTRUCTORS.get(name)
                 if con is None:
-                    raise ParseError(
-                        tok.span, ("a known type constructor",), f"'{tok.text}'"
-                    )
+                    raise ParseError(self.span(i), ("a known type constructor",), f"'{name}'")
                 return con
-            return TVar(ctx.var(tok, STAR))
-        if tok.kind == "lparen":
-            self.next()
-            t = self.type_(ctx)
+            return TVar(self.type_var(i, STAR))
+        if kind == "lparen":
+            self.pos = i + 1
+            t = self.type_()
             self.expect("rparen", "')'")
             return t
-        if tok.kind == "lbrace":
-            return self.row(ctx)
+        if kind == "lbrace":
+            return self.row()
         raise self.fail("type constructor", "type variable", "'('", "'{'")
 
-    def row(self, ctx: _TypeContext) -> Type:
+    def type_var(self, i: int, kind) -> TypeVar:
+        """The variable named by token `i`, used at `kind`."""
+        name = self.texts[i]
+        existing = self.type_vars.get(name)
+        if existing is None:
+            existing = self.type_vars[name] = TypeVar(len(self.type_vars), kind)
+        elif existing.kind != kind:
+            raise ParseError(
+                self.span(i),
+                (f"'{name}' used at one kind only",),
+                f"'{name}' at kind {kind} after kind {existing.kind}",
+            )
+        return existing
+
+    def row(self) -> Type:
         self.expect("lbrace", "'{'")
         fields: dict[str, Type] = {}
-        if self.peek().kind == "ident":
+        if self.kinds[self.pos] == "ident":
             while True:
                 label = self.expect("ident", "identifier")
-                if label.text in fields:
+                text = self.texts[label]
+                if text in fields:
                     raise ParseError(
-                        label.span, ("a distinct label",), f"duplicate label '{label.text}'"
+                        self.span(label), ("a distinct label",), f"duplicate label '{text}'"
                     )
                 self.expect("colon", "':'")
-                fields[label.text] = self.type_(ctx)
-                if self.peek().kind != "comma":
+                fields[text] = self.type_()
+                if self.kinds[self.pos] != "comma":
                     break
-                self.next()
+                self.pos += 1
         tail = None
-        if self.peek().kind == "pipe":
-            self.next()
+        if self.kinds[self.pos] == "pipe":
+            self.pos += 1
             name = self.expect("ident", "row variable")
-            if name.text[0].isupper():
-                raise ParseError(name.span, ("a row variable",), f"'{name.text}'")
-            tail = ctx.var(name, ROW)
+            text = self.texts[name]
+            if text[0].isupper():
+                raise ParseError(self.span(name), ("a row variable",), f"'{text}'")
+            tail = self.type_var(name, ROW)
         self.expect("rbrace", "'}'")
         return TRow(fields, tail)
 
 
-class _TypeContext:
-    """Names to variables: each name gets one variable whose kind is
-    fixed by its first use (row tail vs. field/arrow position)."""
-
-    def __init__(self) -> None:
-        self.vars: dict[str, TypeVar] = {}
-
-    def var(self, tok: _Token, kind) -> TypeVar:
-        existing = self.vars.get(tok.text)
-        if existing is not None:
-            if existing.kind != kind:
-                raise ParseError(
-                    tok.span,
-                    (f"'{tok.text}' used at one kind only",),
-                    f"'{tok.text}' at kind {kind} after kind {existing.kind}",
-                )
-            return existing
-        v = TypeVar(len(self.vars), kind)
-        self.vars[tok.text] = v
-        return v
-
-
-def _term_span(t: Term) -> SourceSpan:
-    span = t.span  # type: ignore[attr-defined]
-    assert span is not None
-    return span
-
-
-def _join(a: SourceSpan, b: SourceSpan) -> SourceSpan:
-    return SourceSpan(a.start, b.end, a.line, a.col)
-
-
-def _with_span(t: Term, span: SourceSpan):
-    return dataclasses.replace(t, span=span)
+def _join(span: SourceSpan, end: int) -> SourceSpan:
+    return SourceSpan(span.start, end, span.line, span.col)
 
 
 def parse_term(src: str) -> Term:
     """Parse a complete term; raises ParseError with a source span."""
-    parser = _Parser(_tokenize(src))
+    parser = _Parser(src)
     t = parser.term()
     parser.expect("eof", "end of input")
     return t
@@ -441,8 +433,7 @@ def parse_term(src: str) -> Term:
 def parse_type(src: str) -> Type:
     """Parse a complete type expression over the built-in constructors
     (Int, String, Bool, List, Rec)."""
-    parser = _Parser(_tokenize(src))
-    ctx = _TypeContext()
-    t = parser.type_(ctx)
+    parser = _Parser(src)
+    t = parser.type_()
     parser.expect("eof", "end of input")
     return t

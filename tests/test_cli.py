@@ -62,6 +62,14 @@ class TestCheck:
         out = capsys.readouterr().out
         assert f"{path}:1:9: error:" in out
 
+    def test_error_location_counts_lines_and_characters(self, tmp_path, capsys):
+        # CRLF line ends, a comment and a non-ASCII identifier: 'naïve'
+        # is on line 3 after two spaces and "café ", so at column 8.
+        path = tmp_path / "located.rml"
+        path.write_bytes("-- grüße\r\nlet café = \\x. x in\r\n  café naïve\r\n".encode("utf-8"))
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == f"{path}:3:8: error: unbound variable 'naïve'\n"
+
     def test_processes_every_file(self, tmp_path, capsys):
         good = write(tmp_path, "good.rml", "42")
         bad = write(tmp_path, "bad.rml", "7 8")

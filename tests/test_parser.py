@@ -1,12 +1,13 @@
 """Tests for the lexer and parser, including print/parse round trips."""
 
+import re
 import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from rowml.parser import ParseError, parse_term, parse_type
+from rowml.parser import ParseError, SourceSpan, parse_term, parse_type
 from rowml.syntax import (
     App,
     Extend,
@@ -21,6 +22,7 @@ from rowml.syntax import (
     ROW,
     STRING,
     Select,
+    Term,
     TApp,
     TFun,
     TRow,
@@ -265,3 +267,111 @@ def _positional_names(t):
     from rowml.syntax import free_vars_ordered
 
     return {v.id: f"v{i}" for i, v in enumerate(free_vars_ordered(t))}
+
+
+# -- lexical structure ---------------------------------------------------------
+
+# What the README specifies, written out independently of the lexer.
+_ESCAPED = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+
+spaces = st.lists(
+    st.sampled_from((" ", "\t", "\r\n", "\n", " -- é \\ \"\n", "--\r\n")), min_size=1, max_size=2
+).map("".join)
+names = st.text(alphabet="abxyé٣Ⅻ_0", min_size=1, max_size=4).filter(
+    lambda s: (s[0].isalpha() or s[0] == "_") and s not in ("let", "in")
+)
+string_literals = st.lists(
+    st.sampled_from(("a", " ", "é", "\t", "\\\\", '\\"', "\\n", "\\t", "--")), max_size=4
+).map(lambda parts: '"' + "".join(parts) + '"')
+integers = st.text(alphabet="09٣", min_size=1, max_size=3)
+
+
+def programs(depth=3):
+    """Sources of terms, with whitespace and comments between tokens."""
+    leaf = st.one_of(names, integers, string_literals)
+    if depth == 0:
+        return leaf
+    sub = programs(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(lambda x, s, b: f"\\{x}.{s}{b}", names, spaces, sub),
+        st.builds(lambda x, s, a, b: f"let{s}{x}{s}={s}{a}{s}in{s}{b}", names, spaces, sub, sub),
+        st.builds(lambda a, s, b: f"({a}){s}({b})", sub, spaces, sub),
+        st.builds(lambda l, s, a: f"{{{l}{s}={s}{a}}}", names, spaces, sub),
+        st.builds(lambda a, s, l: f"({a}){s}.{s}{l}", sub, spaces, names),
+        st.builds(lambda a, s, l: f"({a}){s}-{l}", sub, spaces, names),
+        st.builds(lambda l, a, s, b: f"{{{l} = {a}{s}|{s}{b}}}", names, sub, spaces, sub),
+    )
+
+
+noise = st.text(alphabet=st.sampled_from(list('ab1٣éⅫ²_ \t\r\n-->."\\(){},|=:#')), max_size=20)
+
+
+def _assert_located(src, span):
+    assert span.line == src.count("\n", 0, span.start) + 1
+    assert span.col == span.start - src.rfind("\n", 0, span.start)
+
+
+def _nodes(t):
+    yield t
+    for value in vars(t).values():
+        if isinstance(value, Term):
+            yield from _nodes(value)
+        elif isinstance(value, dict):
+            for field in value.values():
+                yield from _nodes(field)
+
+
+class TestLexer:
+    @pytest.mark.parametrize(
+        "src, message, span",
+        [
+            ('x\n  "ab\ncd"', "expected closing '\"', found end of string", (4, 7, 2, 3)),
+            ('f "abc', "expected closing '\"', found end of string", (2, 6, 1, 3)),
+            ('f "a\\qb"', "expected escape sequence, found 'q'", (2, 5, 1, 3)),
+            ('f "a\\\nb"', "expected escape sequence, found '\\n'", (2, 5, 1, 3)),
+            ('f "a\\', "expected escape sequence, found end of input", (2, 5, 1, 3)),
+            ("x\r\n # y", "expected a token, found '#'", (4, 5, 2, 2)),
+            ("Ⅻ", "expected a token, found 'Ⅻ'", (0, 1, 1, 1)),
+        ],
+    )
+    def test_error_messages_and_spans(self, src, message, span):
+        with pytest.raises(ParseError) as exc:
+            parse_term(src)
+        assert str(exc.value) == message
+        assert exc.value.span == SourceSpan(*span)
+
+    @pytest.mark.parametrize("src, span", [("²", (0, 1, 1, 1)), ("3²", (1, 2, 1, 2))])
+    def test_superscript_digits_are_no_integer(self, src, span):
+        # '²' is a digit to str.isdigit but not to int(); integers are
+        # decimal digits only.
+        with pytest.raises(ParseError) as exc:
+            parse_term(src)
+        assert str(exc.value) == "expected a token, found '²'"
+        assert exc.value.span == SourceSpan(*span)
+
+    def test_digits_continue_an_identifier(self):
+        assert parse_term("x²") == Var("x²")
+        assert parse_term("é٣") == Var("é٣")
+        assert parse_term("٣") == Lit(3)
+
+    @given(st.one_of(programs(), noise))
+    def test_spans_locate_the_source(self, src):
+        try:
+            t = parse_term(src)
+        except ParseError as exc:
+            assert 0 <= exc.span.start <= exc.span.end <= len(src)
+            _assert_located(src, exc.span)
+            return
+        for node in _nodes(t):
+            _assert_located(src, node.span)
+            text = src[node.span.start : node.span.end]
+            while text.startswith("("):  # a parenthesised term spans its parentheses
+                text = text[1:-1]
+            if isinstance(node, Var):
+                assert text == node.name
+            elif isinstance(node, Lit) and isinstance(node.value, int):
+                assert text.isdecimal() and int(text) == node.value
+            elif isinstance(node, Lit):
+                assert text[0] == text[-1] == '"'
+                assert re.sub(r"\\(.)", lambda m: _ESCAPED[m[1]], text[1:-1]) == node.value
