@@ -44,7 +44,9 @@ def cmd_check(paths: Sequence[str], out=None, err=None) -> int:
     status = 0
     for path in paths:
         try:
-            with open(path, encoding="utf-8") as handle:
+            # newline="" keeps a lone CR, which the lexer reads as
+            # whitespace within a line, as `infer_program` on a string does.
+            with open(path, encoding="utf-8", newline="") as handle:
                 src = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc})"

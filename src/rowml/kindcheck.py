@@ -69,7 +69,7 @@ def kind_of(delta: KindEnv, tau: Type) -> Kind:
     if isinstance(tau, TFun):
         for side in (tau.dom, tau.cod):
             k = kind_of(delta, side)
-            if k != STAR:
+            if k is not STAR:
                 raise KindError(side, STAR, k)
         return STAR
     if isinstance(tau, TApp):
@@ -83,13 +83,13 @@ def kind_of(delta: KindEnv, tau: Type) -> Kind:
     if isinstance(tau, TRow):
         for label in sorted(tau.fields):
             k = kind_of(delta, tau.fields[label])
-            if k != STAR:
+            if k is not STAR:
                 raise KindError(tau.fields[label], STAR, k)
         if tau.tail is not None:
             k = delta.vars.get(tau.tail.id)
             if k is None:
                 raise UnboundTypeName(tau.tail.id)
-            if k != ROW:
+            if k is not ROW:
                 raise KindError(TVar(tau.tail), ROW, k)
         return ROW
     raise AssertionError(f"unexpected type node: {tau!r}")
@@ -100,5 +100,5 @@ def check_scheme(delta: KindEnv, scheme: Scheme) -> None:
     variables in scope at their declared kinds."""
     inner = delta.with_vars(scheme.quantified)
     k = kind_of(inner, scheme.body)
-    if k != STAR:
+    if k is not STAR:
         raise KindError(scheme.body, STAR, k)

@@ -118,7 +118,7 @@ def _problem_vars(problem: Problem) -> tuple[list[TypeVar], list[TypeVar]]:
             t = side.fields[label]
             if isinstance(t, TCon):
                 continue
-            if isinstance(t, TVar) and t.var.kind == STAR:
+            if isinstance(t, TVar) and t.var.kind is STAR:
                 if t.var not in star_vars:
                     star_vars.append(t.var)
                 continue
@@ -229,7 +229,7 @@ def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assign
     residual_stars: list[TypeVar] = []
     for v in row_vars + star_vars:
         for free in free_vars_ordered(images[v.id]):
-            bucket = residual_rows if free.kind == ROW else residual_stars
+            bucket = residual_rows if free.kind is ROW else residual_stars
             if free not in bucket:
                 bucket.append(free)
     position = {v.id: i for i, v in enumerate(residual_rows)}

@@ -7,11 +7,18 @@ the distinguished constructor ``Rec : row -> *`` to a row.  Rows are
 unordered: ``fields`` is a dict, so structural equality already ignores
 field order, and ``canonicalize`` merely fixes iteration order to be
 lexicographic.
+
+Type nodes are immutable values with slots: assigning a field raises,
+two nodes are equal when they are of one class with equal fields, and
+every node but a ``TRow`` hashes.  Being immutable, a node is shared
+freely, and a function may return a part of its input as it is.  The
+kinds ``STAR`` and ``ROW`` are singletons, compared by identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 if TYPE_CHECKING:
@@ -25,17 +32,39 @@ if TYPE_CHECKING:
 class Kind:
     """A kind: ``*`` for value types, ``row`` for rows, or an arrow."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class StarKind(Kind):
+
+class _KindAtom(Kind):
+    """A kind without parts.  Each subclass has one instance, which
+    construction, copying and unpickling all give back, so these kinds
+    compare by identity."""
+
+    __slots__ = ()
+    _symbol: str
+    _global: str  # the module-level name of the instance
+
+    def __new__(cls) -> _KindAtom:
+        return globals()[cls._global]
+
+    def __reduce__(self) -> str:
+        return self._global
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
     def __str__(self) -> str:
-        return "*"
+        return self._symbol
 
 
-@dataclass(frozen=True)
-class RowKind(Kind):
-    def __str__(self) -> str:
-        return "row"
+class StarKind(_KindAtom):
+    __slots__ = ()
+    _symbol, _global = "*", "STAR"
+
+
+class RowKind(_KindAtom):
+    __slots__ = ()
+    _symbol, _global = "row", "ROW"
 
 
 @dataclass(frozen=True)
@@ -48,61 +77,121 @@ class ArrowKind(Kind):
         return f"{param} -> {self.result}"
 
 
-STAR = StarKind()
-ROW = RowKind()
+STAR = object.__new__(StarKind)
+ROW = object.__new__(RowKind)
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True)
-class TypeVar:
+_set = object.__setattr__  # how a node's own constructor writes its fields
+
+
+class _Node:
+    """An immutable value whose fields are its `__slots__`, listed in
+    constructor order.  It equals a node of its own class with equal
+    fields, and hashes by its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls.__slots__:
+            cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class TypeVar(_Node):
     """A type or row variable; ids are unique within one inference session."""
 
+    __slots__ = ("id", "kind")
     id: int
-    kind: Kind = STAR
+    kind: Kind
+
+    def __init__(self, id: int, kind: Kind = STAR) -> None:
+        _set(self, "id", id)
+        _set(self, "kind", kind)
 
 
-class Type:
+class Type(_Node):
     """Base class for type expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class TVar(Type):
+    __slots__ = ("var",)
     var: TypeVar
 
+    def __init__(self, var: TypeVar) -> None:
+        _set(self, "var", var)
 
-@dataclass(frozen=True)
+
 class TCon(Type):
     """A type constructor such as ``Int : *`` or ``List : * -> *``."""
 
+    __slots__ = ("name", "kind")
     name: str
-    kind: Kind = STAR
+    kind: Kind
+
+    def __init__(self, name: str, kind: Kind = STAR) -> None:
+        _set(self, "name", name)
+        _set(self, "kind", kind)
 
 
-@dataclass(frozen=True)
 class TApp(Type):
+    __slots__ = ("fun", "arg")
     fun: Type
     arg: Type
 
+    def __init__(self, fun: Type, arg: Type) -> None:
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
 
-@dataclass(frozen=True)
+
 class TFun(Type):
+    __slots__ = ("dom", "cod")
     dom: Type
     cod: Type
 
+    def __init__(self, dom: Type, cod: Type) -> None:
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
 
-@dataclass(frozen=True)
+
 class TRow(Type):
-    """An unordered row ``{l1:T1, ...}``, open when it has a tail variable."""
+    """An unordered row ``{l1:T1, ...}``, open when it has a tail variable.
+    Its fields are a dict, so hashing it raises TypeError."""
 
+    __slots__ = ("fields", "tail")
     fields: dict[str, Type]
-    tail: TypeVar | None = None
+    tail: TypeVar | None
 
-    def __post_init__(self) -> None:
-        if self.tail is not None and self.tail.kind != ROW:
-            raise ValueError(f"row tail must have kind row, got {self.tail.kind}")
+    def __init__(self, fields: dict[str, Type], tail: TypeVar | None = None) -> None:
+        if tail is not None and tail.kind is not ROW:
+            raise ValueError(f"row tail must have kind row, got {tail.kind}")
+        _set(self, "fields", fields)
+        _set(self, "tail", tail)
 
 
 INT = TCon("Int")
@@ -138,7 +227,7 @@ class Scheme:
         ids = [v.id for v in self.quantified]
         if len(set(ids)) != len(ids):
             raise ValueError("scheme quantifies the same variable twice")
-        rows = [v for v in self.quantified if v.kind == ROW]
+        rows = [v for v in self.quantified if v.kind is ROW]
         if not rows and not self.lacks:
             return
         labels: dict[int, frozenset[str]] = {}
@@ -285,23 +374,6 @@ class FreshVars:
 # Traversals
 
 
-def _iter_vars(t: Type) -> Iterator[TypeVar]:
-    """Every variable occurrence, left to right, rows in label order."""
-    if isinstance(t, TVar):
-        yield t.var
-    elif isinstance(t, TApp):
-        yield from _iter_vars(t.fun)
-        yield from _iter_vars(t.arg)
-    elif isinstance(t, TFun):
-        yield from _iter_vars(t.dom)
-        yield from _iter_vars(t.cod)
-    elif isinstance(t, TRow):
-        for label in sorted(t.fields):
-            yield from _iter_vars(t.fields[label])
-        if t.tail is not None:
-            yield t.tail
-
-
 def free_vars_ordered(t: Type) -> list[TypeVar]:
     """Free variables of a type in first-occurrence order.
 
@@ -310,10 +382,23 @@ def free_vars_ordered(t: Type) -> list[TypeVar]:
     """
     seen: set[int] = set()
     out: list[TypeVar] = []
-    for v in _iter_vars(t):
-        if v.id not in seen:
-            seen.add(v.id)
-            out.append(v)
+    todo: list[Type | TypeVar] = [t]  # popped from the end: push right to left
+    while todo:
+        t = todo.pop()
+        if isinstance(t, TVar):
+            t = t.var
+        if isinstance(t, TypeVar):
+            if t.id not in seen:
+                seen.add(t.id)
+                out.append(t)
+        elif isinstance(t, TFun):
+            todo += (t.cod, t.dom)
+        elif isinstance(t, TApp):
+            todo += (t.arg, t.fun)
+        elif isinstance(t, TRow):
+            if t.tail is not None:
+                todo.append(t.tail)
+            todo += [t.fields[label] for label in sorted(t.fields, reverse=True)]
     return out
 
 

@@ -27,6 +27,7 @@ its variable supply, they extend it in place and leave it triangular.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -201,7 +202,8 @@ class Subst:
         return TRow(extra, tail)
 
     def apply(self, t: Type) -> Type:
-        """`t` with every bound variable replaced by what it stands for."""
+        """`t` with every bound variable replaced by what it stands for.
+        A subtree that mentions no bound variable comes back as it is."""
         if not self.mapping:
             return t
         if isinstance(t, TVar):
@@ -210,12 +212,17 @@ class Subst:
         if isinstance(t, TCon):
             return t
         if isinstance(t, TApp):
-            return TApp(self.apply(t.fun), self.apply(t.arg))
+            fun, arg = self.apply(t.fun), self.apply(t.arg)
+            return t if fun is t.fun and arg is t.arg else TApp(fun, arg)
         if isinstance(t, TFun):
-            return TFun(self.apply(t.dom), self.apply(t.cod))
+            dom, cod = self.apply(t.dom), self.apply(t.cod)
+            return t if dom is t.dom and cod is t.cod else TFun(dom, cod)
         if isinstance(t, TRow):
             row = self.walk_row(t)
-            return TRow({label: self.apply(f) for label, f in row.fields.items()}, row.tail)
+            fields = {label: self.apply(f) for label, f in row.fields.items()}
+            if row is t and all(map(operator.is_, fields.values(), t.fields.values())):
+                return t
+            return TRow(fields, row.tail)
         raise AssertionError(f"unexpected type node: {t!r}")
 
     def _lack(self, vid: int, labels: Iterable[str]) -> None:

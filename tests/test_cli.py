@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from rowml.cli import cmd_check, cmd_oracle, cmd_repl, main
+from rowml.infer import infer_program
+from rowml.parser import ParseError
 
 
 def write(tmp_path, name, text):
@@ -69,6 +71,17 @@ class TestCheck:
         path.write_bytes("-- grüße\r\nlet café = \\x. x in\r\n  café naïve\r\n".encode("utf-8"))
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().out == f"{path}:3:8: error: unbound variable 'naïve'\n"
+
+    def test_a_lone_carriage_return_does_not_end_a_line(self, tmp_path, capsys):
+        # Lines end at LF only: the CLI reports the library's span.
+        path = tmp_path / "cr.rml"
+        path.write_bytes(b"1\r)")
+        with pytest.raises(ParseError) as info:
+            infer_program("1\r)")
+        span = info.value.span
+        assert (span.line, span.col) == (1, 3)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == f"{path}:1:3: error: {info.value}\n"
 
     def test_processes_every_file(self, tmp_path, capsys):
         good = write(tmp_path, "good.rml", "42")

@@ -1,10 +1,13 @@
 """Tests for the type/term syntax: canonical rows, alpha equivalence,
-free variables, and printing.  Two schemes are alpha-equivalent exactly
+free variables, the node contract, and printing.  Two schemes are alpha-equivalent exactly
 when they print the same: `pretty_scheme` renames quantifiers in
 first-occurrence order, sorts labels, prints free variables by id and
 shows the labels a row variable lacks."""
 
+import copy
 import gc
+import pickle
+from dataclasses import FrozenInstanceError
 
 import hypothesis.strategies as st
 import pytest
@@ -19,10 +22,13 @@ from rowml.syntax import (
     LIST,
     Lam,
     ROW,
+    RowKind,
     STAR,
     STRING,
     Scheme,
+    StarKind,
     TApp,
+    TCon,
     TFun,
     TRow,
     TVar,
@@ -271,6 +277,13 @@ class TestFreeTypeVars:
         t = record({"b": TVar(B), "a": TVar(A)}, RHO)
         assert free_vars_ordered(t) == [A, B, RHO]
 
+    def test_a_deep_chain_is_walked_without_recursion(self):
+        depth = 100_000
+        t = TVar(TypeVar(depth))
+        for i in reversed(range(depth)):
+            t = TFun(TVar(TypeVar(i)), t)
+        assert [v.id for v in free_vars_ordered(t)] == list(range(depth + 1))
+
     @given(schemes())
     def test_instantiated_body_covers_scheme(self, s):
         s = Scheme(s.quantified[:1], s.body)  # leave the rest free
@@ -278,6 +291,76 @@ class TestFreeTypeVars:
         body = set(free_vars_ordered(instantiate(InferSession(fresh_start=10), s)))
         assert body >= free
         assert not body & set(s.quantified)
+
+
+# -- the node contract -------------------------------------------------------
+
+
+class TestNodes:
+    """Type nodes are immutable values: equal when of one class with equal
+    fields, hashable unless they hold a row.  `STAR` and `ROW` are the only
+    instances of their classes."""
+
+    def test_classes_with_equal_fields_differ(self):
+        a, b = TVar(A), TVar(B)
+        assert TApp(a, b) != TFun(a, b) and not TApp(a, b) == TFun(a, b)
+        assert TVar(A) != A and A != TVar(A)
+        assert TCon("List", STAR) != LIST
+
+    @given(types(), types())
+    def test_ne_is_the_negation_of_eq(self, t1, t2):
+        for x, y in ((t1, t2), (t2, t1), (t1, copy.deepcopy(t1))):
+            assert (x != y) is not (x == y)
+
+    @given(types())
+    def test_equal_nodes_hash_equal(self, t):
+        twin = copy.deepcopy(t)
+        assert twin == t and twin is not t
+        try:
+            h = hash(t)
+        except TypeError:  # a row somewhere inside
+            return
+        assert hash(twin) == h
+
+    def test_rows_do_not_hash(self):
+        with pytest.raises(TypeError):
+            hash(TRow({"a": INT}, RHO))
+        with pytest.raises(TypeError):
+            hash(record({}))
+
+    @pytest.mark.parametrize(
+        "node, name",
+        [(A, "id"), (TVar(A), "var"), (INT, "name"), (TApp(LIST, INT), "arg"),
+         (TFun(INT, INT), "dom"), (TRow({}), "tail")],
+    )
+    def test_fields_cannot_be_assigned(self, node, name):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, getattr(node, name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+
+    def test_repr(self):
+        assert repr(TVar(TypeVar(id=1, kind=RowKind()))) == "TVar(var=TypeVar(id=1, kind=RowKind()))"
+        row = TRow({"b": INT, "a": TFun(TVar(A), TApp(LIST, BOOL))}, RHO)
+        assert repr(row) == (
+            "TRow(fields={'b': TCon(name='Int', kind=StarKind()), "
+            "'a': TFun(dom=TVar(var=TypeVar(id=0, kind=StarKind())), "
+            "cod=TApp(fun=TCon(name='List', kind=ArrowKind(param=StarKind(), result=StarKind())), "
+            "arg=TCon(name='Bool', kind=StarKind())))}, tail=TypeVar(id=2, kind=RowKind()))"
+        )
+
+    @pytest.mark.parametrize("kind, cls", [(STAR, StarKind), (ROW, RowKind)])
+    def test_kinds_without_parts_are_singletons(self, kind, cls):
+        assert cls() is kind
+        assert copy.copy(kind) is kind and copy.deepcopy(kind) is kind
+        assert pickle.loads(pickle.dumps(kind)) is kind
+        assert pickle.loads(pickle.dumps(TVar(TypeVar(5, kind)))).var.kind is kind
+        assert copy.deepcopy(TVar(TypeVar(5, kind))).var.kind is kind
+
+    def test_nodes_copy_and_pickle_as_values(self):
+        t = TFun(record({"a": TApp(LIST, TVar(A))}, RHO), TCon("F", ArrowKind(STAR, STAR)))
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t
 
 
 # -- kinds and printing ------------------------------------------------------

@@ -10,6 +10,7 @@ from rowml.syntax import (
     FreshVars,
     INT,
     LIST,
+    REC,
     ROW,
     STRING,
     Scheme,
@@ -86,6 +87,93 @@ class TestApply:
         with pytest.raises(DuplicateLabel) as exc:
             s.apply(TRow({"name": STRING}, RHO))
         assert exc.value.label == "name"
+
+    def test_unbound_subtrees_come_back_as_they_are(self):
+        s = Subst({A.id: INT, RHO.id: TRow({"age": INT})})
+        untouched = TFun(TVar(B), record({"x": TApp(LIST, TVar(B))}, RHO1))
+        assert s.apply(untouched) is untouched
+        out = s.apply(TFun(TVar(A), untouched))
+        assert out == TFun(INT, untouched) and out.cod is untouched
+        row = TRow({"x": untouched}, RHO)
+        assert s.apply(row).fields["x"] is untouched
+
+    @given(st.data())
+    def test_apply_equals_a_full_rebuild(self, data):
+        mapping = data.draw(store_mappings())
+        t = data.draw(store_types(-1))
+        expected = rebuild_apply(mapping, t)
+        out = Subst(dict(mapping)).apply(t)
+        assert out == expected
+        assert not {v.id for v in free_vars_ordered(out)} & mapping.keys()
+        if not {v.id for v in free_vars_ordered(t)} & mapping.keys():
+            assert out is t
+
+
+# Random acyclic stores: star variables 10-13 and row variables 14-17, where
+# an image mentions only variables of a higher id, and each row variable's
+# image has labels of its own, so that no merge repeats a label.
+STORE_STARS = tuple(TypeVar(i) for i in range(10, 14))
+STORE_ROWS = tuple(TypeVar(i, ROW) for i in range(14, 18))
+
+
+def store_tails(above):
+    return st.sampled_from([None, *(v for v in STORE_ROWS if v.id > above)])
+
+
+def store_rows(above, labels, depth):
+    fields = st.dictionaries(st.sampled_from(labels), store_types(above, depth), max_size=3)
+    return st.builds(TRow, fields, store_tails(above))
+
+
+def store_types(above, depth=2):
+    leaf = st.sampled_from([INT, BOOL, *(TVar(v) for v in STORE_STARS if v.id > above)])
+    if depth == 0:
+        return leaf
+    sub = store_types(above, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(TFun, sub, sub),
+        st.builds(lambda t: TApp(LIST, t), sub),
+        st.builds(lambda row: TApp(REC, row), store_rows(above, ("a", "b", "c"), depth - 1)),
+    )
+
+
+@st.composite
+def store_mappings(draw):
+    mapping = {}
+    for v in STORE_STARS:
+        if draw(st.booleans()):
+            mapping[v.id] = draw(store_types(v.id))
+    for v in STORE_ROWS:
+        if draw(st.booleans()):
+            renames = [TVar(w) for w in STORE_ROWS if w.id > v.id]
+            own_labels = tuple(f"{label}{v.id}" for label in "abc")
+            images = store_rows(v.id, own_labels, 1)
+            mapping[v.id] = draw(st.one_of(images, st.sampled_from(renames)) if renames else images)
+    return mapping
+
+
+def rebuild_apply(mapping, t):
+    """What `Subst.apply` computes, built afresh at every node."""
+    if isinstance(t, TVar):
+        image = mapping.get(t.var.id)
+        return t if image is None else rebuild_apply(mapping, image)
+    if isinstance(t, TApp):
+        return TApp(rebuild_apply(mapping, t.fun), rebuild_apply(mapping, t.arg))
+    if isinstance(t, TFun):
+        return TFun(rebuild_apply(mapping, t.dom), rebuild_apply(mapping, t.cod))
+    if isinstance(t, TRow):
+        fields = {label: rebuild_apply(mapping, f) for label, f in t.fields.items()}
+        tail = t.tail
+        while tail is not None and tail.id in mapping:
+            image = mapping[tail.id]
+            if isinstance(image, TVar):
+                tail = image.var
+                continue
+            fields.update((label, rebuild_apply(mapping, f)) for label, f in image.fields.items())
+            tail = image.tail
+        return TRow(fields, tail)
+    return t
 
 
 class TestUnify:
