@@ -6,11 +6,14 @@ level of every variable it made.  Each unification hands the unresolved
 types to `rowml.unify.unify` with the session's store, which it extends
 in place as one atomic step: the image of a bound variable may mention
 variables bound before or after it, and `InferSession.resolve` follows
-the chains only where a decision needs the whole type.  Records
-funnel all row reasoning through unification against a template
-``Rec {l:a | r}``, so row unification is exercised exactly where
-function application (and the record primitives, which are typed as
-applications of such templates) demands it.
+the chains only where a decision needs the whole type.  The record
+primitives are typed by unification against a template
+``Rec {l:a | r}``, so row unification runs exactly where they and
+function application demand it.  One case skips the template: a
+selection ``e.l`` whose record row is already known, closed and has
+``l`` takes that field's type.  Against such a row the template step
+cannot fail; it would only bind ``a`` to the field and ``r`` to a copy
+of the other fields, which nothing reads.
 
 Generalization is by level, after Rémy (INRIA RR-1766, 1992) and
 Kiselyov, "How OCaml type checker works" (2013).  A `let` infers its
@@ -69,10 +72,10 @@ from rowml.syntax import (
     base_kind_env,
     canonicalize,
     free_vars_ordered,
-    pretty_type,
+    pretty_types_shared,
     scan_rows,
 )
-from rowml.unify import Subst, UnifyError, unify
+from rowml.unify import DuplicateLabel, Subst, UnifyError, unify
 
 
 class InferError(Exception):
@@ -107,7 +110,8 @@ class KindFailure(InferError):
 
 class NotARecord(InferError):
     def __init__(self, actual: Type, span: SourceSpan | None = None) -> None:
-        super().__init__(f"not a record: {pretty_type(actual)}", span)
+        (actual_s,) = pretty_types_shared([actual])
+        super().__init__(f"not a record: {actual_s}", span)
         self.actual = actual
 
 
@@ -202,12 +206,15 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
     return Scheme(quantified, tau, lacks)
 
 
-def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> None:
-    head = session.subst.find(t)
+def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> Type:
+    """`t` read through the store's variable chains; raises NotARecord
+    when its head is a constructor other than `Rec`."""
+    found = head = session.subst.find(t)
     while isinstance(head, TApp):
         head = session.subst.find(head.fun)
     if isinstance(head, (TCon, TFun)) and head != REC:
         raise NotARecord(session.resolve(t), span)
+    return found
 
 
 def infer_term(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
@@ -250,8 +257,16 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
         return TApp(REC, TRow(fields, None))
 
     if isinstance(term, Select):
-        rec_type = _infer(session, gamma, term.record)
-        _require_record(session, rec_type, term.span)
+        rec_type = _require_record(session, _infer(session, gamma, term.record), term.span)
+        if isinstance(rec_type, TApp) and rec_type.fun == REC and isinstance(rec_type.arg, TRow):
+            # A closed row that has the label: the template step would only
+            # bind its value to the field and its tail to the other fields.
+            try:
+                row = session.subst.walk_row(rec_type.arg)
+            except DuplicateLabel as exc:
+                raise UnifyFailure(exc, term.span) from exc
+            if row.tail is None and term.label in row.fields:
+                return row.fields[term.label]
         value = TVar(session.fresh.fresh(STAR))
         session.unify(rec_type, TApp(REC, session.template_row(term.label, value)), term.span)
         return value

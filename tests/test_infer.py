@@ -25,6 +25,7 @@ from rowml.syntax import (
     BOOL,
     INT,
     LIST,
+    REC,
     ROW,
     STAR,
     STRING,
@@ -295,6 +296,12 @@ class TestRecordErrors:
         with pytest.raises(NotARecord):
             infer_program("{a = 1 | xs}", env=env)
 
+    def test_not_a_record_names_variables_by_letter(self):
+        # the variable's id counts the variables made before it; its name does not
+        with pytest.raises(NotARecord) as exc:
+            scheme_of("let g = \\x. {a = x} in let h = \\y. y in (h g).a")
+        assert str(exc.value) == "not a record: a -> Rec {a:a}"
+
     def test_duplicate_extension_of_known_record(self):
         # the record already has x; the merge that would duplicate it is
         # reported where the substitution gets applied
@@ -552,11 +559,11 @@ class TestLevels:
 
 class TestScale:
     def test_wide_record_selected_field_by_field(self):
-        n = 200
-        fields = ", ".join(f"l{i} = {i}" for i in range(n))
-        lets = "".join(f"let y{i} = r.l{(7 * i) % n} in " for i in range(n))
-        src = f"let r = {{{fields}}} in {lets}y{n // 2}"
-        assert pretty_scheme(scheme_of(src)) == "Int"
+        for n in (200, 400):
+            fields = ", ".join(f"l{i} = {i}" for i in range(n))
+            lets = "".join(f"let y{i} = r.l{(7 * i) % n} in " for i in range(n))
+            src = f"let r = {{{fields}}} in {lets}y{n // 2}"
+            assert pretty_scheme(scheme_of(src)) == "Int"
 
     def test_long_let_chain(self):
         n = 200
@@ -684,3 +691,86 @@ class TestProperties:
             for vid, image in session.subst.mapping.items():
                 for var in free_vars_ordered(session.resolve(image)):
                     assert levels.get(var.id, 0) <= levels.get(vid, 0)
+
+
+def unify_steps(monkeypatch, src: str) -> tuple[Scheme, int]:
+    """The scheme of `src` and the number of session unification steps
+    its inference ran."""
+    steps = []
+    real = InferSession.unify
+
+    def counted(self, t1, t2, span):
+        steps.append(span)
+        return real(self, t1, t2, span)
+
+    monkeypatch.setattr(InferSession, "unify", counted)
+    return scheme_of(src), len(steps)
+
+
+class TestSelectionFromAClosedRow:
+    def test_reads_the_field_without_a_unification_step(self, monkeypatch):
+        n = 64
+        fields = ", ".join(f"l{i} = {i}" for i in range(n))
+        lets = "".join(f"let y{i} = r.l{i} in " for i in range(n))
+        scheme, steps = unify_steps(monkeypatch, f"let r = {{{fields}}} in {lets}y0")
+        assert (pretty_scheme(scheme), steps) == ("Int", 0)
+
+    def test_an_open_row_still_unifies_against_a_template(self, monkeypatch):
+        scheme, steps = unify_steps(monkeypatch, "\\r. r.a")
+        assert (pretty_scheme(scheme), steps) == ("∀a:*. ∀b:row. Rec {a:a | b} -> a", 1)
+
+    def test_a_missing_label_is_still_located_at_the_selection(self):
+        src = "{a = 1}.b"
+        with pytest.raises(UnifyFailure) as exc:
+            scheme_of(src)
+        assert isinstance(exc.value.cause, RowMissingLabel)
+        span = exc.value.span
+        assert (span.start, span.end) == (0, len(src))
+
+    def test_the_field_type_meets_its_use(self):
+        with pytest.raises(UnifyFailure) as exc:
+            scheme_of('let r = {a = 1} in r.a "x"')
+        assert isinstance(exc.value.cause, Mismatch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3), min_size=6, max_size=6),
+        st.lists(
+            st.tuples(st.sampled_from(STAR_POOL).map(TVar), pool_types()), min_size=1, max_size=4
+        ),
+        st.dictionaries(record_labels, pool_types(), min_size=1),
+        st.data(),
+    )
+    def test_template_step_only_binds_the_template(self, pool_levels, steps, fields, data):
+        # What lets inference read the field instead: when no variable is
+        # deeper than the session's level, unifying a closed row that has
+        # `l` with `Rec {l:v | rho}` binds v to the field and rho to the
+        # other fields, and changes no other variable's level or lacks.
+        session = InferSession(fresh_start=6)
+        session.fresh.level = 3
+        session.fresh.levels.update(enumerate(pool_levels))
+        for t1, t2 in steps:
+            try:
+                for r in rows_of(t1) + rows_of(t2):
+                    session.subst.register(r)
+                session.unify(t1, t2, None)
+            except (DuplicateLabel, UnifyFailure):
+                pass  # the failed step was taken back
+        row = TRow(fields, None)
+        try:
+            for r in rows_of(row):
+                session.subst.register(r)
+        except DuplicateLabel:
+            return  # inference would have rejected the row
+        label = data.draw(st.sampled_from(sorted(fields)))
+        value = TVar(session.fresh.fresh(STAR))
+        template = session.template_row(label, value)
+        mine = {value.var.id, template.tail.id}
+        levels = {v: n for v, n in session.fresh.levels.items() if v not in mine}
+        lacks = {v: ls for v, ls in session.subst.lacks.items() if v not in mine}
+        session.unify(TApp(REC, row), TApp(REC, template), None)
+        assert session.resolve(value) == session.resolve(fields[label])
+        rest = {l: t for l, t in fields.items() if l != label}
+        assert session.resolve(TRow({}, template.tail)) == session.resolve(TRow(rest, None))
+        assert {v: n for v, n in session.fresh.levels.items() if v not in mine} == levels
+        assert {v: ls for v, ls in session.subst.lacks.items() if v not in mine} == lacks
