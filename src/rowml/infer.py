@@ -28,7 +28,9 @@ are registered before inference begins.  A repeated label is then the
 error of the unification step that would make it; nothing is walked
 again afterwards.  `generalize` moves the labels a quantified row
 variable lacks into its scheme, and `instantiate` gives them to the
-variable's fresh copy.
+variable's fresh copy.  One walk of the bound type resolves it and
+collects its free variables and the labels of its rows, so the scheme
+is built in normal form and not walked again.
 
 Inference is staged: `infer_program` first kind-checks every scheme of
 the initial environment, then runs inference; constraint solving never
@@ -37,6 +39,7 @@ consults the kind checker.
 
 from __future__ import annotations
 
+import operator
 from typing import Union
 
 from rowml.kindcheck import KindError, UnboundTypeName, check_scheme
@@ -197,13 +200,74 @@ def instantiate(session: InferSession, scheme: Scheme) -> Type:
 def generalize(session: InferSession, tau: Type) -> Scheme:
     """Quantify the variables of the resolved `tau` that live deeper than
     the session's current level, in first-occurrence order, and move the
-    labels they lack from the store into the scheme."""
-    tau = session.resolve(tau)
+    labels they lack from the store into the scheme.
+
+    One walk resolves `tau` and collects its free variables and the
+    labels of the rows each tail ends, so the scheme is built in normal
+    form and its body is not walked again.  The walk recurses, as
+    `Subst.apply` does.  With an empty store there is nothing to
+    resolve, and `free_vars_ordered` and `scan_rows` collect with stacks
+    of their own, so a type built with no unification step generalizes
+    however deep it is."""
+    subst = session.subst
+    rows: dict[int, frozenset[str]] = {}
+    if subst.mapping:
+        free: dict[int, TypeVar] = {}
+        tau = _resolve_collecting(subst, tau, free, rows)
+    else:
+        free = {v.id: v for v in free_vars_ordered(tau)}
+        scan_rows(tau, rows)
     level, levels = session.fresh.level, session.fresh.levels
-    quantified = tuple(v for v in free_vars_ordered(tau) if levels.get(v.id, 0) > level)
-    store = session.subst.lacks
-    lacks = tuple((v, store.pop(v.id)) for v in quantified if v.id in store)
-    return Scheme(quantified, tau, lacks)
+    quantified = tuple(v for v in free.values() if levels.get(v.id, 0) > level)
+    store = subst.lacks
+    lacks = []
+    for v in quantified:
+        labels = rows.get(v.id, frozenset()).union(store.pop(v.id, ()))
+        if labels:
+            lacks.append((v, tuple(sorted(labels))))
+    return Scheme._normal(quantified, tau, tuple(lacks))
+
+
+def _resolve_collecting(
+    subst: Subst, t: Type, free: dict[int, TypeVar], rows: dict[int, frozenset[str]]
+) -> Type:
+    """`subst.apply(t)`, returning unchanged subtrees as they are.  The
+    same walk adds the unbound variables of the result to `free` in the
+    order `free_vars_ordered` visits them (row fields by label, then the
+    tail), and the labels of each row of the result that has a tail to
+    `rows` under the tail's id."""
+    if isinstance(t, TVar):
+        t = subst.find(t)
+        if isinstance(t, TVar):
+            if t.var.id not in free:
+                free[t.var.id] = t.var
+            return t
+    if isinstance(t, TCon):
+        return t
+    if isinstance(t, TFun):
+        dom = _resolve_collecting(subst, t.dom, free, rows)
+        cod = _resolve_collecting(subst, t.cod, free, rows)
+        return t if dom is t.dom and cod is t.cod else TFun(dom, cod)
+    if isinstance(t, TApp):
+        fun = _resolve_collecting(subst, t.fun, free, rows)
+        arg = _resolve_collecting(subst, t.arg, free, rows)
+        return t if fun is t.fun and arg is t.arg else TApp(fun, arg)
+    if isinstance(t, TRow):
+        row = subst.walk_row(t)
+        fields = dict.fromkeys(row.fields)  # the order `Subst.apply` keeps
+        for label in sorted(fields):
+            fields[label] = _resolve_collecting(subst, row.fields[label], free, rows)
+        tail = row.tail
+        if tail is not None:
+            if tail.id not in free:
+                free[tail.id] = tail
+            if fields:
+                old = rows.get(tail.id)
+                rows[tail.id] = frozenset(fields) if old is None else old.union(fields)
+        if row is t and all(map(operator.is_, fields.values(), t.fields.values())):
+            return t
+        return TRow(fields, tail)
+    raise AssertionError(f"unexpected type node: {t!r}")
 
 
 def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> Type:
@@ -235,7 +299,7 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
 
     if isinstance(term, Lam):
         param = TVar(session.fresh.fresh(STAR))
-        inner = gamma.extend(term.param, Scheme((), param))
+        inner = gamma.extend(term.param, Scheme._normal((), param, ()))
         return TFun(param, _infer(session, inner, term.body))
 
     if isinstance(term, App):

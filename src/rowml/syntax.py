@@ -216,7 +216,8 @@ class Scheme:
     those labels, sorted, in the order of `quantified`.  Building a scheme
     puts it in that form and adds the labels of every row of the body
     that the variable ends.  A scheme with no quantifiers is just a
-    monomorphic type.
+    monomorphic type.  `Scheme._normal` builds a scheme that is already
+    in that form without checking it again.
     """
 
     quantified: tuple[TypeVar, ...]
@@ -238,6 +239,21 @@ class Scheme:
             labels[v.id] = labels.get(v.id, frozenset()).union(lacked)
         lacks = tuple((v, tuple(sorted(labels[v.id]))) for v in rows if labels.get(v.id))
         object.__setattr__(self, "lacks", lacks)
+
+    @classmethod
+    def _normal(cls, quantified: tuple[TypeVar, ...], body: Type, lacks: tuple) -> Scheme:
+        """The scheme of these three fields, set as they are, with no
+        check and no walk of `body`.  The caller guarantees that they are
+        already in the form `Scheme(quantified, body, lacks)` gives:
+        `quantified` names no variable twice, and `lacks` pairs, in the
+        order of `quantified`, every quantified row variable that lacks a
+        label with all it lacks, sorted, counting the labels of each row
+        of `body` with fields that the variable ends."""
+        scheme = object.__new__(cls)
+        _set(scheme, "quantified", quantified)
+        _set(scheme, "body", body)
+        _set(scheme, "lacks", lacks)
+        return scheme
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,18 @@ class TestGeneralize:
         (rho,) = deeper_vars(session, ROW)
         t = TFun(record({"name": STRING}, rho), STRING)
         s = generalize(session, t)
-        assert s.quantified == (rho,)
+        assert s == Scheme((rho,), t) and s.lacks == ((rho, ("name",)),)
+
+    def test_a_bound_row_is_read_in_label_order_and_its_tail_lacks_its_labels(self):
+        # The row is not registered with the store, so the labels its tail
+        # lacks come from the body only.
+        session = InferSession()
+        x, a, b, rho = deeper_vars(session, STAR, STAR, STAR, ROW)
+        session.unify(TVar(x), record({"y": TVar(a), "x": TVar(b)}, rho), None)
+        s = generalize(session, TFun(TVar(x), TVar(a)))
+        assert s.quantified == (b, a, rho)
+        assert s.lacks == ((rho, ("x", "y")),)
+        assert s == Scheme(s.quantified, s.body, s.lacks)
 
     def test_environment_blocks_generalization(self):
         # ids below fresh_start belong to the initial environment: level 0
@@ -570,6 +581,14 @@ class TestScale:
         lets = "".join(f"let f{i} = \\r. {{x{i} = {i} | r}} in " for i in range(n))
         assert pretty_scheme(scheme_of(f"{lets}f{n - 3} {{}}")) == f"Rec {{x{n - 3}:Int}}"
 
+    def test_deep_let_bound_records_generalize_without_recursion(self):
+        # No step binds a variable, so the store is empty and `generalize`
+        # collects with stacks: the last record is nested n deep, more
+        # than a recursive walk of its type could take under this stack.
+        n = sys.getrecursionlimit() // 2
+        lets = "".join(f"let x{i} = {{a = x{i - 1}}} in " for i in range(1, n))
+        assert pretty_scheme(scheme_of(f"let x0 = 1 in {lets}1")) == "Int"
+
     def test_long_binding_chains_resolve_without_recursion(self):
         session = InferSession()
         n = 5 * sys.getrecursionlimit()
@@ -607,20 +626,24 @@ class TestInferProgramPipeline:
 record_labels = st.sampled_from(("a", "b", "x"))
 
 
-def record_programs():
+def record_programs(let_wrapped: bool = False):
     """Programs over two row-polymorphic parameters that extend, select
     from and restrict records: a tail bound late often makes a row
-    recorded earlier repeat a label."""
+    recorded earlier repeat a label.  With `let_wrapped`, a subterm may
+    also be bound by a `let` and used once, so that it is generalized."""
 
     def extend(inner):
-        return st.one_of(
+        cases = [
             st.builds(lambda l, v, e: f"{{{l} = {v} | {e}}}", record_labels, inner, inner),
             st.builds(lambda e, l: f"({e}).{l}", inner, record_labels),
             st.builds(lambda e, l: f"({e}) - {l}", inner, record_labels),
             st.builds(lambda f, e: f"({f}) ({e})", inner, inner),
             st.builds(lambda e1, e2: f"(\\s. \\t. t) ({e1}) ({e2})", inner, inner),
             st.builds(lambda e1, e2: f"(let s = {e1} in {e2})", inner, inner),
-        )
+        ]
+        if let_wrapped:
+            cases.append(inner.map(lambda e: f"(let v = {e} in v)"))
+        return st.one_of(*cases)
 
     leaves = st.sampled_from(("r", "q", "s", "1"))
     return st.recursive(leaves, extend, max_leaves=12).map(lambda e: f"\\r. \\q. {e}")
@@ -774,3 +797,67 @@ class TestSelectionFromAClosedRow:
         assert session.resolve(TRow({}, template.tail)) == session.resolve(TRow(rest, None))
         assert {v: n for v, n in session.fresh.levels.items() if v not in mine} == levels
         assert {v: ls for v, ls in session.subst.lacks.items() if v not in mine} == lacks
+
+
+def reference_generalize(session: InferSession, tau, store_lacks) -> Scheme:
+    """What `generalize` computes in one walk, in three steps: resolve
+    `tau`, quantify its free variables deeper than the session's level,
+    and let the public constructor normalize the labels they lacked in
+    `store_lacks`, the store's lacks before the call."""
+    tau = session.resolve(tau)
+    level, levels = session.fresh.level, session.fresh.levels
+    quantified = tuple(v for v in free_vars_ordered(tau) if levels.get(v.id, 0) > level)
+    lacks = tuple((v, store_lacks[v.id]) for v in quantified if v.id in store_lacks)
+    return Scheme(quantified, tau, lacks)
+
+
+def let_ladders():
+    """``let f0 = \\r. r in let f1 = \\r. e1 in .. in fj {}``, where each
+    rung's e is a record step on r, or applies the rung before it."""
+    rung = st.sampled_from(
+        ("{{x{i} = {i} | r}}", "r - x{i}", "(\\s. r) r.x{i}", "f{p} {{x{i} = 1 | r}}")
+    )
+
+    def program(rungs, j):
+        lets = "".join(
+            f"let f{i} = \\r. {step.format(i=i, p=i - 1)} in " for i, step in enumerate(rungs, 1)
+        )
+        return f"let f0 = \\r. r in {lets}f{j % (len(rungs) + 1)} {{}}"
+
+    return st.builds(program, st.lists(rung, min_size=1, max_size=12), st.integers(0, 11))
+
+
+class TestGeneralizeAgainstTheReference:
+    """`generalize` resolves `tau` and collects what the scheme needs in
+    one walk and builds the scheme in normal form; every call inside
+    `infer_program` must give the scheme the reference gives."""
+
+    def check(self, src: str) -> None:
+        real = infer_mod.generalize
+
+        def checked(session, tau):
+            store_lacks = dict(session.subst.lacks)
+            s = real(session, tau)
+            assert s == reference_generalize(session, tau, store_lacks)
+            assert Scheme(s.quantified, s.body, s.lacks) == s
+            return s
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infer_mod, "generalize", checked)
+            try:
+                infer_program(src)
+            except InferError:
+                pass
+
+    @settings(max_examples=250, deadline=None)
+    @given(record_programs(let_wrapped=True))
+    def test_record_programs(self, src):
+        self.check(src)
+
+    @settings(max_examples=60, deadline=None)
+    @given(let_ladders())
+    def test_let_ladders(self, src):
+        self.check(src)
+
+    def test_labels_from_the_store_only(self):
+        self.check("let f = \\r. \\q. (\\s. \\t. 1) {b = 1, a = 2 | r} {y = 1, x = 2, c = 3 | q} in f")

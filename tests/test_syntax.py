@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from rowml.infer import InferSession, infer_program, instantiate
+from rowml.infer import InferError, InferSession, infer_program, instantiate
 from rowml.syntax import (
     App,
     ArrowKind,
@@ -418,6 +418,18 @@ class TestPretty:
             pretty_scheme(s)
             Mismatch(INT, TFun(INT, TVar(A)))
             pretty_term(twice)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_inference_leaves_no_garbage_cycle(self):
+        lets = "let f = \\r. {a = 1 | r} in let g = \\r. (f r).a in let h = \\x. x in "
+        gc.collect()
+        gc.disable()
+        try:
+            infer_program(lets + "h (g {b = 2})")
+            with pytest.raises(InferError):
+                infer_program(lets + "g {a = 2}")
             assert gc.collect() == 0
         finally:
             gc.enable()
