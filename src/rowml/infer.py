@@ -26,11 +26,12 @@ Every row the session builds is registered with the store, so its
 tail lacks the row's labels, and the rows of the initial environment
 are registered before inference begins.  A repeated label is then the
 error of the unification step that would make it; nothing is walked
-again afterwards.  `generalize` moves the labels a quantified row
-variable lacks into its scheme, and `instantiate` gives them to the
-variable's fresh copy.  One walk of the bound type resolves it and
-collects its free variables and the labels of its rows, so the scheme
-is built in normal form and not walked again.
+again afterwards.  The store is the one record of the labels a row
+variable lacks: `generalize` moves a quantified row variable's labels
+from it into the scheme, and `instantiate` gives them to the variable's
+fresh copy.  One walk of the bound type resolves it and collects its
+free variables, so the scheme is built in normal form and not walked
+again.
 
 Inference is staged: `infer_program` first kind-checks every scheme of
 the initial environment, then runs inference; constraint solving never
@@ -202,40 +203,37 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
     the session's current level, in first-occurrence order, and move the
     labels they lack from the store into the scheme.
 
-    One walk resolves `tau` and collects its free variables and the
-    labels of the rows each tail ends, so the scheme is built in normal
-    form and its body is not walked again.  The walk recurses, as
-    `Subst.apply` does.  With an empty store there is nothing to
-    resolve, and `free_vars_ordered` and `scan_rows` collect with stacks
-    of their own, so a type built with no unification step generalizes
-    however deep it is."""
+    Every row of `tau` must have been registered with the store, as
+    `_infer` registers the rows it builds: the store's labels are then
+    all a quantified row variable lacks, those of the rows it ends
+    included.  One walk resolves `tau` and collects its free variables,
+    so the scheme is built in normal form and its body is not walked
+    again.  The walk recurses, as `Subst.apply` does.  With an empty
+    store there is nothing to resolve, and `free_vars_ordered` collects
+    with a stack of its own, so a type built with no unification step
+    generalizes however deep it is."""
     subst = session.subst
-    rows: dict[int, frozenset[str]] = {}
     if subst.mapping:
         free: dict[int, TypeVar] = {}
-        tau = _resolve_collecting(subst, tau, free, rows)
+        tau = _resolve_collecting(subst, tau, free)
     else:
         free = {v.id: v for v in free_vars_ordered(tau)}
-        scan_rows(tau, rows)
     level, levels = session.fresh.level, session.fresh.levels
     quantified = tuple(v for v in free.values() if levels.get(v.id, 0) > level)
     store = subst.lacks
     lacks = []
     for v in quantified:
-        labels = rows.get(v.id, frozenset()).union(store.pop(v.id, ()))
+        labels = store.pop(v.id, None)
         if labels:
             lacks.append((v, tuple(sorted(labels))))
     return Scheme._normal(quantified, tau, tuple(lacks))
 
 
-def _resolve_collecting(
-    subst: Subst, t: Type, free: dict[int, TypeVar], rows: dict[int, frozenset[str]]
-) -> Type:
+def _resolve_collecting(subst: Subst, t: Type, free: dict[int, TypeVar]) -> Type:
     """`subst.apply(t)`, returning unchanged subtrees as they are.  The
     same walk adds the unbound variables of the result to `free` in the
     order `free_vars_ordered` visits them (row fields by label, then the
-    tail), and the labels of each row of the result that has a tail to
-    `rows` under the tail's id."""
+    tail)."""
     if isinstance(t, TVar):
         t = subst.find(t)
         if isinstance(t, TVar):
@@ -245,25 +243,21 @@ def _resolve_collecting(
     if isinstance(t, TCon):
         return t
     if isinstance(t, TFun):
-        dom = _resolve_collecting(subst, t.dom, free, rows)
-        cod = _resolve_collecting(subst, t.cod, free, rows)
+        dom = _resolve_collecting(subst, t.dom, free)
+        cod = _resolve_collecting(subst, t.cod, free)
         return t if dom is t.dom and cod is t.cod else TFun(dom, cod)
     if isinstance(t, TApp):
-        fun = _resolve_collecting(subst, t.fun, free, rows)
-        arg = _resolve_collecting(subst, t.arg, free, rows)
+        fun = _resolve_collecting(subst, t.fun, free)
+        arg = _resolve_collecting(subst, t.arg, free)
         return t if fun is t.fun and arg is t.arg else TApp(fun, arg)
     if isinstance(t, TRow):
         row = subst.walk_row(t)
         fields = dict.fromkeys(row.fields)  # the order `Subst.apply` keeps
         for label in sorted(fields):
-            fields[label] = _resolve_collecting(subst, row.fields[label], free, rows)
+            fields[label] = _resolve_collecting(subst, row.fields[label], free)
         tail = row.tail
-        if tail is not None:
-            if tail.id not in free:
-                free[tail.id] = tail
-            if fields:
-                old = rows.get(tail.id)
-                rows[tail.id] = frozenset(fields) if old is None else old.union(fields)
+        if tail is not None and tail.id not in free:
+            free[tail.id] = tail
         if row is t and all(map(operator.is_, fields.values(), t.fields.values())):
             return t
         return TRow(fields, tail)
@@ -388,4 +382,4 @@ def infer_program(
     inferred = infer_term(session, gamma, term)
     session.fresh.level -= 1
     result = generalize(session, inferred)
-    return Scheme(result.quantified, canonicalize(result.body), result.lacks)
+    return Scheme._normal(result.quantified, canonicalize(result.body), result.lacks)

@@ -248,7 +248,9 @@ class Scheme:
         `quantified` names no variable twice, and `lacks` pairs, in the
         order of `quantified`, every quantified row variable that lacks a
         label with all it lacks, sorted, counting the labels of each row
-        of `body` with fields that the variable ends."""
+        of `body` with fields that the variable ends.  `generalize` passes
+        the inference store's sets, which count those labels because
+        every row of `body` was registered with the store."""
         scheme = object.__new__(cls)
         _set(scheme, "quantified", quantified)
         _set(scheme, "body", body)

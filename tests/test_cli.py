@@ -132,8 +132,21 @@ class TestCheck:
             "\\r. r" + ".a" * 3000,
             "{a = " * 800 + "1" + "}" * 800,
             "".join(f"let x{i} = {i} in " for i in range(1500)) + "x0",
+            # The term nests 400 deep, but x_i's type is i records deep.
+            "let z = (\\y. y) 1 in let x0 = {a = 1} in "
+            + "".join(f"let x{i} = {{a = x{i - 1}}} in " for i in range(1, 400))
+            + "1",
         ],
-        ids=["parens", "lambdas", "application", "extensions", "selections", "records", "lets"],
+        ids=[
+            "parens",
+            "lambdas",
+            "application",
+            "extensions",
+            "selections",
+            "records",
+            "lets",
+            "let_bound_records",
+        ],
     )
     def test_deep_nesting_is_a_located_error(self, tmp_path, capsys, src):
         path = write(tmp_path, "deep.rml", src)

@@ -40,6 +40,7 @@ from rowml.syntax import (
     free_vars_ordered,
     pretty_scheme,
     record,
+    scan_rows,
 )
 from rowml.unify import DuplicateLabel, Mismatch, OccursCheck, RowMissingLabel
 
@@ -106,15 +107,18 @@ class TestGeneralize:
         session = InferSession()
         (rho,) = deeper_vars(session, ROW)
         t = TFun(record({"name": STRING}, rho), STRING)
+        session.subst.register(t.dom.arg)  # as inference registers its rows
         s = generalize(session, t)
         assert s == Scheme((rho,), t) and s.lacks == ((rho, ("name",)),)
 
     def test_a_bound_row_is_read_in_label_order_and_its_tail_lacks_its_labels(self):
-        # The row is not registered with the store, so the labels its tail
-        # lacks come from the body only.
+        # Registering the row, as inference does, is what makes its tail
+        # lack its labels; the scheme takes them from the store.
         session = InferSession()
         x, a, b, rho = deeper_vars(session, STAR, STAR, STAR, ROW)
-        session.unify(TVar(x), record({"y": TVar(a), "x": TVar(b)}, rho), None)
+        bound = record({"y": TVar(a), "x": TVar(b)}, rho)
+        session.subst.register(bound.arg)
+        session.unify(TVar(x), bound, None)
         s = generalize(session, TFun(TVar(x), TVar(a)))
         assert s.quantified == (b, a, rho)
         assert s.lacks == ((rho, ("x", "y")),)
@@ -714,6 +718,12 @@ class TestProperties:
             for vid, image in session.subst.mapping.items():
                 for var in free_vars_ordered(session.resolve(image)):
                     assert levels.get(var.id, 0) <= levels.get(vid, 0)
+            # What `generalize` trusts: an unbound row variable lacks the
+            # labels of every row it ends.
+            implied: dict[int, frozenset[str]] = {}
+            scan_rows(session.resolve(t1), implied)
+            for vid, labels in implied.items():
+                assert labels <= session.subst.lacks.get(vid, frozenset())
 
 
 def unify_steps(monkeypatch, src: str) -> tuple[Scheme, int]:
@@ -827,12 +837,41 @@ def let_ladders():
     return st.builds(program, st.lists(rung, min_size=1, max_size=12), st.integers(0, 11))
 
 
+HELPERS = TypeEnv(
+    (
+        # sel : ∀a r. Rec {a:a | r} -> a
+        ("sel", Scheme((A, RHO), TFun(record({"a": TVar(A)}, RHO), TVar(A)))),
+        # keep : ∀r∖{a}. Rec { | r} -> Rec { | r}, a label no row of its body implies
+        ("keep", Scheme((RHO,), TFun(record({}, RHO), record({}, RHO)), ((RHO, ("a",)),))),
+        # ext : ∀r. Rec { | r} -> Rec {b:Int | r}
+        ("ext", Scheme((RHO,), TFun(record({}, RHO), record({"b": INT}, RHO)))),
+    )
+)
+
+
+def helper_programs():
+    """Programs ``\\r. \\q. e`` that apply, `let`-bind and extend the
+    helpers of `HELPERS`, whose labels reach the store through
+    `instantiate`."""
+
+    def extend(inner):
+        functions = st.sampled_from(("sel", "keep", "ext", "s"))
+        return st.one_of(
+            st.builds(lambda f, e: f"{f} ({e})", functions, inner),
+            st.builds(lambda e1, e2: f"(let s = {e1} in {e2})", inner, inner),
+            st.builds(lambda l, v, e: f"{{{l} = {v} | {e}}}", record_labels, inner, inner),
+        )
+
+    leaves = st.sampled_from(("r", "q", "s", "1", "sel", "keep", "ext"))
+    return st.recursive(leaves, extend, max_leaves=10).map(lambda e: f"\\r. \\q. {e}")
+
+
 class TestGeneralizeAgainstTheReference:
     """`generalize` resolves `tau` and collects what the scheme needs in
     one walk and builds the scheme in normal form; every call inside
     `infer_program` must give the scheme the reference gives."""
 
-    def check(self, src: str) -> None:
+    def check(self, src: str, env: TypeEnv | None = None) -> None:
         real = infer_mod.generalize
 
         def checked(session, tau):
@@ -845,7 +884,7 @@ class TestGeneralizeAgainstTheReference:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(infer_mod, "generalize", checked)
             try:
-                infer_program(src)
+                infer_program(src, env=env)
             except InferError:
                 pass
 
@@ -858,6 +897,11 @@ class TestGeneralizeAgainstTheReference:
     @given(let_ladders())
     def test_let_ladders(self, src):
         self.check(src)
+
+    @settings(max_examples=150, deadline=None)
+    @given(helper_programs())
+    def test_programs_over_an_initial_environment(self, src):
+        self.check(src, HELPERS)
 
     def test_labels_from_the_store_only(self):
         self.check("let f = \\r. \\q. (\\s. \\t. 1) {b = 1, a = 2 | r} {y = 1, x = 2, c = 3 | q} in f")
