@@ -45,8 +45,9 @@ def cmd_check(paths: Sequence[str], out=None, err=None) -> int:
     for path in paths:
         try:
             # newline="" keeps a lone CR, which the lexer reads as
-            # whitespace within a line, as `infer_program` on a string does.
-            with open(path, encoding="utf-8", newline="") as handle:
+            # whitespace within a line, as `infer_program` on a string does;
+            # utf-8-sig drops one leading byte-order mark.
+            with open(path, encoding="utf-8-sig", newline="") as handle:
                 src = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc})"

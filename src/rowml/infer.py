@@ -4,16 +4,16 @@ Algorithm W over mutable session state.  The session keeps a fresh
 variable supply, one triangular `Subst` of variable bindings and the
 level of every variable it made.  Each unification hands the unresolved
 types to `rowml.unify.unify` with the session's store, which it extends
-in place as one atomic step: the image of a bound variable may mention
-variables bound before or after it, and `InferSession.resolve` follows
-the chains only where a decision needs the whole type.  The record
-primitives are typed by unification against a template
-``Rec {l:a | r}``, so row unification runs exactly where they and
-function application demand it.  One case skips the template: a
-selection ``e.l`` whose record row is already known, closed and has
-``l`` takes that field's type.  Against such a row the template step
-cannot fail; it would only bind ``a`` to the field and ``r`` to a copy
-of the other fields, which nothing reads.
+in place: the image of a bound variable may mention variables bound
+before or after it, and `InferSession.resolve` follows the chains only
+where a decision needs the whole type.  Inference stops at the first
+failed step, and the store is not read again.  The record primitives are
+typed by unification against a template ``Rec {l:a | r}``, so row
+unification runs exactly where they and function application demand it.
+One case skips the template: a selection ``e.l`` whose record row is
+already known, closed and has ``l`` takes that field's type.  Against
+such a row the template step cannot fail; it would only bind ``a`` to
+the field and ``r`` to a copy of the other fields, which nothing reads.
 
 Generalization is by level, after Rémy (INRIA RR-1766, 1992) and
 Kiselyov, "How OCaml type checker works" (2013).  A `let` infers its
@@ -169,8 +169,8 @@ class InferSession:
         )
 
     def unify(self, t1: Type, t2: Type, span: SourceSpan | None) -> None:
-        """Unify `t1` with `t2` in the session's store, as one atomic step
-        of `rowml.unify.unify`.  Its failure raises UnifyFailure at `span`."""
+        """Unify `t1` with `t2` in the session's store, as one step of
+        `rowml.unify.unify`.  Its failure raises UnifyFailure at `span`."""
         try:
             unify(t1, t2, self.fresh, self.subst)
         except UnifyError as exc:

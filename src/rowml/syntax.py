@@ -304,28 +304,28 @@ class TypeEnv:
 # Terms
 
 
+@dataclass(frozen=True)
 class Term:
     """Base class for surface-language terms."""
+
+    span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Lam(Term):
     param: str
     body: Term
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class App(Term):
     fun: Term
     arg: Term
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,6 @@ class Let(Term):
     name: str
     bound: Term
     body: Term
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -341,20 +340,17 @@ class Lit(Term):
     """An integer or string literal."""
 
     value: Union[int, str]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class RecordLit(Term):
     fields: dict[str, Term]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Select(Term):
     record: Term
     label: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -362,14 +358,12 @@ class Extend(Term):
     label: str
     value: Term
     record: Term
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Restrict(Term):
     record: Term
     label: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------

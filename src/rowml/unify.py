@@ -17,8 +17,8 @@ ends the row.
 
 One `Subst` is threaded through a whole unification step: each binding
 is recorded as it is made and never re-applied to the bindings before
-it, so the store is triangular.  A step is atomic: when it fails, it
-takes back every write it made.  Given no store, the public entry
+it, so the store is triangular.  A failed step raises where it fails,
+and its caller discards the store.  Given no store, the public entry
 points seed the labels to lack from the rows of their inputs and answer
 with a new, settled store, whose images mention no bound variable; given
 the inference session's store, whose rows are registered already, and
@@ -122,35 +122,12 @@ class Subst:
     `lacks` maps an unbound row variable's id to the labels it must lack,
     absent meaning none.  `register` adds the labels of a row to the
     variable that ends it, and `bind` checks them and passes them on, so
-    no row reached through the store repeats a label.  `trail` records
-    every write to `mapping`, `levels` and `lacks` since the last step
-    began, with the value it replaced, so that `undo` can take a failed
-    step back.
-    `stepping` is set while a step runs.
+    no row reached through the store repeats a label.
     """
 
     mapping: dict[int, Type] = field(default_factory=dict)
     levels: dict[int, int] = field(default_factory=dict)
     lacks: dict[int, frozenset[str]] = field(default_factory=dict, init=False)
-    trail: list[tuple[dict, int, object]] = field(default_factory=list, init=False)
-    stepping: bool = field(default=False, init=False)
-
-    def _write(self, table: dict, vid: int, value: object) -> None:
-        """Set `table[vid]` to `value`, or drop it when `value` is None."""
-        self.trail.append((table, vid, table.get(vid)))
-        if value is None:
-            del table[vid]
-        else:
-            table[vid] = value
-
-    def undo(self) -> None:
-        """Take back every write recorded in `trail`, newest first."""
-        while self.trail:
-            table, vid, old = self.trail.pop()
-            if old is None:
-                del table[vid]
-            else:
-                table[vid] = old
 
     def find(self, t: Type) -> Type:
         """`t` itself unless it is a bound variable; else the end of its
@@ -165,7 +142,7 @@ class Subst:
             path.append(t.var.id)
             t = image
         for vid in path[:-1]:
-            self._write(self.mapping, vid, t)
+            self.mapping[vid] = t
         return t
 
     def walk_row(self, row: TRow) -> TRow:
@@ -197,7 +174,7 @@ class Subst:
         if overlap:
             raise DuplicateLabel(min(overlap), row)
         if links > 1:
-            self._write(self.mapping, row.tail.id, TRow(dict(extra), tail))
+            self.mapping[row.tail.id] = TRow(dict(extra), tail)
         extra.update(row.fields)
         return TRow(extra, tail)
 
@@ -228,9 +205,9 @@ class Subst:
     def _lack(self, vid: int, labels: Iterable[str]) -> None:
         old = self.lacks.get(vid)
         if old is None:
-            self._write(self.lacks, vid, frozenset(labels))
+            self.lacks[vid] = frozenset(labels)
         elif not old.issuperset(labels):
-            self._write(self.lacks, vid, old.union(labels))
+            self.lacks[vid] = old.union(labels)
 
     def register(self, row: TRow) -> None:
         """Record that the variable ending `row`'s tail chain lacks the
@@ -249,8 +226,8 @@ class Subst:
         generalized no deeper than `v`.  A row variable hands the labels
         it lacks on to the variable that ends `t`'s tail chain, and drops
         its own entry; when `t` already has one of them, that is a
-        DuplicateLabel naming the least such label, and nothing is
-        bound."""
+        DuplicateLabel naming the least such label, and `v` is not bound.
+        When it raises, the levels its walk lowered stay lowered."""
         if isinstance(t, TVar) and t.var.id == v.id:
             return
         levels = self.levels
@@ -275,7 +252,7 @@ class Subst:
                 if var.id == v.id:
                     raise OccursCheck(v, self.apply(t))
                 if levels.get(var.id, 0) > level:
-                    self._write(levels, var.id, level)
+                    levels[var.id] = level
                 image = self.mapping.get(var.id)
                 if image is not None:
                     todo.append(image)
@@ -288,8 +265,8 @@ class Subst:
                 raise DuplicateLabel(min(clash), row)
             if row.tail is not None:
                 self._lack(row.tail.id, lacks)
-            self._write(self.lacks, v.id, None)
-        self._write(self.mapping, v.id, t)
+            del self.lacks[v.id]
+        self.mapping[v.id] = t
 
     def settled(self) -> Subst:
         """A copy whose images mention no bound variable."""
@@ -310,10 +287,10 @@ def unify(
     `unify_rows` and therefore ignore field order.  With `subst`, whose
     `register` the inputs' rows have been through, the types unify under
     its bindings, and `subst` itself is extended and returned, unsettled;
-    a failed step leaves its `mapping`, `levels` and `lacks` as they were.
-    Otherwise the answer is a new, settled store.  `fresh` supplies the
-    tail variables row unification may need.  A given store needs it, or
-    ValueError is raised; without one, an omitted supply starts above
+    a failed step leaves it as the step left it when it raised, so discard
+    it.  Otherwise the answer is a new, settled store.  `fresh` supplies
+    the tail variables row unification may need.  A given store needs it,
+    or ValueError is raised; without one, an omitted supply starts above
     every variable in the inputs.
     """
     return _step(_unify, t1, t2, fresh, subst)
@@ -339,29 +316,18 @@ def unify_rows(
 
 
 def _step(solve, t1: Type, t2: Type, fresh: FreshVars | None, subst: Subst | None) -> Subst:
-    """Run `solve` as one atomic step on `subst`, or on a new store,
-    seeded with the labels its inputs' row variables lack, that is
-    settled when the step ends."""
-    s = subst if subst is not None else Subst()
-    if s.stepping:  # the row case of a step in progress
-        solve(t1, t2, fresh, s)
-        return s
-    if subst is None:
-        top = max(scan_rows(t1, s.lacks), scan_rows(t2, s.lacks))
+    """Run `solve` on `subst`, as the row case of a step does, or on a
+    new store, seeded with the labels its inputs' row variables lack, that
+    is settled when the step ends."""
+    if subst is not None:
         if fresh is None:
-            fresh = FreshVars(top + 1)
-    elif fresh is None:
-        raise ValueError("unifying in a given store needs a fresh variable supply")
-    s.trail.clear()
-    s.stepping = True
-    try:
-        solve(t1, t2, fresh, s)
-    except UnifyError:
-        s.undo()
-        raise
-    finally:
-        s.stepping = False
-    return s if subst is not None else s.settled()
+            raise ValueError("unifying in a given store needs a fresh variable supply")
+        solve(t1, t2, fresh, subst)
+        return subst
+    s = Subst()
+    top = max(scan_rows(t1, s.lacks), scan_rows(t2, s.lacks))
+    solve(t1, t2, fresh if fresh is not None else FreshVars(top + 1), s)
+    return s.settled()
 
 
 def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:

@@ -83,6 +83,20 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().out == f"{path}:1:3: error: {info.value}\n"
 
+    @pytest.mark.parametrize(
+        "text, status, expected",
+        [
+            ("\ufeff\\x. x", 0, ": ∀a:*. a -> a"),
+            ("1\ufeff", 1, ":1:2: error: expected a token, found '\\ufeff'"),
+            ("\ufeff\ufeff1", 1, ":1:1: error: expected a token, found '\\ufeff'"),
+        ],
+        ids=["leading", "after_a_token", "two_leading"],
+    )
+    def test_one_leading_byte_order_mark_is_skipped(self, tmp_path, capsys, text, status, expected):
+        path = write(tmp_path, "bom.rml", text)
+        assert main(["check", path]) == status
+        assert capsys.readouterr().out == f"{path}{expected}\n"
+
     def test_processes_every_file(self, tmp_path, capsys):
         good = write(tmp_path, "good.rml", "42")
         bad = write(tmp_path, "bad.rml", "7 8")

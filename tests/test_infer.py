@@ -171,17 +171,6 @@ class TestGeneralize:
         session.fresh.level = 1
         assert generalize(session, TVar(v)) == Scheme((), TFun(TFun(TVar(u), INT), INT))
 
-    def test_failed_step_restores_the_levels_it_lowered(self):
-        # binding a to b -> b lowers b to a's level 1 before Int meets
-        # Bool; taking the step back must raise b to level 3 again
-        session = InferSession(fresh_start=10)
-        a, b = TypeVar(0), TypeVar(1)
-        session.fresh.levels.update({a.id: 1, b.id: 3})
-        with pytest.raises(UnifyFailure):
-            session.unify(TFun(TVar(a), INT), TFun(TFun(TVar(b), TVar(b)), BOOL), None)
-        assert session.subst.mapping == {}
-        assert session.fresh.levels == {a.id: 1, b.id: 3}
-
 
 class TestInferExamples:
     def test_identity(self):

@@ -222,6 +222,25 @@ class TestUnify:
         assert s.apply(TVar(A)) == TFun(INT, INT)
         assert s.apply(TVar(c)) == INT
 
+    def test_row_case_of_a_step_extends_the_given_store(self):
+        # the rows meet inside a step: the row case solves in the step's
+        # store with the step's supply, and neither seeds nor settles
+        r1, r2 = TypeVar(1, ROW), TypeVar(2, ROW)
+        t1 = TFun(record({"a": INT}, r1), INT)
+        t2 = TFun(record({"b": INT}, r2), INT)
+        s = Subst()
+        s.register(t1.dom.arg)
+        s.register(t2.dom.arg)
+        assert unify(t1, t2, FreshVars(100), s) is s
+        tail = TypeVar(100, ROW)
+        assert s.mapping == {r1.id: TRow({"b": INT}, tail), r2.id: TRow({"a": INT}, tail)}
+        assert s.lacks == {tail.id: frozenset("ab")}
+        out = unify(t1, t2)
+        assert out is not s
+        tail = TypeVar(3, ROW)
+        assert out.mapping == {r1.id: TRow({"b": INT}, tail), r2.id: TRow({"a": INT}, tail)}
+        assert out.lacks == {tail.id: frozenset("ab")}
+
     def test_given_store_needs_a_supply(self):
         s = Subst({A.id: TFun(TVar(B), TVar(B))})
         for run, t1, t2 in (
@@ -230,28 +249,7 @@ class TestUnify:
         ):
             with pytest.raises(ValueError):
                 run(t1, t2, None, s)
-        assert s.mapping == {A.id: TFun(TVar(B), TVar(B))} and not s.trail
-
-    def test_undo_takes_back_every_write_of_the_trail(self):
-        c = TypeVar(5)
-        s = Subst({A.id: TVar(B), B.id: TVar(c)})
-        before = dict(s.mapping)
-        s.trail = []
-        unify(TVar(A), INT, FreshVars(100), s)
-        assert s.mapping[A.id] == TVar(c)  # the chain was compressed
-        assert s.apply(TVar(A)) == INT
-        s.undo()
-        assert s.mapping == before
-
-
-    def test_failed_step_leaves_the_given_store_as_it_was(self):
-        # the step compresses A's chain and binds c before Int meets Bool
-        c = TypeVar(5)
-        s = Subst({A.id: TVar(B), B.id: TVar(c)})
-        before = dict(s.mapping)
-        with pytest.raises(Mismatch):
-            unify(TFun(TVar(A), INT), TFun(INT, BOOL), FreshVars(100), s)
-        assert s.mapping == before
+        assert s.mapping == {A.id: TFun(TVar(B), TVar(B))}
 
     def test_failed_step_reports_an_input_row_that_already_repeats_a_label(self):
         # under the store, RHO's row already has a, so the input row
@@ -277,19 +275,6 @@ class TestUnify:
         with pytest.raises(DuplicateLabel):
             unify(t1, t2, FreshVars(100), s)
         assert (s.mapping, s.lacks) == ({}, {RHO.id: frozenset("a")})
-
-    def test_failed_step_leaves_the_lacks_sets_as_they_were(self):
-        # the step binds RHO1 to {b:Int | fresh} and hands RHO1's labels
-        # on to the fresh tail before Int meets Bool
-        s = Subst()
-        s.register(TRow({"a": INT}, RHO1))
-        s.register(TRow({"c": INT}, RHO2))
-        before = dict(s.lacks)
-        t1 = TFun(record({"a": INT}, RHO1), INT)
-        t2 = TFun(record({"a": INT, "b": INT}, RHO2), BOOL)
-        with pytest.raises(Mismatch):
-            unify(t1, t2, FreshVars(100), s)
-        assert s.mapping == {} and s.lacks == before
 
     def test_binding_a_row_variable_hands_its_labels_on(self):
         s = unify_rows(TRow({"a": INT}, RHO1), TRow({"b": INT}, RHO2), FreshVars(100))
