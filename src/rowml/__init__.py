@@ -32,7 +32,6 @@ from rowml.syntax import (
     TCon,
     TFun,
     TRow,
-    TVar,
     Term,
     Type,
     TypeEnv,

@@ -73,7 +73,9 @@ def cmd_repl(stdin=None, out=None) -> int:
     interactive = hasattr(stdin, "isatty") and stdin.isatty()
     if interactive:
         print("rowml repl; :quit to exit", file=out)
-    for line in stdin:
+    for number, line in enumerate(stdin):
+        if number == 0:
+            line = line.removeprefix("\ufeff")  # a byte-order mark, which strip keeps
         line = line.strip()
         if not line:
             continue

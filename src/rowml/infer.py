@@ -1,10 +1,11 @@
 """Type inference for the surface language.
 
-Algorithm W over mutable session state.  The session keeps a fresh
-variable supply, one triangular `Subst` of variable bindings and the
-level of every variable it made.  Each unification hands the unresolved
-types to `rowml.unify.unify` with the session's store, which it extends
-in place: the image of a bound variable may mention variables bound
+Algorithm W over mutable session state.  The session is its own fresh
+variable supply and owns the current level; it keeps one triangular
+`Subst` of variable bindings, which holds the level of every variable
+the session made.  Each unification hands the unresolved types to
+`rowml.unify.unify` with the session's store, which it extends in
+place: the image of a bound variable may mention variables bound
 before or after it, and `InferSession.resolve` follows the chains only
 where a decision needs the whole type.  Inference stops at the first
 failed step, and the store is not read again.  The record primitives are
@@ -67,7 +68,6 @@ from rowml.syntax import (
     TCon,
     TFun,
     TRow,
-    TVar,
     Term,
     Type,
     TypeEnv,
@@ -119,43 +119,33 @@ class NotARecord(InferError):
         self.actual = actual
 
 
-class _LevelledVars(FreshVars):
-    """A fresh-variable supply that records the level it made each
-    variable at, the shared row tails the unifier asks for included.
-
-    The supply, not the session, owns the current level: a supply that
-    pointed back at its session would form a reference cycle, and every
-    finished session would then wait for the cyclic garbage collector."""
-
-    def __init__(self, start: int) -> None:
-        super().__init__(start)
-        self.level = 0
-        self.levels: dict[int, int] = {}
-
-    def fresh(self, kind: Kind) -> TypeVar:
-        v = super().fresh(kind)
-        self.levels[v.id] = self.level
-        return v
-
-
-class InferSession:
-    """Mutable state for inferring one program.
+class InferSession(FreshVars):
+    """Mutable state for inferring one program; the session is also the
+    supply of its fresh variables.
 
     `subst` maps a variable id to the type the variable was bound to.
     It is triangular: an image may mention variables that are bound
-    themselves, so read types through `resolve`.  `fresh.level` is the
-    let-depth being inferred, and `fresh.levels` maps every variable the
-    session made to the level it lives at; the variables of the initial
-    environment, whose ids lie below `fresh_start`, are not in it and are
-    at level 0.  `subst` shares `fresh.levels` and lowers it as it binds.
-    `subst.lacks` holds the labels each unbound row variable must lack;
-    every row the session builds is registered there before it is
-    unified, so no step walks its inputs' rows.
+    themselves, so read types through `resolve`.  `level` is the
+    let-depth being inferred, and `fresh` records it in `subst.levels`
+    for every variable it makes, the shared row tails the unifier asks
+    for included; `subst` lowers those levels as it binds.  The
+    variables of the initial environment, whose ids lie below
+    `fresh_start`, are not in it and are at level 0.  The store never
+    points back at the session, so no reference cycle keeps a finished
+    session alive.  `subst.lacks` holds the labels each unbound row
+    variable must lack; every row the session builds is registered
+    there before it is unified, so no step walks its inputs' rows.
     """
 
     def __init__(self, fresh_start: int = 0) -> None:
-        self.fresh = _LevelledVars(fresh_start)
-        self.subst = Subst(levels=self.fresh.levels)
+        super().__init__(fresh_start)
+        self.level = 0
+        self.subst = Subst()
+
+    def fresh(self, kind: Kind) -> TypeVar:
+        v = super().fresh(kind)
+        self.subst.levels[v.id] = self.level
+        return v
 
     def resolve(self, t: Type) -> Type:
         """`t` with every bound variable replaced by what it stands for."""
@@ -172,14 +162,14 @@ class InferSession:
         """Unify `t1` with `t2` in the session's store, as one step of
         `rowml.unify.unify`.  Its failure raises UnifyFailure at `span`."""
         try:
-            unify(t1, t2, self.fresh, self.subst)
+            unify(t1, t2, self, self.subst)
         except UnifyError as exc:
             raise UnifyFailure(exc, span) from exc
 
     def template_row(self, label: str, field: Type) -> TRow:
         """The row ``{label:field | rest}`` of a record template, over a
         fresh tail `rest` that lacks `label`."""
-        row = TRow({label: field}, self.fresh.fresh(ROW))
+        row = TRow({label: field}, self.fresh(ROW))
         self.subst.register(row)
         return row
 
@@ -190,11 +180,9 @@ def instantiate(session: InferSession, scheme: Scheme) -> Type:
     quantified one lacks."""
     if not scheme.quantified:
         return scheme.body
-    renaming = Subst(
-        {v.id: TVar(session.fresh.fresh(v.kind)) for v in scheme.quantified}
-    )
+    renaming = Subst({v.id: session.fresh(v.kind) for v in scheme.quantified})
     for v, labels in scheme.lacks:
-        session.subst.lacks[renaming.mapping[v.id].var.id] = frozenset(labels)
+        session.subst.lacks[renaming.mapping[v.id].id] = frozenset(labels)
     return renaming.apply(scheme.body)
 
 
@@ -218,7 +206,7 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
         tau = _resolve_collecting(subst, tau, free)
     else:
         free = {v.id: v for v in free_vars_ordered(tau)}
-    level, levels = session.fresh.level, session.fresh.levels
+    level, levels = session.level, subst.levels
     quantified = tuple(v for v in free.values() if levels.get(v.id, 0) > level)
     store = subst.lacks
     lacks = []
@@ -234,11 +222,11 @@ def _resolve_collecting(subst: Subst, t: Type, free: dict[int, TypeVar]) -> Type
     same walk adds the unbound variables of the result to `free` in the
     order `free_vars_ordered` visits them (row fields by label, then the
     tail)."""
-    if isinstance(t, TVar):
+    if isinstance(t, TypeVar):
         t = subst.find(t)
-        if isinstance(t, TVar):
-            if t.var.id not in free:
-                free[t.var.id] = t.var
+        if isinstance(t, TypeVar):
+            if t.id not in free:
+                free[t.id] = t
             return t
     if isinstance(t, TCon):
         return t
@@ -292,21 +280,21 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
         return INT if isinstance(term.value, int) else STRING
 
     if isinstance(term, Lam):
-        param = TVar(session.fresh.fresh(STAR))
+        param = session.fresh(STAR)
         inner = gamma.extend(term.param, Scheme._normal((), param, ()))
         return TFun(param, _infer(session, inner, term.body))
 
     if isinstance(term, App):
         fun = _infer(session, gamma, term.fun)
         arg = _infer(session, gamma, term.arg)
-        result = TVar(session.fresh.fresh(STAR))
+        result = session.fresh(STAR)
         session.unify(fun, TFun(arg, result), term.span)
         return result
 
     if isinstance(term, Let):
-        session.fresh.level += 1
+        session.level += 1
         bound = _infer(session, gamma, term.bound)
-        session.fresh.level -= 1
+        session.level -= 1
         scheme = generalize(session, bound)
         return _infer(session, gamma.extend(term.name, scheme), term.body)
 
@@ -325,7 +313,7 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
                 raise UnifyFailure(exc, term.span) from exc
             if row.tail is None and term.label in row.fields:
                 return row.fields[term.label]
-        value = TVar(session.fresh.fresh(STAR))
+        value = session.fresh(STAR)
         session.unify(rec_type, TApp(REC, session.template_row(term.label, value)), term.span)
         return value
 
@@ -340,7 +328,7 @@ def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
     if isinstance(term, Restrict):
         rec_type = _infer(session, gamma, term.record)
         _require_record(session, rec_type, term.span)
-        row = session.template_row(term.label, TVar(session.fresh.fresh(STAR)))
+        row = session.template_row(term.label, session.fresh(STAR))
         session.unify(rec_type, TApp(REC, row), term.span)
         return TApp(REC, TRow({}, row.tail))
 
@@ -378,8 +366,8 @@ def infer_program(
             free_rows[vid] = free_rows.get(vid, frozenset()).union(labels)
     session = InferSession(fresh_start=top + 1)
     session.subst.lacks.update(free_rows)
-    session.fresh.level += 1
+    session.level += 1
     inferred = infer_term(session, gamma, term)
-    session.fresh.level -= 1
+    session.level -= 1
     result = generalize(session, inferred)
     return Scheme._normal(result.quantified, canonicalize(result.body), result.lacks)

@@ -19,8 +19,8 @@ from rowml.syntax import (
     TCon,
     TFun,
     TRow,
-    TVar,
     Type,
+    TypeVar,
     pretty_type,
 )
 
@@ -54,10 +54,10 @@ def kind_of(delta: KindEnv, tau: Type) -> Kind:
     Raises UnboundTypeName when a constructor or variable is missing
     from the context, KindError on any mismatch.
     """
-    if isinstance(tau, TVar):
-        k = delta.vars.get(tau.var.id)
+    if isinstance(tau, TypeVar):
+        k = delta.vars.get(tau.id)
         if k is None:
-            raise UnboundTypeName(tau.var.id)
+            raise UnboundTypeName(tau.id)
         return k
     if isinstance(tau, TCon):
         k = delta.cons.get(tau.name)
@@ -86,11 +86,9 @@ def kind_of(delta: KindEnv, tau: Type) -> Kind:
             if k is not STAR:
                 raise KindError(tau.fields[label], STAR, k)
         if tau.tail is not None:
-            k = delta.vars.get(tau.tail.id)
-            if k is None:
-                raise UnboundTypeName(tau.tail.id)
+            k = kind_of(delta, tau.tail)
             if k is not ROW:
-                raise KindError(TVar(tau.tail), ROW, k)
+                raise KindError(tau.tail, ROW, k)
         return ROW
     raise AssertionError(f"unexpected type node: {tau!r}")
 

@@ -39,7 +39,6 @@ from rowml.syntax import (
     STRING,
     TCon,
     TRow,
-    TVar,
     Type,
     TypeVar,
     free_vars_ordered,
@@ -118,9 +117,9 @@ def _problem_vars(problem: Problem) -> tuple[list[TypeVar], list[TypeVar]]:
             t = side.fields[label]
             if isinstance(t, TCon):
                 continue
-            if isinstance(t, TVar) and t.var.kind is STAR:
-                if t.var not in star_vars:
-                    star_vars.append(t.var)
+            if isinstance(t, TypeVar) and t.kind is STAR:
+                if t not in star_vars:
+                    star_vars.append(t)
                 continue
             raise ValueError(
                 "oracle problems allow only base types and plain type variables in fields"
@@ -136,7 +135,7 @@ def _ground_fields(side: TRow, star_env: dict[int, str]) -> GroundRow:
     return tuple(
         sorted(
             [
-                (label, t.name if isinstance(t, TCon) else star_env[t.var.id])
+                (label, t.name if isinstance(t, TCon) else star_env[t.id])
                 for label, t in side.fields.items()
             ]
         )
@@ -220,10 +219,10 @@ def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assign
     row_vars, star_vars = _problem_vars(problem)
     images: dict[int, Type] = {}
     for v in row_vars:
-        image = sigma.mapping.get(v.id, TVar(v))
-        images[v.id] = TRow({}, image.var) if isinstance(image, TVar) else image
+        image = sigma.mapping.get(v.id, v)
+        images[v.id] = TRow({}, image) if isinstance(image, TypeVar) else image
     for v in star_vars:
-        images[v.id] = sigma.mapping.get(v.id, TVar(v))
+        images[v.id] = sigma.mapping.get(v.id, v)
 
     residual_rows: list[TypeVar] = []
     residual_stars: list[TypeVar] = []
@@ -242,7 +241,7 @@ def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assign
         values: dict[int, str | GroundRow] = {}
         for v in star_vars:
             image = images[v.id]
-            values[v.id] = image.name if isinstance(image, TCon) else star_env[image.var.id]
+            values[v.id] = image.name if isinstance(image, TCon) else star_env[image.id]
         open_sides = [
             (_ground_fields(side, values), side.tail.id)
             for side in problem
@@ -329,7 +328,7 @@ def sample_problems(
     type variables so pointwise unification gets exercised."""
     rng = random.Random(seed)
     type_pool: list[Type] = list(space.base_types)
-    var_pool: list[Type] = [TVar(_ALPHA), TVar(_BETA)]
+    var_pool: list[Type] = [_ALPHA, _BETA]
     max_fields = min(3, len(space.labels))
 
     def side(tails: tuple) -> TRow:

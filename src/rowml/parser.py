@@ -59,7 +59,6 @@ from rowml.syntax import (
     TApp,
     TFun,
     TRow,
-    TVar,
     Term,
     Type,
     TypeVar,
@@ -366,7 +365,7 @@ class _Parser:
                 if con is None:
                     raise ParseError(self.span(i), ("a known type constructor",), f"'{name}'")
                 return con
-            return TVar(self.type_var(i, STAR))
+            return self.type_var(i, STAR)
         if kind == "lparen":
             self.pos = i + 1
             t = self.type_()

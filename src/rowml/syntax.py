@@ -6,7 +6,8 @@ optional tail variable of kind row; a record type is the application of
 the distinguished constructor ``Rec : row -> *`` to a row.  Rows are
 unordered: ``fields`` is a dict, so structural equality already ignores
 field order, and ``canonicalize`` merely fixes iteration order to be
-lexicographic.
+lexicographic.  A type variable is itself a type: one `TypeVar`, of
+any kind, stands wherever the variable occurs, a row's tail included.
 
 Type nodes are immutable values with slots: assigning a field raises,
 two nodes are equal when they are of one class with equal fields, and
@@ -121,8 +122,19 @@ class _Node:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-class TypeVar(_Node):
-    """A type or row variable; ids are unique within one inference session."""
+class Type(_Node):
+    """Base class for type expressions."""
+
+    __slots__ = ()
+
+
+class TypeVar(Type):
+    """A type variable of any kind, itself a type; a row's tail is one of
+    kind ``row``.  Ids are unique within one inference session.
+
+    `var` is the variable itself: the benchmark's `problem_space`
+    (`bench/workloads.py`) tells a field variable from a constructor by
+    that attribute."""
 
     __slots__ = ("id", "kind")
     id: int
@@ -132,19 +144,9 @@ class TypeVar(_Node):
         _set(self, "id", id)
         _set(self, "kind", kind)
 
-
-class Type(_Node):
-    """Base class for type expressions."""
-
-    __slots__ = ()
-
-
-class TVar(Type):
-    __slots__ = ("var",)
-    var: TypeVar
-
-    def __init__(self, var: TypeVar) -> None:
-        _set(self, "var", var)
+    @property
+    def var(self) -> TypeVar:
+        return self
 
 
 class TCon(Type):
@@ -394,11 +396,9 @@ def free_vars_ordered(t: Type) -> list[TypeVar]:
     """
     seen: set[int] = set()
     out: list[TypeVar] = []
-    todo: list[Type | TypeVar] = [t]  # popped from the end: push right to left
+    todo: list[Type] = [t]  # popped from the end: push right to left
     while todo:
         t = todo.pop()
-        if isinstance(t, TVar):
-            t = t.var
         if isinstance(t, TypeVar):
             if t.id not in seen:
                 seen.add(t.id)
@@ -433,9 +433,9 @@ def scan_rows(t: Type, lacks: dict[int, frozenset[str]]) -> int:
                 if t.fields:
                     old = lacks.get(tail.id)
                     lacks[tail.id] = frozenset(t.fields) if old is None else old.union(t.fields)
-        elif isinstance(t, TVar):
-            if t.var.id > top:
-                top = t.var.id
+        elif isinstance(t, TypeVar):
+            if t.id > top:
+                top = t.id
         elif isinstance(t, TFun):
             todo += (t.dom, t.cod)
         elif isinstance(t, TApp):
@@ -450,9 +450,7 @@ def type_kind(t: Type) -> Kind:
     tree is well-kinded; it exists so substitutions can verify that
     bindings respect kinds.
     """
-    if isinstance(t, TVar):
-        return t.var.kind
-    if isinstance(t, TCon):
+    if isinstance(t, (TypeVar, TCon)):
         return t.kind
     if isinstance(t, TFun):
         return STAR
@@ -505,8 +503,8 @@ def pretty_type(t: Type, names: dict[int, str] | None = None) -> str:
 
 
 def _pretty(t: Type, names: dict[int, str]) -> str:
-    if isinstance(t, TVar):
-        return names.get(t.var.id, f"t{t.var.id}")
+    if isinstance(t, TypeVar):
+        return names.get(t.id, f"t{t.id}")
     if isinstance(t, TCon):
         return t.name
     if isinstance(t, TFun):
@@ -525,7 +523,7 @@ def _pretty(t: Type, names: dict[int, str]) -> str:
     if isinstance(t, TRow):
         inner = ", ".join(f"{l}:{_pretty(t.fields[l], names)}" for l in sorted(t.fields))
         if t.tail is not None:
-            inner += f" | {names.get(t.tail.id, f't{t.tail.id}')}"
+            inner += f" | {_pretty(t.tail, names)}"
         return "{" + inner + "}"
     raise AssertionError(f"unexpected type node: {t!r}")
 

@@ -38,7 +38,6 @@ from rowml.syntax import (
     TCon,
     TFun,
     TRow,
-    TVar,
     Type,
     TypeVar,
     pretty_type,
@@ -68,7 +67,7 @@ class OccursCheck(UnifyError):
     def __init__(self, var: TypeVar, type_: Type) -> None:
         self.var = var
         self.type = type_
-        var_s, type_s = pretty_types_shared([TVar(var), type_])
+        var_s, type_s = pretty_types_shared([var, type_])
         super().__init__(f"infinite type: {var_s} occurs in {type_s}")
 
 
@@ -87,7 +86,7 @@ class RowTailEscape(UnifyError):
     def __init__(self, var: TypeVar, row: TRow) -> None:
         self.var = var
         self.row = row
-        var_s, row_s = pretty_types_shared([TVar(var), row])
+        var_s, row_s = pretty_types_shared([var, row])
         super().__init__(
             f"row variable {var_s} would have to contain itself to match {row_s}"
         )
@@ -117,7 +116,8 @@ class Subst:
 
     `levels` maps a variable id to its let-depth, absent meaning 0.  `bind`
     lowers it to the bound variable's level for every variable an image
-    reaches; the inference session shares it with its variable supply.
+    reaches; the inference session writes the level of each variable it
+    makes there.
 
     `lacks` maps an unbound row variable's id to the labels it must lack,
     absent meaning none.  `register` adds the labels of a row to the
@@ -126,7 +126,7 @@ class Subst:
     """
 
     mapping: dict[int, Type] = field(default_factory=dict)
-    levels: dict[int, int] = field(default_factory=dict)
+    levels: dict[int, int] = field(default_factory=dict, init=False)
     lacks: dict[int, frozenset[str]] = field(default_factory=dict, init=False)
 
     def find(self, t: Type) -> Type:
@@ -135,11 +135,11 @@ class Subst:
         not a variable.  Every variable on the chain is rebound straight
         to that end."""
         path: list[int] = []
-        while isinstance(t, TVar):
-            image = self.mapping.get(t.var.id)
+        while isinstance(t, TypeVar):
+            image = self.mapping.get(t.id)
             if image is None:
                 break
-            path.append(t.var.id)
+            path.append(t.id)
             t = image
         for vid in path[:-1]:
             self.mapping[vid] = t
@@ -161,8 +161,8 @@ class Subst:
             if image is None:
                 break
             links += 1
-            if isinstance(image, TVar):
-                tail = image.var
+            if isinstance(image, TypeVar):
+                tail = image
                 continue
             assert isinstance(image, TRow), "row variable bound to a non-row"
             overlap = extra.keys() & image.fields.keys()
@@ -183,9 +183,9 @@ class Subst:
         A subtree that mentions no bound variable comes back as it is."""
         if not self.mapping:
             return t
-        if isinstance(t, TVar):
+        if isinstance(t, TypeVar):
             image = self.find(t)
-            return image if isinstance(image, TVar) else self.apply(image)
+            return image if isinstance(image, TypeVar) else self.apply(image)
         if isinstance(t, TCon):
             return t
         if isinstance(t, TApp):
@@ -228,38 +228,33 @@ class Subst:
         its own entry; when `t` already has one of them, that is a
         DuplicateLabel naming the least such label, and `v` is not bound.
         When it raises, the levels its walk lowered stay lowered."""
-        if isinstance(t, TVar) and t.var.id == v.id:
+        if isinstance(t, TypeVar) and t.id == v.id:
             return
         levels = self.levels
         level = levels.get(v.id, 0)
         todo: list[Type] = [t]
         while todo:
             u = todo.pop()
-            if isinstance(u, TCon):
-                continue
-            if isinstance(u, TVar):
-                var = u.var
-            elif isinstance(u, TRow):
-                todo += u.fields.values()
-                var = u.tail
-            else:
-                if isinstance(u, TApp):
-                    todo += (u.fun, u.arg)
-                elif isinstance(u, TFun):
-                    todo += (u.dom, u.cod)
-                continue
-            if var is not None:
-                if var.id == v.id:
+            if isinstance(u, TypeVar):
+                if u.id == v.id:
                     raise OccursCheck(v, self.apply(t))
-                if levels.get(var.id, 0) > level:
-                    levels[var.id] = level
-                image = self.mapping.get(var.id)
+                if levels.get(u.id, 0) > level:
+                    levels[u.id] = level
+                image = self.mapping.get(u.id)
                 if image is not None:
                     todo.append(image)
+            elif isinstance(u, TRow):
+                todo += u.fields.values()
+                if u.tail is not None:
+                    todo.append(u.tail)
+            elif isinstance(u, TApp):
+                todo += (u.fun, u.arg)
+            elif isinstance(u, TFun):
+                todo += (u.dom, u.cod)
         assert type_kind(t) == v.kind, "binding would not respect kinds"
         lacks = self.lacks.get(v.id)
         if lacks is not None:
-            row = self.walk_row(t if isinstance(t, TRow) else TRow({}, t.var))
+            row = self.walk_row(t if isinstance(t, TRow) else TRow({}, t))
             clash = row.fields.keys() & lacks
             if clash:
                 raise DuplicateLabel(min(clash), row)
@@ -333,10 +328,10 @@ def _step(solve, t1: Type, t2: Type, fresh: FreshVars | None, subst: Subst | Non
 def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
     t1 = s.find(t1)
     t2 = s.find(t2)
-    if isinstance(t1, TVar):
-        s.bind(t1.var, t2)
-    elif isinstance(t2, TVar):
-        s.bind(t2.var, t1)
+    if isinstance(t1, TypeVar):
+        s.bind(t1, t2)
+    elif isinstance(t2, TypeVar):
+        s.bind(t2, t1)
     elif isinstance(t1, TCon) and isinstance(t2, TCon):
         if t1 != t2:
             raise Mismatch(t1, t2)

@@ -32,7 +32,6 @@ from rowml.syntax import (
     TApp,
     TFun,
     TRow,
-    TVar,
     TypeEnv,
     TypeVar,
     base_kind_env,
@@ -208,11 +207,11 @@ def test_criterion_5_hm_regression_battery():
 
 
 ILL_KINDED_SCHEMES = [
-    Scheme((TypeVar(0),), TApp(REC, TVar(TypeVar(0)))),  # Rec applied at *
+    Scheme((TypeVar(0),), TApp(REC, TypeVar(0))),  # Rec applied at *
     Scheme((), TApp(INT, INT)),
-    Scheme((RHO,), TVar(RHO)),  # a row is not a type
-    Scheme((RHO,), TFun(TVar(RHO), INT)),
-    Scheme((TypeVar(0),), TApp(TApp(parse_type("List"), TVar(TypeVar(0))), INT)),
+    Scheme((RHO,), RHO),  # a row is not a type
+    Scheme((RHO,), TFun(RHO, INT)),
+    Scheme((TypeVar(0),), TApp(TApp(parse_type("List"), TypeVar(0)), INT)),
 ]
 
 

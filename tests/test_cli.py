@@ -216,6 +216,13 @@ class TestRepl:
     def test_blank_lines_are_skipped(self):
         assert self.run("\n  \n1\n") == "Int\n"
 
+    def test_a_byte_order_mark_is_skipped_on_the_first_line(self):
+        assert self.run("\ufeff\\x. x\n") == "∀a:*. a -> a\n"
+
+    def test_a_byte_order_mark_on_a_later_line_is_an_error(self):
+        output = self.run("1\n\ufeff\\x. x\n")
+        assert output == "Int\nerror: expected a token, found '\\ufeff'\n"
+
 
 class TestOracleCommand:
     def test_small_campaign_reports_counts(self, capsys):

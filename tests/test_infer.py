@@ -33,7 +33,6 @@ from rowml.syntax import (
     TApp,
     TFun,
     TRow,
-    TVar,
     TypeEnv,
     TypeVar,
     base_kind_env,
@@ -55,7 +54,7 @@ def scheme_of(src: str, env: TypeEnv | None = None) -> Scheme:
 class TestInstantiate:
     def test_fresh_copies(self):
         session = InferSession(fresh_start=10)
-        s = Scheme((A,), TFun(TVar(A), TVar(A)))
+        s = Scheme((A,), TFun(A, A))
         t1 = instantiate(session, s)
         t2 = instantiate(session, s)
         assert isinstance(t1, TFun) and t1.dom == t1.cod
@@ -72,7 +71,7 @@ class TestInstantiate:
     def test_free_vars_survive_instantiation(self):
         session = InferSession(fresh_start=10)
         b = TypeVar(5)
-        s = Scheme((A,), TFun(TVar(A), TVar(b)))
+        s = Scheme((A,), TFun(A, b))
         assert b in free_vars_ordered(instantiate(session, s))
 
     def test_monomorphic_is_identity(self):
@@ -90,9 +89,9 @@ class TestInstantiate:
 def deeper_vars(session: InferSession, *kinds) -> tuple[TypeVar, ...]:
     """Fresh variables one level below the session's, where the bound of
     a `let` makes its variables."""
-    session.fresh.level += 1
-    made = tuple(session.fresh.fresh(kind) for kind in kinds)
-    session.fresh.level -= 1
+    session.level += 1
+    made = tuple(session.fresh(kind) for kind in kinds)
+    session.level -= 1
     return made
 
 
@@ -100,8 +99,8 @@ class TestGeneralize:
     def test_closed_environment(self):
         session = InferSession()
         (a,) = deeper_vars(session, STAR)
-        s = generalize(session, TFun(TVar(a), TVar(a)))
-        assert s == Scheme((a,), TFun(TVar(a), TVar(a)))
+        s = generalize(session, TFun(a, a))
+        assert s == Scheme((a,), TFun(a, a))
 
     def test_row_polymorphic_scheme(self):
         session = InferSession()
@@ -116,10 +115,10 @@ class TestGeneralize:
         # lack its labels; the scheme takes them from the store.
         session = InferSession()
         x, a, b, rho = deeper_vars(session, STAR, STAR, STAR, ROW)
-        bound = record({"y": TVar(a), "x": TVar(b)}, rho)
+        bound = record({"y": a, "x": b}, rho)
         session.subst.register(bound.arg)
-        session.unify(TVar(x), bound, None)
-        s = generalize(session, TFun(TVar(x), TVar(a)))
+        session.unify(x, bound, None)
+        s = generalize(session, TFun(x, a))
         assert s.quantified == (b, a, rho)
         assert s.lacks == ((rho, ("x", "y")),)
         assert s == Scheme(s.quantified, s.body, s.lacks)
@@ -127,31 +126,31 @@ class TestGeneralize:
     def test_environment_blocks_generalization(self):
         # ids below fresh_start belong to the initial environment: level 0
         session = InferSession(fresh_start=10)
-        s = generalize(session, TFun(TVar(A), INT))
+        s = generalize(session, TFun(A, INT))
         assert s.quantified == ()
         (b,) = deeper_vars(session, STAR)
-        assert generalize(session, TFun(TVar(A), TVar(b))).quantified == (b,)
+        assert generalize(session, TFun(A, b)).quantified == (b,)
 
     def test_quantifier_order_is_first_occurrence(self):
         session = InferSession()
         a, b = deeper_vars(session, STAR, STAR)
-        t = TFun(TVar(b), TFun(TVar(a), TVar(b)))
+        t = TFun(b, TFun(a, b))
         assert generalize(session, t).quantified == (b, a)
 
     def test_binding_lowers_the_image(self):
         session = InferSession()
-        x = session.fresh.fresh(STAR)
+        x = session.fresh(STAR)
         (b,) = deeper_vars(session, STAR)
-        session.unify(TVar(x), TFun(TVar(b), INT), None)
-        assert generalize(session, TVar(x)) == Scheme((), TFun(TVar(b), INT))
+        session.unify(x, TFun(b, INT), None)
+        assert generalize(session, x) == Scheme((), TFun(b, INT))
 
     def test_shared_row_tail_takes_the_lower_level(self):
         session = InferSession()
-        outer = session.fresh.fresh(ROW)
-        session.fresh.level += 1
-        inner = session.fresh.fresh(ROW)
+        outer = session.fresh(ROW)
+        session.level += 1
+        inner = session.fresh(ROW)
         session.unify(record({"a": INT}, outer), record({"b": INT}, inner), None)
-        session.fresh.level -= 1
+        session.level -= 1
         s = generalize(session, record({}, inner))
         assert s.quantified == ()
         assert s.body.arg.fields == {"a": INT}
@@ -160,16 +159,16 @@ class TestGeneralize:
         # v's image mentions w, which is bound itself; the level-3 u in
         # w's image must come up to v's level 1, or u would be generalized
         session = InferSession()
-        session.fresh.level = 1
-        v = session.fresh.fresh(STAR)
-        session.fresh.level = 3
-        u, w = session.fresh.fresh(STAR), session.fresh.fresh(STAR)
-        session.unify(TVar(w), TFun(TVar(u), INT), None)
-        session.unify(TVar(v), TFun(TVar(w), INT), None)
-        assert session.subst.mapping[v.id] == TFun(TVar(w), INT)
-        assert session.fresh.levels[u.id] == 1
-        session.fresh.level = 1
-        assert generalize(session, TVar(v)) == Scheme((), TFun(TFun(TVar(u), INT), INT))
+        session.level = 1
+        v = session.fresh(STAR)
+        session.level = 3
+        u, w = session.fresh(STAR), session.fresh(STAR)
+        session.unify(w, TFun(u, INT), None)
+        session.unify(v, TFun(w, INT), None)
+        assert session.subst.mapping[v.id] == TFun(w, INT)
+        assert session.subst.levels[u.id] == 1
+        session.level = 1
+        assert generalize(session, v) == Scheme((), TFun(TFun(u, INT), INT))
 
 
 class TestInferExamples:
@@ -182,7 +181,7 @@ class TestInferExamples:
     def test_field_selection_is_row_polymorphic(self):
         got = scheme_of("\\r. r.name")
         a, rho = TypeVar(50), TypeVar(51, ROW)
-        want = Scheme((a, rho), TFun(record({"name": TVar(a)}, rho), TVar(a)))
+        want = Scheme((a, rho), TFun(record({"name": a}, rho), a))
         assert pretty_scheme(got) == pretty_scheme(want)
 
     def test_missing_label_is_reported(self):
@@ -221,7 +220,7 @@ class TestInferExamples:
     def test_restriction(self):
         got = scheme_of("\\r. r - x")
         a, rho = TypeVar(61), TypeVar(62, ROW)
-        want = Scheme((a, rho), TFun(record({"x": TVar(a)}, rho), record({}, rho)))
+        want = Scheme((a, rho), TFun(record({"x": a}, rho), record({}, rho)))
         assert pretty_scheme(got) == pretty_scheme(want)
 
     def test_extension_after_restriction_replaces_field(self):
@@ -230,7 +229,7 @@ class TestInferExamples:
         a, rho = TypeVar(63), TypeVar(64, ROW)
         want = Scheme(
             (a, rho),
-            TFun(record({"x": TVar(a)}, rho), record({"x": STRING}, rho)),
+            TFun(record({"x": a}, rho), record({"x": STRING}, rho)),
         )
         assert pretty_scheme(got) == pretty_scheme(want)
 
@@ -478,13 +477,13 @@ class TestStageSeparation:
         # also fail to unify, but the kind error must win
         from rowml.syntax import REC, TApp
 
-        bad = Scheme((A,), TApp(REC, TVar(A)))
+        bad = Scheme((A,), TApp(REC, A))
         env = TypeEnv().extend("x", bad)
         with pytest.raises(KindFailure):
             infer_program("7 8", env=env)
 
     def test_row_valued_scheme_rejected(self):
-        env = TypeEnv().extend("x", Scheme((RHO,), TVar(RHO)))
+        env = TypeEnv().extend("x", Scheme((RHO,), RHO))
         with pytest.raises(KindFailure):
             infer_program("x", env=env)
 
@@ -585,11 +584,11 @@ class TestScale:
     def test_long_binding_chains_resolve_without_recursion(self):
         session = InferSession()
         n = 5 * sys.getrecursionlimit()
-        chain = [session.fresh.fresh(STAR) for _ in range(n)]
+        chain = [session.fresh(STAR) for _ in range(n)]
         for v, w in zip(chain, chain[1:]):
-            session.unify(TVar(v), TVar(w), None)
-        assert session.resolve(TVar(chain[0])) == TVar(chain[-1])
-        tails = [session.fresh.fresh(ROW) for _ in range(n)]
+            session.unify(v, w, None)
+        assert session.resolve(chain[0]) == chain[-1]
+        tails = [session.fresh(ROW) for _ in range(n)]
         for i, (v, w) in enumerate(zip(tails, tails[1:])):
             session.subst.mapping[v.id] = TRow({f"l{i}": INT}, w)
         resolved = session.resolve(record({}, tails[0])).arg
@@ -660,7 +659,7 @@ ROW_POOL = tuple(TypeVar(i, ROW) for i in range(3, 6))
 def pool_types():
     """Types over a fixed pool of variables, so that the steps of one
     session share them."""
-    leaves = st.sampled_from((INT, *map(TVar, STAR_POOL)))
+    leaves = st.sampled_from((INT, *STAR_POOL))
 
     def extend(inner):
         tails = st.sampled_from((None, *ROW_POOL))
@@ -686,15 +685,15 @@ class TestProperties:
     @given(
         st.lists(st.integers(0, 3), min_size=6, max_size=6),
         st.lists(
-            st.tuples(st.one_of(st.sampled_from(STAR_POOL).map(TVar), pool_types()), pool_types()),
+            st.tuples(st.one_of(st.sampled_from(STAR_POOL), pool_types()), pool_types()),
             min_size=2,
             max_size=6,
         ),
     )
     def test_session_steps_unify_and_keep_images_at_their_level(self, pool_levels, steps):
         session = InferSession(fresh_start=6)
-        session.fresh.level = 3
-        levels = session.fresh.levels
+        session.level = 3
+        levels = session.subst.levels
         levels.update(enumerate(pool_levels))
         for t1, t2 in steps:
             try:
@@ -758,7 +757,7 @@ class TestSelectionFromAClosedRow:
     @given(
         st.lists(st.integers(0, 3), min_size=6, max_size=6),
         st.lists(
-            st.tuples(st.sampled_from(STAR_POOL).map(TVar), pool_types()), min_size=1, max_size=4
+            st.tuples(st.sampled_from(STAR_POOL), pool_types()), min_size=1, max_size=4
         ),
         st.dictionaries(record_labels, pool_types(), min_size=1),
         st.data(),
@@ -769,8 +768,8 @@ class TestSelectionFromAClosedRow:
         # `l` with `Rec {l:v | rho}` binds v to the field and rho to the
         # other fields, and changes no other variable's level or lacks.
         session = InferSession(fresh_start=6)
-        session.fresh.level = 3
-        session.fresh.levels.update(enumerate(pool_levels))
+        session.level = 3
+        session.subst.levels.update(enumerate(pool_levels))
         for t1, t2 in steps:
             try:
                 for r in rows_of(t1) + rows_of(t2):
@@ -785,16 +784,16 @@ class TestSelectionFromAClosedRow:
         except DuplicateLabel:
             return  # inference would have rejected the row
         label = data.draw(st.sampled_from(sorted(fields)))
-        value = TVar(session.fresh.fresh(STAR))
+        value = session.fresh(STAR)
         template = session.template_row(label, value)
-        mine = {value.var.id, template.tail.id}
-        levels = {v: n for v, n in session.fresh.levels.items() if v not in mine}
+        mine = {value.id, template.tail.id}
+        levels = {v: n for v, n in session.subst.levels.items() if v not in mine}
         lacks = {v: ls for v, ls in session.subst.lacks.items() if v not in mine}
         session.unify(TApp(REC, row), TApp(REC, template), None)
         assert session.resolve(value) == session.resolve(fields[label])
         rest = {l: t for l, t in fields.items() if l != label}
         assert session.resolve(TRow({}, template.tail)) == session.resolve(TRow(rest, None))
-        assert {v: n for v, n in session.fresh.levels.items() if v not in mine} == levels
+        assert {v: n for v, n in session.subst.levels.items() if v not in mine} == levels
         assert {v: ls for v, ls in session.subst.lacks.items() if v not in mine} == lacks
 
 
@@ -804,7 +803,7 @@ def reference_generalize(session: InferSession, tau, store_lacks) -> Scheme:
     and let the public constructor normalize the labels they lacked in
     `store_lacks`, the store's lacks before the call."""
     tau = session.resolve(tau)
-    level, levels = session.fresh.level, session.fresh.levels
+    level, levels = session.level, session.subst.levels
     quantified = tuple(v for v in free_vars_ordered(tau) if levels.get(v.id, 0) > level)
     lacks = tuple((v, store_lacks[v.id]) for v in quantified if v.id in store_lacks)
     return Scheme(quantified, tau, lacks)
@@ -829,7 +828,7 @@ def let_ladders():
 HELPERS = TypeEnv(
     (
         # sel : ∀a r. Rec {a:a | r} -> a
-        ("sel", Scheme((A, RHO), TFun(record({"a": TVar(A)}, RHO), TVar(A)))),
+        ("sel", Scheme((A, RHO), TFun(record({"a": A}, RHO), A))),
         # keep : ∀r∖{a}. Rec { | r} -> Rec { | r}, a label no row of its body implies
         ("keep", Scheme((RHO,), TFun(record({}, RHO), record({}, RHO)), ((RHO, ("a",)),))),
         # ext : ∀r. Rec { | r} -> Rec {b:Int | r}

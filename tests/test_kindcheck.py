@@ -17,7 +17,6 @@ from rowml.syntax import (
     TCon,
     TFun,
     TRow,
-    TVar,
     TypeVar,
     base_kind_env,
     free_vars_ordered,
@@ -58,7 +57,7 @@ class TestKindOf:
 
     def test_arrow_requires_star_sides(self):
         with pytest.raises(KindError) as exc:
-            kind_of(DELTA.with_vars([RHO]), TFun(TVar(RHO), INT))
+            kind_of(DELTA.with_vars([RHO]), TFun(RHO, INT))
         assert exc.value.expected == STAR
         assert exc.value.actual == ROW
 
@@ -72,7 +71,18 @@ class TestKindOf:
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundTypeName):
-            kind_of(DELTA, TVar(A))
+            kind_of(DELTA, A)
+
+    def test_row_tail_bound_at_the_wrong_kind(self):
+        with pytest.raises(KindError) as exc:
+            kind_of(DELTA.with_vars([TypeVar(0, STAR)]), TRow({"a": INT}, RHO))
+        assert str(exc.value) == "t0 has kind *, expected row"
+        assert exc.value.offender == RHO
+
+    def test_unbound_row_tail(self):
+        with pytest.raises(UnboundTypeName) as exc:
+            kind_of(DELTA, TRow({"a": INT}, RHO))
+        assert exc.value.name == RHO.id
 
     def test_constructor_used_at_wrong_kind(self):
         with pytest.raises(KindError):
@@ -86,22 +96,22 @@ class TestKindOf:
 
 class TestCheckScheme:
     def test_polymorphic_list(self):
-        check_scheme(DELTA, Scheme((A,), TApp(LIST, TVar(A))))
+        check_scheme(DELTA, Scheme((A,), TApp(LIST, A)))
 
     def test_row_polymorphic_record(self):
         check_scheme(DELTA, Scheme((RHO,), record({"name": STRING}, RHO)))
 
     def test_row_body_is_not_a_type(self):
         with pytest.raises(KindError) as exc:
-            check_scheme(DELTA, Scheme((RHO,), TVar(RHO)))
+            check_scheme(DELTA, Scheme((RHO,), RHO))
         assert exc.value.expected == STAR
         assert exc.value.actual == ROW
 
     def test_binder_kinds_are_respected(self):
         f = TypeVar(2, ArrowKind(STAR, STAR))
-        check_scheme(DELTA, Scheme((f, A), TApp(TVar(f), TVar(A))))
+        check_scheme(DELTA, Scheme((f, A), TApp(f, A)))
         with pytest.raises(KindError):
-            check_scheme(DELTA, Scheme((f,), TVar(f)))
+            check_scheme(DELTA, Scheme((f,), f))
 
 
 class TestSubstitutionPreservesKinds:
@@ -128,10 +138,10 @@ class TestSubstitutionPreservesKinds:
 
 
 def _shift(t, by):
-    from rowml.syntax import TApp, TFun, TRow, TVar, TypeVar
+    from rowml.syntax import TApp, TFun, TRow, TypeVar
 
-    if isinstance(t, TVar):
-        return TVar(TypeVar(t.var.id + by, t.var.kind))
+    if isinstance(t, TypeVar):
+        return TypeVar(t.id + by, t.kind)
     if isinstance(t, TApp):
         return TApp(_shift(t.fun, by), _shift(t.arg, by))
     if isinstance(t, TFun):

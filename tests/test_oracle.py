@@ -18,7 +18,7 @@ from rowml.oracle import (
     run_campaign,
     sample_problems,
 )
-from rowml.syntax import BOOL, INT, ROW, STAR, STRING, TCon, TRow, TVar, TypeVar, free_vars_ordered
+from rowml.syntax import BOOL, INT, ROW, STAR, STRING, TCon, TRow, TypeVar, free_vars_ordered
 from rowml.unify import Subst, UnifyError, unify_rows
 
 RHO = TypeVar(1, ROW)
@@ -99,7 +99,7 @@ class TestGroundSolutions:
 
     def test_type_variables_range_over_base_types(self):
         space = GroundSpace(labels=("a",), max_row_size=1)
-        problem = (TRow({"a": TVar(ALPHA)}), TRow({"a": INT}))
+        problem = (TRow({"a": ALPHA}), TRow({"a": INT}))
         assert ground_solutions(problem, space) == {frozenset({(ALPHA.id, "Int")})}
 
     def test_rejects_rich_field_types(self):
@@ -119,7 +119,7 @@ class TestOracleAgrees:
             (TRow({}), TRow({"a": INT})),
             (TRow({"a": INT}, RHO), TRow({"b": BOOL}, RHO2)),
             (TRow({"a": INT}), TRow({"a": BOOL})),
-            (TRow({"a": TVar(ALPHA)}, RHO), TRow({"a": INT, "b": TVar(ALPHA)}, RHO2)),
+            (TRow({"a": ALPHA}, RHO), TRow({"a": INT, "b": ALPHA}, RHO2)),
             (TRow({}, RHO), TRow({}, RHO)),
         ],
     )
@@ -180,9 +180,7 @@ class TestOracleAgrees:
         # variables, so every pointwise-unification shape is covered
         import itertools
 
-        from rowml.syntax import TVar
-
-        alpha, beta = TVar(TypeVar(3, STAR)), TVar(TypeVar(4, STAR))
+        alpha, beta = TypeVar(3, STAR), TypeVar(4, STAR)
         labels = ("a", "b")
         options = (INT, BOOL, alpha, beta)
 
@@ -234,7 +232,7 @@ def naive_instances(sigma: Subst, problem, space: GroundSpace) -> set:
     both sides of the problem stay duplicate-free under the values."""
     problem_vars = {v for side in problem for v in free_vars_ordered(side)}
     images = {
-        v: sigma.mapping.get(v.id, TRow({}, v) if v.kind == ROW else TVar(v)) for v in problem_vars
+        v: sigma.mapping.get(v.id, TRow({}, v) if v.kind == ROW else v) for v in problem_vars
     }
     residuals = sorted(
         {r for image in images.values() for r in free_vars_ordered(image)}, key=lambda r: r.id
@@ -244,13 +242,13 @@ def naive_instances(sigma: Subst, problem, space: GroundSpace) -> set:
     labels = set(space.labels)
 
     def ground(t, env):
-        return t.name if isinstance(t, TCon) else env[t.var.id]
+        return t.name if isinstance(t, TCon) else env[t.id]
 
     def ground_row(t, env):
         """The label-to-name map of a row (or row variable), None when a
         label repeats."""
-        if isinstance(t, TVar):
-            return env[t.var.id]
+        if isinstance(t, TypeVar):
+            return env[t.id]
         fields = {label: ground(f, env) for label, f in t.fields.items()}
         extra = env[t.tail.id] if t.tail is not None else {}
         if fields.keys() & extra.keys():
@@ -302,7 +300,7 @@ def fields_over(types):
 
 
 def problems():
-    problem_types = (INT, BOOL, TVar(ALPHA), TVar(BETA))
+    problem_types = (INT, BOOL, ALPHA, BETA)
     return st.tuples(
         st.builds(TRow, fields_over(problem_types), st.sampled_from((None, RHO))),
         st.builds(TRow, fields_over(problem_types), st.sampled_from((None, RHO, RHO2))),
@@ -313,12 +311,12 @@ def hand_built_substitutions():
     """Images for the problem variables: closed or open rows over the
     label pool with residual tails and field types, bare residual row
     variables, residual star variables or base types."""
-    image_types = (INT, BOOL, TVar(GAMMA), TVar(DELTA))
+    image_types = (INT, BOOL, GAMMA, DELTA)
     row_image = st.one_of(
         st.builds(TRow, fields_over(image_types), st.sampled_from((None, RHO3, RHO4))),
-        st.sampled_from((TVar(RHO3), TVar(RHO4))),
+        st.sampled_from((RHO3, RHO4)),
     )
-    star_image = st.sampled_from((INT, BOOL, TVar(GAMMA), TVar(DELTA)))
+    star_image = st.sampled_from((INT, BOOL, GAMMA, DELTA))
     return st.fixed_dictionaries(
         {},
         optional={
@@ -343,17 +341,17 @@ class TestInstancesWithin:
         [
             ({RHO.id: TRow({"b": BOOL}), RHO2.id: TRow({"a": INT})}, 0),
             ({RHO.id: TRow({"b": BOOL, "c": INT}), RHO2.id: TRow({})}, 0),  # outside the space
-            ({RHO.id: TRow({"b": TVar(GAMMA)}, RHO3), RHO2.id: TRow({"a": INT}, RHO3)}, 1),
+            ({RHO.id: TRow({"b": GAMMA}, RHO3), RHO2.id: TRow({"a": INT}, RHO3)}, 1),
             ({RHO.id: TRow({"c": INT}, RHO3), RHO2.id: TRow({}, RHO3)}, 1),  # c is outside
-            ({RHO.id: TVar(RHO3), RHO2.id: TRow({"a": BOOL}, RHO4)}, 2),
+            ({RHO.id: RHO3, RHO2.id: TRow({"a": BOOL}, RHO4)}, 2),
             ({}, 2),
         ],
     )
     def test_residual_row_variables_match_the_definition(self, mapping, residual_rows):
-        problem = (TRow({"a": INT}, RHO), TRow({"b": TVar(ALPHA)}, RHO2))
+        problem = (TRow({"a": INT}, RHO), TRow({"b": ALPHA}, RHO2))
         space = NAIVE_SPACES[0]
-        sigma = Subst({**mapping, ALPHA.id: TVar(DELTA)})
-        images = [sigma.mapping.get(v.id, TVar(v)) for v in (RHO, RHO2)]
+        sigma = Subst({**mapping, ALPHA.id: DELTA})
+        images = [sigma.mapping.get(v.id, v) for v in (RHO, RHO2)]
         residuals = {v for t in images for v in free_vars_ordered(t) if v.kind == ROW}
         assert len(residuals) == residual_rows
         assert _instances_within(sigma, problem, space) == naive_instances(sigma, problem, space)

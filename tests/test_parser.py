@@ -26,7 +26,6 @@ from rowml.syntax import (
     TApp,
     TFun,
     TRow,
-    TVar,
     TypeVar,
     Var,
     pretty_term,
@@ -171,7 +170,7 @@ class TestParseType:
 
     def test_arrow_right_associative(self):
         t = parse_type("a -> b -> a")
-        a, b = TVar(TypeVar(0)), TVar(TypeVar(1))
+        a, b = TypeVar(0), TypeVar(1)
         assert t == TFun(a, TFun(b, a))
 
     def test_application_left_associative_and_parens(self):

@@ -31,7 +31,7 @@ from rowml.syntax import (
     TCon,
     TFun,
     TRow,
-    TVar,
+    Type,
     TypeEnv,
     TypeVar,
     Var,
@@ -56,7 +56,7 @@ RHO2 = TypeVar(3, ROW)
 
 labels = st.sampled_from(("a", "b", "c", "name", "age"))
 base = st.sampled_from((INT, BOOL, STRING))
-star_vars = st.sampled_from((TVar(A), TVar(B)))
+star_vars = st.sampled_from((A, B))
 tails = st.sampled_from((None, RHO, RHO2))
 
 
@@ -123,8 +123,8 @@ class TestCanonicalizeRow:
 
 class TestAlphaEqual:
     def test_renaming(self):
-        s1 = Scheme((A,), TFun(TVar(A), TVar(A)))
-        s2 = Scheme((B,), TFun(TVar(B), TVar(B)))
+        s1 = Scheme((A,), TFun(A, A))
+        s2 = Scheme((B,), TFun(B, B))
         assert pretty_scheme(s1) == pretty_scheme(s2)
 
     def test_row_reordering(self):
@@ -133,13 +133,13 @@ class TestAlphaEqual:
         assert pretty_scheme(s1) == pretty_scheme(s2)
 
     def test_row_reordering_names_variables_by_label(self):
-        s1 = Scheme((A, B), record({"x": TVar(A), "y": TVar(B)}))
-        s2 = Scheme((A, B), record({"y": TVar(B), "x": TVar(A)}))
+        s1 = Scheme((A, B), record({"x": A, "y": B}))
+        s2 = Scheme((A, B), record({"y": B, "x": A}))
         assert pretty_scheme(s1) == pretty_scheme(s2) == "∀a:*. ∀b:*. Rec {x:a, y:b}"
 
     def test_distinct_bodies(self):
-        s1 = Scheme((A,), TFun(TVar(A), TVar(A)))
-        s2 = Scheme((A,), TFun(TVar(A), INT))
+        s1 = Scheme((A,), TFun(A, A))
+        s2 = Scheme((A,), TFun(A, INT))
         assert pretty_scheme(s1) != pretty_scheme(s2)
 
     def test_kinds_must_match(self):
@@ -148,21 +148,21 @@ class TestAlphaEqual:
         assert pretty_scheme(s1) != pretty_scheme(s2)
 
     def test_free_vars_compare_by_identity(self):
-        s1 = Scheme((), TVar(A))
-        s2 = Scheme((), TVar(B))
+        s1 = Scheme((), A)
+        s2 = Scheme((), B)
         assert pretty_scheme(s1) != pretty_scheme(s2)
-        assert pretty_scheme(s1) == pretty_scheme(Scheme((), TVar(A)))
+        assert pretty_scheme(s1) == pretty_scheme(Scheme((), A))
 
     def test_quantified_does_not_match_free(self):
-        s1 = Scheme((A,), TVar(A))
-        s2 = Scheme((), TVar(A))
+        s1 = Scheme((A,), A)
+        s2 = Scheme((), A)
         assert pretty_scheme(s1) != pretty_scheme(s2)
 
     def test_inconsistent_pairing_rejected(self):
         # a -> b vs c -> c: first occurrence pairs a~c, then b~c must fail
         C = TypeVar(9)
-        s1 = Scheme((A, B), TFun(TVar(A), TVar(B)))
-        s2 = Scheme((C,), TFun(TVar(C), TVar(C)))
+        s1 = Scheme((A, B), TFun(A, B))
+        s2 = Scheme((C,), TFun(C, C))
         assert pretty_scheme(s1) != pretty_scheme(s2)
 
     @settings(max_examples=200)
@@ -180,8 +180,8 @@ class TestAlphaEqual:
             return renaming.get(v.id, v)
 
         def rebuild(t):
-            if isinstance(t, TVar):
-                return TVar(rename(t.var))
+            if isinstance(t, TypeVar):
+                return rename(t)
             if isinstance(t, TApp):
                 return TApp(rebuild(t.fun), rebuild(t.arg))
             if isinstance(t, TFun):
@@ -200,8 +200,8 @@ class TestAlphaEqual:
     @given(schemes(), st.integers(min_value=1, max_value=100))
     def test_transitive_through_renaming(self, s, offset):
         def shift(t, by):
-            if isinstance(t, TVar):
-                return TVar(TypeVar(t.var.id + by, t.var.kind))
+            if isinstance(t, TypeVar):
+                return TypeVar(t.id + by, t.kind)
             if isinstance(t, TApp):
                 return TApp(shift(t.fun, by), shift(t.arg, by))
             if isinstance(t, TFun):
@@ -234,7 +234,7 @@ class TestAlphaEqual:
 
 class TestSchemeLacks:
     def test_body_rows_add_the_labels_they_imply(self):
-        body = TFun(record({"name": TVar(A)}, RHO), record({"age": INT}, RHO))
+        body = TFun(record({"name": A}, RHO), record({"age": INT}, RHO))
         s = Scheme((A, RHO), body, ((RHO, {"x"}),))
         assert s.lacks == ((RHO, ("age", "name", "x")),)
         assert Scheme((A, RHO), body).lacks == ((RHO, ("age", "name")),)
@@ -242,7 +242,7 @@ class TestSchemeLacks:
 
     def test_lacks_only_on_a_quantified_row_variable(self):
         with pytest.raises(ValueError):
-            Scheme((A,), TVar(A), ((A, ("x",)),))
+            Scheme((A,), A, ((A, ("x",)),))
         with pytest.raises(ValueError):
             Scheme((), record({}, RHO), ((RHO, ("x",)),))
 
@@ -252,14 +252,14 @@ class TestSchemeLacks:
 
 class TestFreeTypeVars:
     def test_quantifier_removes(self):
-        s = Scheme((A,), TFun(TVar(A), TVar(B)))
+        s = Scheme((A,), TFun(A, B))
         assert pretty_scheme(s) == f"∀a:*. a -> t{B.id}"
 
     def test_env_union(self):
         # the environment's free variables stay free in the program's
         # scheme; only y's instantiated quantifier is generalized
-        env = TypeEnv().extend("x", Scheme((), TVar(A)))
-        env = env.extend("y", Scheme((B,), TFun(TVar(B), TVar(B))))
+        env = TypeEnv().extend("x", Scheme((), A))
+        env = env.extend("y", Scheme((B,), TFun(B, B)))
         env = env.extend("z", Scheme((), record({}, RHO)))
         delta = base_kind_env().with_vars([A, RHO])
         s = infer_program("{x = x, y = y, z = z}", env=env, delta=delta)
@@ -274,14 +274,14 @@ class TestFreeTypeVars:
         assert free_vars_ordered(INT) == []
 
     def test_ordered_traversal_sorts_rows(self):
-        t = record({"b": TVar(B), "a": TVar(A)}, RHO)
+        t = record({"b": B, "a": A}, RHO)
         assert free_vars_ordered(t) == [A, B, RHO]
 
     def test_a_deep_chain_is_walked_without_recursion(self):
         depth = 100_000
-        t = TVar(TypeVar(depth))
+        t = TypeVar(depth)
         for i in reversed(range(depth)):
-            t = TFun(TVar(TypeVar(i)), t)
+            t = TFun(TypeVar(i), t)
         assert [v.id for v in free_vars_ordered(t)] == list(range(depth + 1))
 
     @given(schemes())
@@ -302,9 +302,8 @@ class TestNodes:
     instances of their classes."""
 
     def test_classes_with_equal_fields_differ(self):
-        a, b = TVar(A), TVar(B)
+        a, b = A, B
         assert TApp(a, b) != TFun(a, b) and not TApp(a, b) == TFun(a, b)
-        assert TVar(A) != A and A != TVar(A)
         assert TCon("List", STAR) != LIST
 
     @given(types(), types())
@@ -330,7 +329,7 @@ class TestNodes:
 
     @pytest.mark.parametrize(
         "node, name",
-        [(A, "id"), (TVar(A), "var"), (INT, "name"), (TApp(LIST, INT), "arg"),
+        [(A, "id"), (A, "var"), (INT, "name"), (TApp(LIST, INT), "arg"),
          (TFun(INT, INT), "dom"), (TRow({}), "tail")],
     )
     def test_fields_cannot_be_assigned(self, node, name):
@@ -340,11 +339,11 @@ class TestNodes:
             delattr(node, name)
 
     def test_repr(self):
-        assert repr(TVar(TypeVar(id=1, kind=RowKind()))) == "TVar(var=TypeVar(id=1, kind=RowKind()))"
-        row = TRow({"b": INT, "a": TFun(TVar(A), TApp(LIST, BOOL))}, RHO)
+        assert repr(TypeVar(id=1, kind=RowKind())) == "TypeVar(id=1, kind=RowKind())"
+        row = TRow({"b": INT, "a": TFun(A, TApp(LIST, BOOL))}, RHO)
         assert repr(row) == (
             "TRow(fields={'b': TCon(name='Int', kind=StarKind()), "
-            "'a': TFun(dom=TVar(var=TypeVar(id=0, kind=StarKind())), "
+            "'a': TFun(dom=TypeVar(id=0, kind=StarKind()), "
             "cod=TApp(fun=TCon(name='List', kind=ArrowKind(param=StarKind(), result=StarKind())), "
             "arg=TCon(name='Bool', kind=StarKind())))}, tail=TypeVar(id=2, kind=RowKind()))"
         )
@@ -354,13 +353,35 @@ class TestNodes:
         assert cls() is kind
         assert copy.copy(kind) is kind and copy.deepcopy(kind) is kind
         assert pickle.loads(pickle.dumps(kind)) is kind
-        assert pickle.loads(pickle.dumps(TVar(TypeVar(5, kind)))).var.kind is kind
-        assert copy.deepcopy(TVar(TypeVar(5, kind))).var.kind is kind
+        assert pickle.loads(pickle.dumps(TypeVar(5, kind))).kind is kind
+        assert copy.deepcopy(TypeVar(5, kind)).kind is kind
 
     def test_nodes_copy_and_pickle_as_values(self):
-        t = TFun(record({"a": TApp(LIST, TVar(A))}, RHO), TCon("F", ArrowKind(STAR, STAR)))
+        t = TFun(record({"a": TApp(LIST, A)}, RHO), TCon("F", ArrowKind(STAR, STAR)))
         for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert twin == t
+
+
+class TestVariableIsAType:
+    """A type variable is a type node itself, wherever it occurs."""
+
+    def test_a_bare_variable_prints(self):
+        assert isinstance(TypeVar(3), Type)
+        assert pretty_type(TypeVar(3)) == "t3"
+        assert pretty_type(TFun(TypeVar(3), TypeVar(3)), {3: "a"}) == "a -> a"
+
+    def test_a_bare_variable_hashes_by_id_and_kind(self):
+        assert hash(TypeVar(3, ROW)) == hash(TypeVar(3, ROW))
+        assert {TypeVar(3): "a"}[TypeVar(3)] == "a"
+        assert TypeVar(3) != TypeVar(3, ROW)
+
+    @pytest.mark.parametrize("kind", [STAR, ROW, ArrowKind(STAR, STAR)])
+    def test_type_kind_of_a_variable_is_its_kind(self, kind):
+        assert type_kind(TypeVar(3, kind)) == kind
+
+    def test_var_is_the_variable_itself(self):
+        v = TypeVar(3)
+        assert v.var is v
 
 
 # -- kinds and printing ------------------------------------------------------
@@ -372,19 +393,19 @@ class TestTypeKind:
         assert type_kind(TRow({}, RHO)) == ROW
         assert type_kind(TApp(LIST, INT)) == STAR
         assert type_kind(record({"a": INT})) == STAR
-        assert type_kind(TVar(RHO)) == ROW
+        assert type_kind(RHO) == ROW
 
 
 class TestPretty:
     def test_identity_scheme(self):
-        s = Scheme((A,), TFun(TVar(A), TVar(A)))
+        s = Scheme((A,), TFun(A, A))
         assert pretty_scheme(s) == "∀a:*. a -> a"
 
     def test_record(self):
         assert pretty_type(record({"name": STRING, "age": INT})) == "Rec {age:Int, name:String}"
 
     def test_open_row(self):
-        s = Scheme((A, RHO), TFun(record({"name": TVar(A)}, RHO), TVar(A)))
+        s = Scheme((A, RHO), TFun(record({"name": A}, RHO), A))
         assert pretty_scheme(s) == "∀a:*. ∀b:row. Rec {name:a | b} -> a"
 
     def test_empty_open_row(self):
@@ -398,25 +419,25 @@ class TestPretty:
         assert pretty_type(TApp(LIST, TApp(LIST, INT))) == "List (List Int)"
 
     def test_names_follow_first_occurrence(self):
-        s = Scheme((B, A), TFun(TVar(B), TVar(A)))
+        s = Scheme((B, A), TFun(B, A))
         assert pretty_scheme(s) == "∀a:*. ∀b:*. a -> b"
 
     def test_higher_kind_binder_parenthesized(self):
         f = TypeVar(5, ArrowKind(STAR, STAR))
-        s = Scheme((f, A), TApp(TVar(f), TVar(A)))
+        s = Scheme((f, A), TApp(f, A))
         assert pretty_scheme(s) == "∀a:(* -> *). ∀b:*. a b"
 
     def test_unnamed_free_vars(self):
-        assert pretty_type(TVar(TypeVar(42))) == "t42"
+        assert pretty_type(TypeVar(42)) == "t42"
 
     def test_printing_leaves_no_garbage_cycle(self):
-        s = Scheme((A, RHO), TFun(record({"name": TVar(A)}, RHO), TVar(A)), ((RHO, ("x",)),))
+        s = Scheme((A, RHO), TFun(record({"name": A}, RHO), A), ((RHO, ("x",)),))
         twice = Lam("f", Lam("x", App(Var("f"), App(Var("f"), Var("x")))))
         gc.collect()
         gc.disable()
         try:
             pretty_scheme(s)
-            Mismatch(INT, TFun(INT, TVar(A)))
+            Mismatch(INT, TFun(INT, A))
             pretty_term(twice)
             assert gc.collect() == 0
         finally:

@@ -17,7 +17,6 @@ from rowml.syntax import (
     TApp,
     TFun,
     TRow,
-    TVar,
     TypeVar,
     free_vars_ordered,
     pretty_scheme,
@@ -65,16 +64,16 @@ class TestApply:
         assert out == record({"name": STRING})
 
     def test_empty_substitution_is_identity(self):
-        t = TFun(TVar(A), record({"x": TVar(B)}, RHO))
+        t = TFun(A, record({"x": B}, RHO))
         assert Subst().apply(t) is t
 
     def test_tail_to_tail(self):
-        s = Subst({RHO.id: TVar(RHO2)})
+        s = Subst({RHO.id: RHO2})
         assert s.apply(TRow({}, RHO)) == TRow({}, RHO2)
 
     def test_images_are_read_through_their_bindings(self):
-        s = Subst({A.id: TFun(TVar(B), TVar(B)), B.id: INT})
-        assert s.apply(TVar(A)) == TFun(INT, INT)
+        s = Subst({A.id: TFun(B, B), B.id: INT})
+        assert s.apply(A) == TFun(INT, INT)
         assert s.settled().mapping == {A.id: TFun(INT, INT), B.id: INT}
 
     def test_row_chains_merge_and_settle(self):
@@ -90,9 +89,9 @@ class TestApply:
 
     def test_unbound_subtrees_come_back_as_they_are(self):
         s = Subst({A.id: INT, RHO.id: TRow({"age": INT})})
-        untouched = TFun(TVar(B), record({"x": TApp(LIST, TVar(B))}, RHO1))
+        untouched = TFun(B, record({"x": TApp(LIST, B)}, RHO1))
         assert s.apply(untouched) is untouched
-        out = s.apply(TFun(TVar(A), untouched))
+        out = s.apply(TFun(A, untouched))
         assert out == TFun(INT, untouched) and out.cod is untouched
         row = TRow({"x": untouched}, RHO)
         assert s.apply(row).fields["x"] is untouched
@@ -126,7 +125,7 @@ def store_rows(above, labels, depth):
 
 
 def store_types(above, depth=2):
-    leaf = st.sampled_from([INT, BOOL, *(TVar(v) for v in STORE_STARS if v.id > above)])
+    leaf = st.sampled_from([INT, BOOL, *(v for v in STORE_STARS if v.id > above)])
     if depth == 0:
         return leaf
     sub = store_types(above, depth - 1)
@@ -146,7 +145,7 @@ def store_mappings(draw):
             mapping[v.id] = draw(store_types(v.id))
     for v in STORE_ROWS:
         if draw(st.booleans()):
-            renames = [TVar(w) for w in STORE_ROWS if w.id > v.id]
+            renames = [w for w in STORE_ROWS if w.id > v.id]
             own_labels = tuple(f"{label}{v.id}" for label in "abc")
             images = store_rows(v.id, own_labels, 1)
             mapping[v.id] = draw(st.one_of(images, st.sampled_from(renames)) if renames else images)
@@ -155,8 +154,8 @@ def store_mappings(draw):
 
 def rebuild_apply(mapping, t):
     """What `Subst.apply` computes, built afresh at every node."""
-    if isinstance(t, TVar):
-        image = mapping.get(t.var.id)
+    if isinstance(t, TypeVar):
+        image = mapping.get(t.id)
         return t if image is None else rebuild_apply(mapping, image)
     if isinstance(t, TApp):
         return TApp(rebuild_apply(mapping, t.fun), rebuild_apply(mapping, t.arg))
@@ -167,8 +166,8 @@ def rebuild_apply(mapping, t):
         tail = t.tail
         while tail is not None and tail.id in mapping:
             image = mapping[tail.id]
-            if isinstance(image, TVar):
-                tail = image.var
+            if isinstance(image, TypeVar):
+                tail = image
                 continue
             fields.update((label, rebuild_apply(mapping, f)) for label, f in image.fields.items())
             tail = image.tail
@@ -178,7 +177,7 @@ def rebuild_apply(mapping, t):
 
 class TestUnify:
     def test_classic_arrow_case(self):
-        s = unify(TFun(TVar(A), TVar(A)), TFun(INT, TVar(B)))
+        s = unify(TFun(A, A), TFun(INT, B))
         assert s.mapping == {A.id: INT, B.id: INT}
 
     def test_open_record_against_closed(self):
@@ -191,36 +190,36 @@ class TestUnify:
 
     def test_occurs_check(self):
         with pytest.raises(OccursCheck):
-            unify(TVar(A), TApp(LIST, TVar(A)))
+            unify(A, TApp(LIST, A))
 
     def test_occurs_check_through_a_binding_of_the_same_step(self):
         # the domains bind A to B; the occurs check must see A in List A
         with pytest.raises(OccursCheck):
-            unify(TFun(TVar(A), TVar(B)), TFun(TVar(B), TApp(LIST, TVar(A))))
+            unify(TFun(A, B), TFun(B, TApp(LIST, A)))
 
     def test_occurs_check_through_row_tail(self):
         with pytest.raises(OccursCheck):
-            unify(TVar(RHO), TRow({"a": INT}, RHO))
+            unify(RHO, TRow({"a": INT}, RHO))
 
     def test_var_binds_to_var(self):
-        s = unify(TVar(A), TVar(B))
-        assert s.mapping == {A.id: TVar(B)}
-        assert unify(TVar(A), TVar(A)).mapping == {}
+        s = unify(A, B)
+        assert s.mapping == {A.id: B}
+        assert unify(A, A).mapping == {}
 
     def test_fun_against_con(self):
         with pytest.raises(Mismatch):
-            unify(INT, TFun(INT, TVar(B)))
+            unify(INT, TFun(INT, B))
 
     def test_given_store_is_extended_in_place(self):
         # unresolved inputs unify under the store's bindings; the images
         # already in it are not re-applied
         c = TypeVar(5)
-        s = Subst({A.id: TFun(TVar(B), TVar(B))})
-        out = unify(TVar(A), TFun(INT, TVar(c)), FreshVars(100), s)
+        s = Subst({A.id: TFun(B, B)})
+        out = unify(A, TFun(INT, c), FreshVars(100), s)
         assert out is s
-        assert s.mapping[A.id] == TFun(TVar(B), TVar(B))
-        assert s.apply(TVar(A)) == TFun(INT, INT)
-        assert s.apply(TVar(c)) == INT
+        assert s.mapping[A.id] == TFun(B, B)
+        assert s.apply(A) == TFun(INT, INT)
+        assert s.apply(c) == INT
 
     def test_row_case_of_a_step_extends_the_given_store(self):
         # the rows meet inside a step: the row case solves in the step's
@@ -242,14 +241,21 @@ class TestUnify:
         assert out.lacks == {tail.id: frozenset("ab")}
 
     def test_given_store_needs_a_supply(self):
-        s = Subst({A.id: TFun(TVar(B), TVar(B))})
+        s = Subst({A.id: TFun(B, B)})
         for run, t1, t2 in (
-            (unify, TVar(A), TFun(INT, INT)),
+            (unify, A, TFun(INT, INT)),
             (unify_rows, TRow({"a": INT}, RHO1), TRow({"b": INT}, RHO2)),
         ):
             with pytest.raises(ValueError):
                 run(t1, t2, None, s)
-        assert s.mapping == {A.id: TFun(TVar(B), TVar(B))}
+        assert s.mapping == {A.id: TFun(B, B)}
+
+    def test_a_store_starts_with_no_levels_and_no_lacks(self):
+        for name in ("levels", "lacks"):
+            with pytest.raises(TypeError):
+                Subst(**{name: {}})
+        s = Subst({A.id: INT})
+        assert s.levels == {} and s.lacks == {}
 
     def test_failed_step_reports_an_input_row_that_already_repeats_a_label(self):
         # under the store, RHO's row already has a, so the input row
@@ -290,7 +296,7 @@ class TestUnify:
         # a closed row meets the labels a tail lacks
         t1 = TFun(record({"b": INT, "c": INT}, RHO1), record({}, RHO1))
         with pytest.raises(DuplicateLabel) as exc:
-            unify(t1, TFun(TVar(A), record({"c": INT, "b": INT})))
+            unify(t1, TFun(A, record({"c": INT, "b": INT})))
         assert exc.value.label == "b"  # the least label that overlaps
 
 SPACE = GroundSpace(labels=("a", "b", "name", "age"), max_row_size=3)
@@ -335,7 +341,7 @@ class TestUnifyRows:
             unify_rows(TRow({"a": INT}, RHO), TRow({"b": BOOL}, RHO))
 
     def test_shared_tail_with_equal_fields(self):
-        s = unify_rows(TRow({"a": TVar(A)}, RHO), TRow({"a": INT}, RHO))
+        s = unify_rows(TRow({"a": A}, RHO), TRow({"a": INT}, RHO))
         assert s.mapping == {A.id: INT}
 
     def test_same_fields_different_order_built(self):
@@ -352,12 +358,12 @@ class TestUnifyRows:
 
     def test_given_store_is_extended_and_returned(self):
         s = Subst({A.id: INT})
-        r1 = TRow({"a": TVar(A)}, RHO1)
-        r2 = TRow({"a": TVar(B), "b": BOOL})
+        r1 = TRow({"a": A}, RHO1)
+        r2 = TRow({"a": B, "b": BOOL})
         out = unify_rows(r1, r2, FreshVars(100), subst=s)
         assert out is s
         assert s.mapping[A.id] == INT
-        assert s.apply(TVar(B)) == INT
+        assert s.apply(B) == INT
         assert s.mapping[RHO1.id] == TRow({"b": BOOL})
 
     def test_tail_bound_after_a_row_was_matched_repeats_its_label(self):
@@ -380,13 +386,13 @@ class TestUnifyRows:
 
 label_st = st.sampled_from(("a", "b", "c", "name"))
 base_st = st.sampled_from((INT, BOOL, STRING))
-field_st = st.one_of(base_st, st.sampled_from((TVar(A), TVar(B))))
+field_st = st.one_of(base_st, st.sampled_from((A, B)))
 tail_st = st.sampled_from((None, RHO1, RHO2))
 row_st = st.builds(TRow, st.dictionaries(label_st, field_st, max_size=3), tail_st)
 
 
 def nested_types():
-    leaves = st.sampled_from((INT, BOOL, TVar(A), TVar(B)))
+    leaves = st.sampled_from((INT, BOOL, A, B))
 
     def extend(inner):
         records = st.builds(
@@ -454,7 +460,7 @@ class TestProperties:
         shuffled = try_unify(reversed_row(r1), reversed_row(r2))
         assert (straight is None) == (shuffled is None)
         if straight is not None:
-            probe = record({"probe": TVar(A)}, RHO1)
+            probe = record({"probe": A}, RHO1)
             lhs = Scheme((), straight.apply(probe))
             rhs = Scheme((), shuffled.apply(probe))
             # fresh tails may differ by id; compare after closing over them
