@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
@@ -41,6 +40,8 @@ from rowml.syntax import (
     TRow,
     Type,
     TypeVar,
+    _Node,
+    _set,
     free_vars_ordered,
 )
 
@@ -49,23 +50,34 @@ GroundRow = tuple[tuple[str, str], ...]  # sorted (label, type name) pairs
 Assignment = frozenset  # of (variable id, GroundRow | type name)
 
 
-@dataclass(frozen=True)
-class GroundSpace:
-    """The finite space ground solutions are drawn from.
+class GroundSpace(_Node):
+    """The finite space ground solutions are drawn from: at least one
+    label and one base type, and rows of at most `max_row_size` fields.
 
     Every oracle table is cached per space, so the space's hash is taken
     once, here, rather than on each lookup; `type_names` is fixed too."""
 
-    labels: tuple[str, ...] = ("a", "b", "c", "d")
-    base_types: tuple[TCon, ...] = (INT, BOOL, STRING)
-    max_row_size: int = 3
-    type_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("labels", "base_types", "max_row_size", "type_names", "_hash")
+    __match_args__ = ("labels", "base_types", "max_row_size")
+    labels: tuple[str, ...]
+    base_types: tuple[TCon, ...]
+    max_row_size: int
 
-    def __post_init__(self) -> None:
-        assert self.labels and self.base_types and self.max_row_size >= 0
-        object.__setattr__(self, "type_names", tuple(t.name for t in self.base_types))
-        object.__setattr__(self, "_hash", hash((self.labels, self.base_types, self.max_row_size)))
+    def __init__(
+        self,
+        labels: tuple[str, ...] = ("a", "b", "c", "d"),
+        base_types: tuple[TCon, ...] = (INT, BOOL, STRING),
+        max_row_size: int = 3,
+    ) -> None:
+        if not labels or not base_types:
+            raise ValueError("a ground space needs at least one label and one base type")
+        if max_row_size < 0:
+            raise ValueError(f"max_row_size must not be negative, got {max_row_size}")
+        _set(self, "labels", labels)
+        _set(self, "base_types", base_types)
+        _set(self, "max_row_size", max_row_size)
+        _set(self, "type_names", tuple(t.name for t in base_types))
+        _set(self, "_hash", hash((labels, base_types, max_row_size)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -346,11 +358,16 @@ def sample_problems(
         yield (side((None, _RHO1)), side((None, _RHO1, _RHO2)))
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(_Node):
+    __slots__ = __match_args__ = ("problems", "failures", "first_failure")
     problems: int
     failures: int
-    first_failure: Problem | None = None
+    first_failure: Problem | None
+
+    def __init__(self, problems: int, failures: int, first_failure: Problem | None = None) -> None:
+        _set(self, "problems", problems)
+        _set(self, "failures", failures)
+        _set(self, "first_failure", first_failure)
 
 
 def run_campaign(

@@ -39,7 +39,6 @@ other use has kind ``*``; one name may not be used both ways.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 import sys
 from typing import NamedTuple
@@ -282,7 +281,8 @@ class _Parser:
             self.pos = i + 1
             t = self.term()
             close = self.expect("rparen", "')'")
-            t = dataclasses.replace(t, span=self.span(i, self.ends[close]))
+            # The term is new and not yet shared: widen its span in place.
+            object.__setattr__(t, "span", self.span(i, self.ends[close]))
         elif kind == "lbrace":
             t = self.record()
         else:

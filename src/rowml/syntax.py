@@ -9,21 +9,72 @@ field order, and ``canonicalize`` merely fixes iteration order to be
 lexicographic.  A type variable is itself a type: one `TypeVar`, of
 any kind, stands wherever the variable occurs, a row's tail included.
 
-Type nodes are immutable values with slots: assigning a field raises,
-two nodes are equal when they are of one class with equal fields, and
-every node but a ``TRow`` hashes.  Being immutable, a node is shared
-freely, and a function may return a part of its input as it is.  The
-kinds ``STAR`` and ``ROW`` are singletons, compared by identity.
+Type nodes, terms, arrow kinds, schemes and type environments are
+immutable values on one base, `_Node`: assigning or deleting a field
+raises, two values are equal when they are of one class with equal
+fields, and a value hashes unless it holds a dict, as a ``TRow`` and a
+``RecordLit`` do.  Being immutable, a value is shared freely, and a
+function may return a part of its input as it is.  Type nodes keep their
+fields in slots.  A term keeps them in its instance dict, with its
+source ``span``, which equality, hashing and repr leave out and copying
+and pickling keep.  The kinds ``STAR`` and ``ROW`` are singletons,
+compared by identity.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import FrozenInstanceError, dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 if TYPE_CHECKING:
     from rowml.parser import SourceSpan
+
+
+_set = object.__setattr__  # how a value's own constructor writes its fields
+
+
+class _Node:
+    """An immutable value whose fields `__match_args__` names, in
+    constructor order.  It equals a value of its own class with equal
+    fields, hashes by its fields, shows them in its repr, and copies and
+    pickles by calling its class on them.  A subclass keeps its fields in
+    `__slots__` or in its instance dict; its constructor writes each one
+    with `_set`, which keeps an instance dict's values inline."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls.__match_args__:
+            cls._fields = operator.attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise _frozen(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _frozen(message: str) -> Exception:
+    # Imported only to raise: its module loads inspect and more.
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +119,14 @@ class RowKind(_KindAtom):
     _symbol, _global = "row", "ROW"
 
 
-@dataclass(frozen=True)
-class ArrowKind(Kind):
+class ArrowKind(Kind, _Node):
+    __slots__ = __match_args__ = ("param", "result")
     param: Kind
     result: Kind
+
+    def __init__(self, param: Kind, result: Kind) -> None:
+        _set(self, "param", param)
+        _set(self, "result", result)
 
     def __str__(self) -> str:
         param = f"({self.param})" if isinstance(self.param, ArrowKind) else str(self.param)
@@ -84,42 +139,6 @@ ROW = object.__new__(RowKind)
 
 # ---------------------------------------------------------------------------
 # Types
-
-
-_set = object.__setattr__  # how a node's own constructor writes its fields
-
-
-class _Node:
-    """An immutable value whose fields are its `__slots__`, listed in
-    constructor order.  It equals a node of its own class with equal
-    fields, and hashes by its fields."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        if cls.__slots__:
-            cls._fields = operator.attrgetter(*cls.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields(self) == self._fields(other)
-
-    def __hash__(self) -> int:
-        return hash(self._fields(self))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Type(_Node):
@@ -136,7 +155,7 @@ class TypeVar(Type):
     (`bench/workloads.py`) tells a field variable from a constructor by
     that attribute."""
 
-    __slots__ = ("id", "kind")
+    __slots__ = __match_args__ = ("id", "kind")
     id: int
     kind: Kind
 
@@ -152,7 +171,7 @@ class TypeVar(Type):
 class TCon(Type):
     """A type constructor such as ``Int : *`` or ``List : * -> *``."""
 
-    __slots__ = ("name", "kind")
+    __slots__ = __match_args__ = ("name", "kind")
     name: str
     kind: Kind
 
@@ -162,7 +181,7 @@ class TCon(Type):
 
 
 class TApp(Type):
-    __slots__ = ("fun", "arg")
+    __slots__ = __match_args__ = ("fun", "arg")
     fun: Type
     arg: Type
 
@@ -172,7 +191,7 @@ class TApp(Type):
 
 
 class TFun(Type):
-    __slots__ = ("dom", "cod")
+    __slots__ = __match_args__ = ("dom", "cod")
     dom: Type
     cod: Type
 
@@ -185,7 +204,7 @@ class TRow(Type):
     """An unordered row ``{l1:T1, ...}``, open when it has a tail variable.
     Its fields are a dict, so hashing it raises TypeError."""
 
-    __slots__ = ("fields", "tail")
+    __slots__ = __match_args__ = ("fields", "tail")
     fields: dict[str, Type]
     tail: TypeVar | None
 
@@ -210,8 +229,7 @@ def record(fields: dict[str, Type], tail: TypeVar | None = None) -> Type:
     return TApp(REC, TRow(dict(fields), tail))
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(_Node):
     """A type quantified over kinded variables, e.g. ``forall a:*. a -> a``.
 
     `lacks` pairs each quantified row variable that must lack labels with
@@ -222,25 +240,32 @@ class Scheme:
     in that form without checking it again.
     """
 
+    __slots__ = __match_args__ = ("quantified", "body", "lacks")
     quantified: tuple[TypeVar, ...]
     body: Type
-    lacks: tuple[tuple[TypeVar, tuple[str, ...]], ...] = ()
+    lacks: tuple[tuple[TypeVar, tuple[str, ...]], ...]
 
-    def __post_init__(self) -> None:
-        ids = [v.id for v in self.quantified]
+    def __init__(
+        self,
+        quantified: tuple[TypeVar, ...],
+        body: Type,
+        lacks: tuple[tuple[TypeVar, tuple[str, ...]], ...] = (),
+    ) -> None:
+        ids = [v.id for v in quantified]
         if len(set(ids)) != len(ids):
             raise ValueError("scheme quantifies the same variable twice")
-        rows = [v for v in self.quantified if v.kind is ROW]
-        if not rows and not self.lacks:
-            return
-        labels: dict[int, frozenset[str]] = {}
-        scan_rows(self.body, labels)
-        for v, lacked in self.lacks:
-            if v not in rows:
-                raise ValueError(f"t{v.id} lacks labels but is no quantified row variable")
-            labels[v.id] = labels.get(v.id, frozenset()).union(lacked)
-        lacks = tuple((v, tuple(sorted(labels[v.id]))) for v in rows if labels.get(v.id))
-        object.__setattr__(self, "lacks", lacks)
+        rows = [v for v in quantified if v.kind is ROW]
+        if rows or lacks:
+            labels: dict[int, frozenset[str]] = {}
+            scan_rows(body, labels)
+            for v, lacked in lacks:
+                if v not in rows:
+                    raise ValueError(f"t{v.id} lacks labels but is no quantified row variable")
+                labels[v.id] = labels.get(v.id, frozenset()).union(lacked)
+            lacks = tuple((v, tuple(sorted(labels[v.id]))) for v in rows if labels.get(v.id))
+        _set(self, "quantified", quantified)
+        _set(self, "body", body)
+        _set(self, "lacks", lacks)
 
     @classmethod
     def _normal(cls, quantified: tuple[TypeVar, ...], body: Type, lacks: tuple) -> Scheme:
@@ -264,12 +289,16 @@ class Scheme:
 # Environments
 
 
-@dataclass
 class KindEnv:
     """Kinding context: the kinds of type constructors and type variables."""
 
-    cons: dict[str, Kind] = field(default_factory=dict)
-    vars: dict[int, Kind] = field(default_factory=dict)
+    __slots__ = ("cons", "vars")
+
+    def __init__(
+        self, cons: dict[str, Kind] | None = None, vars: dict[int, Kind] | None = None
+    ) -> None:
+        self.cons = {} if cons is None else cons
+        self.vars = {} if vars is None else vars
 
     def with_vars(self, new: Iterable[TypeVar]) -> KindEnv:
         ext = dict(self.vars)
@@ -283,11 +312,14 @@ def base_kind_env() -> KindEnv:
     return KindEnv({name: con.kind for name, con in BASE_CONSTRUCTORS.items()}, {})
 
 
-@dataclass(frozen=True)
-class TypeEnv:
+class TypeEnv(_Node):
     """Term-variable context; lookup returns the innermost binding first."""
 
-    bindings: tuple[tuple[str, Scheme], ...] = ()
+    __slots__ = __match_args__ = ("bindings",)
+    bindings: tuple[tuple[str, Scheme], ...]
+
+    def __init__(self, bindings: tuple[tuple[str, Scheme], ...] = ()) -> None:
+        _set(self, "bindings", bindings)
 
     def lookup(self, name: str) -> Scheme | None:
         for bound_name, scheme in self.bindings:
@@ -306,66 +338,121 @@ class TypeEnv:
 # Terms
 
 
-@dataclass(frozen=True)
-class Term:
-    """Base class for surface-language terms."""
+class Term(_Node):
+    """Base class for surface-language terms.  A term keeps its fields in
+    its instance dict, where `term_nodes` in `bench/spans.py` reads them.
+    Every constructor also takes the keyword `span`, which the parser
+    fills; it is no field, so equality, hashing and repr leave it out,
+    and copying and pickling keep it."""
 
-    span: SourceSpan | None = field(default=None, compare=False, repr=False, kw_only=True)
+    span: SourceSpan | None
+
+    def __reduce__(self) -> tuple:
+        cls, args = super().__reduce__()
+        return cls, args, {"span": self.span}
 
 
-@dataclass(frozen=True)
 class Var(Term):
+    __match_args__ = ("name",)
     name: str
 
+    def __init__(self, name: str, *, span: SourceSpan | None = None) -> None:
+        _set(self, "name", name)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
+
 class Lam(Term):
+    __match_args__ = ("param", "body")
     param: str
     body: Term
 
+    def __init__(self, param: str, body: Term, *, span: SourceSpan | None = None) -> None:
+        _set(self, "param", param)
+        _set(self, "body", body)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
+
 class App(Term):
+    __match_args__ = ("fun", "arg")
     fun: Term
     arg: Term
 
+    def __init__(self, fun: Term, arg: Term, *, span: SourceSpan | None = None) -> None:
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
+
 class Let(Term):
+    __match_args__ = ("name", "bound", "body")
     name: str
     bound: Term
     body: Term
 
+    def __init__(
+        self, name: str, bound: Term, body: Term, *, span: SourceSpan | None = None
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "bound", bound)
+        _set(self, "body", body)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
+
 class Lit(Term):
     """An integer or string literal."""
 
+    __match_args__ = ("value",)
     value: Union[int, str]
 
+    def __init__(self, value: Union[int, str], *, span: SourceSpan | None = None) -> None:
+        _set(self, "value", value)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
+
 class RecordLit(Term):
+    __match_args__ = ("fields",)
     fields: dict[str, Term]
 
+    def __init__(self, fields: dict[str, Term], *, span: SourceSpan | None = None) -> None:
+        _set(self, "fields", fields)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
+
 class Select(Term):
+    __match_args__ = ("record", "label")
     record: Term
     label: str
 
+    def __init__(self, record: Term, label: str, *, span: SourceSpan | None = None) -> None:
+        _set(self, "record", record)
+        _set(self, "label", label)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
+
 class Extend(Term):
+    __match_args__ = ("label", "value", "record")
     label: str
     value: Term
     record: Term
 
+    def __init__(
+        self, label: str, value: Term, record: Term, *, span: SourceSpan | None = None
+    ) -> None:
+        _set(self, "label", label)
+        _set(self, "value", value)
+        _set(self, "record", record)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
+
 class Restrict(Term):
+    __match_args__ = ("record", "label")
     record: Term
     label: str
+
+    def __init__(self, record: Term, label: str, *, span: SourceSpan | None = None) -> None:
+        _set(self, "record", record)
+        _set(self, "label", label)
+        _set(self, "span", span)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ its variable supply, they extend it in place and leave it triangular.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from rowml.syntax import (
@@ -102,7 +101,6 @@ class DuplicateLabel(UnifyError):
         super().__init__(f"duplicate record label '{label}'")
 
 
-@dataclass
 class Subst:
     """A kind-respecting map from variable ids to types.
 
@@ -125,9 +123,12 @@ class Subst:
     no row reached through the store repeats a label.
     """
 
-    mapping: dict[int, Type] = field(default_factory=dict)
-    levels: dict[int, int] = field(default_factory=dict, init=False)
-    lacks: dict[int, frozenset[str]] = field(default_factory=dict, init=False)
+    __slots__ = ("mapping", "levels", "lacks")
+
+    def __init__(self, mapping: dict[int, Type] | None = None) -> None:
+        self.mapping = {} if mapping is None else mapping
+        self.levels: dict[int, int] = {}
+        self.lacks: dict[int, frozenset[str]] = {}
 
     def find(self, t: Type) -> Type:
         """`t` itself unless it is a bound variable; else the end of its

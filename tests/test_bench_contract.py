@@ -1,6 +1,7 @@
 """The benchmark in bench/ reaches into rowml by attribute name: its
-tracer wraps module and class attributes, and its oracle workload tells
-a field variable from a constructor by the variable's `var`.  These tests
+tracer wraps module and class attributes and counts a parsed term's
+nodes through their instance dicts, and its oracle workload tells a
+field variable from a constructor by the variable's `var`.  These tests
 fail when a change to src/ breaks one of those attributes, where before
 only the traced benchmark runs would show it."""
 
@@ -11,7 +12,8 @@ from types import SimpleNamespace
 import pytest
 
 from rowml.infer import infer_program
-from rowml.syntax import ROW, STAR, TRow, TypeVar
+from rowml.parser import parse_term
+from rowml.syntax import ROW, STAR, TRow, Term, TypeVar
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,3 +52,8 @@ def test_the_problem_space_counts_a_field_variable(bench):
     wl = bench.workloads
     problem = (TRow({"a": TypeVar(3, STAR)}, TypeVar(1, ROW)), TRow({}))
     assert wl.problem_space(problem) == wl._ground_rows() * wl.ORACLE_TYPES
+
+
+def test_the_parser_node_count_reads_each_term_s_fields(bench):
+    # Let, RecordLit, Lit, Select and Var
+    assert bench.spans.term_nodes(parse_term("let r = {a = 1} in r.a"), Term) == 5

@@ -2,15 +2,20 @@
 
 import io
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import rowml
 from rowml.cli import cmd_check, cmd_oracle, cmd_repl, main
 from rowml.infer import infer_program
 from rowml.parser import ParseError
+from rowml.syntax import pretty_scheme
 
 
 def write(tmp_path, name, text):
@@ -25,6 +30,29 @@ class TestCheck:
         assert main(["check", path]) == 0
         out = capsys.readouterr().out
         assert out == f"{path}: ∀a:*. a -> a\n"
+
+    def test_a_new_process_checks_without_loading_dataclasses(self):
+        # Each `rowml check` starts a new interpreter, so it pays for every
+        # module its import loads; dataclasses would load inspect and ast.
+        src = Path(rowml.__file__).resolve().parents[1]
+        sample = Path(__file__).resolve().parents[1] / "samples" / "twice.rml"
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from rowml.cli import main\n"
+            "status = main(['check', sys.argv[2]])\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "sys.exit(status)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(src), str(sample)],
+            capture_output=True, encoding="utf-8", timeout=60,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [
+            f"{sample}: {pretty_scheme(infer_program(sample.read_text(encoding='utf-8')))}", "[]"
+        ]
 
     def test_record_file(self, tmp_path, capsys):
         path = write(tmp_path, "rec.rml", '{name = "Ana", age = 7}')

@@ -54,6 +54,13 @@ class TestEnumerateGroundRows:
         space = GroundSpace(max_row_size=0)
         assert _ground_row_keys(space) == ((),)
 
+    @pytest.mark.parametrize(
+        "bounds", [{"labels": ()}, {"base_types": ()}, {"max_row_size": -1}]
+    )
+    def test_an_empty_alphabet_or_a_negative_size_is_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            GroundSpace(**bounds)
+
     @pytest.mark.parametrize("labels,types,size", [(3, 2, 2), (4, 3, 3), (2, 3, 1)])
     def test_count_formula(self, labels, types, size):
         space = GroundSpace(

@@ -149,6 +149,12 @@ class TestSpans:
         assert t.span.start == 0 and t.span.end == len(src)
         assert src[t.arg.span.start : t.arg.span.end] == "{a = 1}"
 
+    def test_parentheses_widen_the_span_of_the_term_inside(self):
+        src = "(f x).a"
+        t = parse_term(src)
+        assert src[t.record.span.start : t.record.span.end] == "(f x)"
+        assert t.record == parse_term("f x")
+
     def test_nested_span_lines(self):
         t = parse_term("let x = 1 in\n  x.y")
         assert t.body.span.line == 2

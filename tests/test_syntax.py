@@ -14,18 +14,26 @@ import pytest
 from hypothesis import given, settings
 
 from rowml.infer import InferError, InferSession, infer_program, instantiate
+from rowml.oracle import CampaignResult, GroundSpace
+from rowml.parser import SourceSpan
 from rowml.syntax import (
     App,
     ArrowKind,
     BOOL,
+    Extend,
     INT,
     LIST,
     Lam,
+    Let,
+    Lit,
     ROW,
+    RecordLit,
+    Restrict,
     RowKind,
     STAR,
     STRING,
     Scheme,
+    Select,
     StarKind,
     TApp,
     TCon,
@@ -296,41 +304,88 @@ class TestFreeTypeVars:
 # -- the node contract -------------------------------------------------------
 
 
+SPAN = SourceSpan(3, 4, 1, 4)
+
+
+def terms(span=None):
+    """One term of each class, every node with the given span."""
+    r = Var("r", span=span)
+    return [
+        r,
+        Lit(1, span=span),
+        Lam("x", r, span=span),
+        App(r, r, span=span),
+        Let("x", Lit("s", span=span), r, span=span),
+        Select(r, "a", span=span),
+        Restrict(r, "a", span=span),
+        Extend("a", r, r, span=span),
+        RecordLit({"a": r}, span=span),
+    ]
+
+
+# The other values on the type nodes' base.
+VALUES = [
+    ArrowKind(STAR, ArrowKind(ROW, STAR)),
+    Scheme((A, RHO), TFun(record({"a": A}, RHO), A), ((RHO, ("b",)),)),
+    TypeEnv((("id", Scheme((A,), TFun(A, A))),)),
+    GroundSpace(labels=("a", "b"), base_types=(INT,), max_row_size=1),
+    CampaignResult(3, 1, (TRow({"a": INT}), TRow({}, RHO))),
+]
+
+values = st.one_of(types(), st.sampled_from(terms() + terms(SPAN) + VALUES))
+
+
 class TestNodes:
-    """Type nodes are immutable values: equal when of one class with equal
-    fields, hashable unless they hold a row.  `STAR` and `ROW` are the only
+    """Type nodes, terms and the other values on their base are immutable:
+    equal when of one class with equal fields, a term's span aside, and
+    hashable unless they hold a dict.  `STAR` and `ROW` are the only
     instances of their classes."""
 
     def test_classes_with_equal_fields_differ(self):
         a, b = A, B
         assert TApp(a, b) != TFun(a, b) and not TApp(a, b) == TFun(a, b)
         assert TCon("List", STAR) != LIST
+        assert Select(Var("r"), "a") != Restrict(Var("r"), "a")
 
-    @given(types(), types())
+    @given(values, values)
     def test_ne_is_the_negation_of_eq(self, t1, t2):
         for x, y in ((t1, t2), (t2, t1), (t1, copy.deepcopy(t1))):
             assert (x != y) is not (x == y)
 
-    @given(types())
+    @given(values)
     def test_equal_nodes_hash_equal(self, t):
         twin = copy.deepcopy(t)
         assert twin == t and twin is not t
         try:
             h = hash(t)
-        except TypeError:  # a row somewhere inside
+        except TypeError:  # a row or a record literal somewhere inside
             return
         assert hash(twin) == h
+
+    @pytest.mark.parametrize(
+        "plain, spanned", zip(terms(), terms(SPAN)), ids=[type(t).__name__ for t in terms()]
+    )
+    def test_a_term_is_equal_whatever_its_span(self, plain, spanned):
+        assert spanned.span == SPAN and plain.span is None
+        assert plain == spanned and not plain != spanned
+        assert repr(plain) == repr(spanned)
+        if not isinstance(plain, RecordLit):
+            assert hash(plain) == hash(spanned)
 
     def test_rows_do_not_hash(self):
         with pytest.raises(TypeError):
             hash(TRow({"a": INT}, RHO))
         with pytest.raises(TypeError):
             hash(record({}))
+        with pytest.raises(TypeError):
+            hash(RecordLit({"a": Lit(1)}))
 
     @pytest.mark.parametrize(
         "node, name",
         [(A, "id"), (A, "var"), (INT, "name"), (TApp(LIST, INT), "arg"),
-         (TFun(INT, INT), "dom"), (TRow({}), "tail")],
+         (TFun(INT, INT), "dom"), (TRow({}), "tail")]
+        + [(v, v.__match_args__[0]) for v in terms(SPAN) + VALUES]
+        + [(Var("r", span=SPAN), "span")],
     )
     def test_fields_cannot_be_assigned(self, node, name):
         with pytest.raises(FrozenInstanceError):
@@ -347,6 +402,11 @@ class TestNodes:
             "cod=TApp(fun=TCon(name='List', kind=ArrowKind(param=StarKind(), result=StarKind())), "
             "arg=TCon(name='Bool', kind=StarKind())))}, tail=TypeVar(id=2, kind=RowKind()))"
         )
+        term = Extend("a", Lit(1, span=SPAN), Var("r", span=SPAN), span=SPAN)
+        assert repr(term) == "Extend(label='a', value=Lit(value=1), record=Var(name='r'))"
+        assert repr(CampaignResult(3, 0)) == (
+            "CampaignResult(problems=3, failures=0, first_failure=None)"
+        )
 
     @pytest.mark.parametrize("kind, cls", [(STAR, StarKind), (ROW, RowKind)])
     def test_kinds_without_parts_are_singletons(self, kind, cls):
@@ -358,8 +418,10 @@ class TestNodes:
 
     def test_nodes_copy_and_pickle_as_values(self):
         t = TFun(record({"a": TApp(LIST, A)}, RHO), TCon("F", ArrowKind(STAR, STAR)))
-        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-            assert twin == t
+        for value in [t, *VALUES, *terms(SPAN)]:
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert type(twin) is type(value) and twin == value
+                assert getattr(twin, "span", None) == getattr(value, "span", None)
 
 
 class TestVariableIsAType:
