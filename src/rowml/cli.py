@@ -12,15 +12,9 @@ import argparse
 import itertools
 import string
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from rowml.infer import InferError, infer_program
-from rowml.oracle import (
-    GroundSpace,
-    exhaustive_problems,
-    run_campaign,
-    sample_problems,
-)
 from rowml.parser import ParseError
 from rowml.syntax import BOOL, INT, STRING, pretty_scheme, pretty_type
 
@@ -94,6 +88,9 @@ def cmd_repl(stdin=None, out=None) -> int:
 
 def cmd_oracle(labels: int, types: int, max_size: int, samples: int, out=None) -> int:
     """Exhaustive plus sampled oracle campaign over the requested space."""
+    # Imported here, so that `rowml check` does not load the oracle.
+    from rowml.oracle import GroundSpace, exhaustive_problems, run_campaign, sample_problems
+
     out = out if out is not None else sys.stdout
     space = GroundSpace(
         labels=tuple(ORACLE_LABELS[:labels]),

@@ -42,7 +42,6 @@ consults the kind checker.
 from __future__ import annotations
 
 import operator
-from typing import Union
 
 from rowml.kindcheck import KindError, UnboundTypeName, check_scheme
 from rowml.parser import SourceSpan, parse_term
@@ -107,7 +106,7 @@ class UnifyFailure(InferError):
 class KindFailure(InferError):
     """The kinding stage rejected a scheme before inference began."""
 
-    def __init__(self, cause: Union[KindError, UnboundTypeName]) -> None:
+    def __init__(self, cause: KindError | UnboundTypeName) -> None:
         super().__init__(f"kind error: {cause}")
         self.cause = cause
 

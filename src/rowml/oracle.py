@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from collections.abc import Iterable, Iterator
 
 from rowml.syntax import (
     BOOL,
@@ -96,7 +96,7 @@ def _ground_row_keys(space: GroundSpace) -> tuple[GroundRow, ...]:
 
 
 @lru_cache(maxsize=None)
-def _merge(fields: GroundRow, extra: GroundRow) -> Optional[GroundRow]:
+def _merge(fields: GroundRow, extra: GroundRow) -> GroundRow | None:
     """Union of two ground rows, or None when a label repeats."""
     if not fields:
         return extra
@@ -206,11 +206,11 @@ def _within(row: GroundRow, space: GroundSpace) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _fits(fields: GroundRow, space: GroundSpace) -> tuple[Optional[GroundRow], ...]:
+def _fits(fields: GroundRow, space: GroundSpace) -> tuple[GroundRow | None, ...]:
     """For an image `{fields | rho}`: by the index of each ground row of
     rho, the merged row when it is duplicate-free and within the space,
     else None."""
-    table: list[Optional[GroundRow]] = []
+    table: list[GroundRow | None] = []
     for key in _ground_row_keys(space):
         merged = _merge(fields, key)
         table.append(merged if merged is not None and _within(merged, space) else None)
@@ -259,7 +259,7 @@ def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assign
             for side in problem
             if side.tail is not None
         ]
-        tables: list[tuple[int, tuple[Optional[GroundRow], ...], int]] = []
+        tables: list[tuple[int, tuple[GroundRow | None, ...], int]] = []
         for v in row_vars:
             image = images[v.id]
             fields = _ground_fields(image, star_env)

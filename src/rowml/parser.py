@@ -9,6 +9,11 @@ string is double-quoted on one line, with the escapes
 Keywords: ``let``, ``in``.  A span's line and column count characters
 from 1.
 
+The lexer gives each token a kind, a text, a start and an end, as
+parallel lists; a token carries no line or column.  The parser reads a
+span's line and column off the source's newline offsets when it builds
+the span.
+
 Term grammar::
 
     term   ::= "\\" ident "." term
@@ -41,7 +46,9 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import NamedTuple
+from bisect import bisect_left
+from collections import namedtuple
+from itertools import accumulate
 
 from rowml.syntax import (
     App,
@@ -65,13 +72,11 @@ from rowml.syntax import (
 )
 
 
-class SourceSpan(NamedTuple):
-    """Character range in the input plus the 1-based line/column of its start."""
-
-    start: int
-    end: int
-    line: int
-    col: int
+SourceSpan = namedtuple("SourceSpan", ("start", "end", "line", "col"))
+SourceSpan.__doc__ = "Character range in the input plus the 1-based line/column of its start."
+# Builds a span from a tuple of its four fields, skipping the keyword
+# handling of the generated `SourceSpan.__new__`.
+_new = tuple.__new__
 
 
 class ParseError(Exception):
@@ -87,23 +92,29 @@ class ParseError(Exception):
         super().__init__(f"expected {what}, found {found}")
 
 
-# Splitting on tokens leaves the space between them, which must be
-# whitespace.  `[^\W\d]` also takes numeric characters such as 'Ⅻ' that
-# are no letters; `_tokenize` rejects those.
+# Splitting on tokens leaves the space between them.  The last
+# alternative takes any other character as a token of its own, so that
+# space is whitespace alone and `_tokenize` need not look at it.
+# `[^\W\d]` also takes numeric characters such as 'Ⅻ' that are no
+# letters; `_tokenize` rejects those, and a '"' that starts no string.
+# The lookahead fails at a blank in one test instead of one per
+# alternative.
 _TOKEN = re.compile(
-    r"""( [^\W\d]\w*                    # identifier or keyword
-        | \d+                          # integer
-        | "(?:[^"\\\n]|\\[\\"nt])*"     # string
-        | --[^\n]*                     # comment
-        | ->
-        | [-\\.(){},|=:]
-        )""",
+    r"""( (?![ \t\r\n])
+          (?: [\\.(){},|=:]
+            | [^\W\d]\w*                 # identifier or keyword
+            | \d+                        # integer
+            | ->?                        # '->' or '-'
+            | "(?:[^"\\\n]|\\[\\"nt])*"   # string
+            | .                          # any other character
+        ))""",
     re.VERBOSE,
 )
-_SPACE = " \t\r\n"
 # The longest well-formed prefix of a string that does not close.
 _STRING_PREFIX = re.compile(r'"(?:[^"\\\n]|\\[\\"nt])*')
 _ESCAPE = re.compile(r"\\(.)")
+# A comment, or a string, which may hold "--".
+_COMMENT = re.compile(r'--[^\n]*|"(?:[^"\\\n]|\\[\\"nt])*"')
 _STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 # The kind of every token whose text is fixed.
 _KINDS = {
@@ -127,51 +138,43 @@ _KINDS = {
 
 def _tokenize(src: str):
     """The tokens of `src` as parallel lists: kind, text (a string
-    literal's value), start, end, and the line and column of the start.
-    The last token is "eof"."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    lines: list[int] = []
-    cols: list[int] = []
-    pos, line, line_start = 0, 1, 0
-    parts = _TOKEN.split(src)
-    parts.append("")  # the end of input, after the trailing space
-    pairs = iter(parts)
-    for space, text in zip(pairs, pairs):
-        if space:
-            if space.strip(_SPACE):
-                raise _lex_error(src, pos + len(space) - len(space.lstrip(_SPACE)))
-            if "\n" in space:
-                line += space.count("\n")
-                line_start = pos + space.rindex("\n") + 1
-            pos += len(space)
-        start = pos
-        pos += len(text)
-        kind = _KINDS.get(text)
+    literal's value), start and end.  The last token is "eof"."""
+    # Comments are blanked out, keeping every offset; a source without
+    # "--" skips that pass, which costs more than the test.
+    if "--" in src:
+        parts = _TOKEN.split(_COMMENT.sub(_blank, src))
+    else:
+        parts = _TOKEN.split(src)
+    texts = parts[1::2]
+    texts.append("")
+    offsets = list(accumulate(map(len, parts)))  # where each part ends
+    starts = offsets[::2]  # its last is where the trailing space ends: the end of input
+    ends = offsets[1::2]
+    ends.append(offsets[-1])
+    kinds = list(map(_KINDS.get, texts))
+    for i, kind in enumerate(kinds):
         if kind is None:
+            text = texts[i]
             c = text[0]
             if c.isalpha() or c == "_":
-                kind = "ident"
+                kinds[i] = "ident"
             elif c.isdecimal():
-                kind = "int"
-            elif c == '"':
-                kind = "string"
+                kinds[i] = "int"
+            elif c == '"' and len(text) > 1:
+                kinds[i] = "string"
                 text = text[1:-1]
                 if "\\" in text:
                     text = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e[1]], text)
-            elif c == "-":
-                continue  # a comment
+                texts[i] = text
             else:
-                raise _lex_error(src, start)
-        kinds.append(kind)
-        texts.append(text)
-        starts.append(start)
-        ends.append(pos)
-        lines.append(line)
-        cols.append(start - line_start + 1)
-    return kinds, texts, starts, ends, lines, cols
+                raise _lex_error(src, starts[i])
+    return kinds, texts, starts, ends
+
+
+def _blank(m: re.Match) -> str:
+    """A string as it is; a comment as spaces, one per character."""
+    text = m[0]
+    return text if text[0] == '"' else " " * len(text)
 
 
 def _lex_error(src: str, pos: int) -> ParseError:
@@ -195,7 +198,7 @@ _TOKEN_NAMES = {
     "string": "string literal",
     "eof": "end of input",
 }
-_ATOM_START = ("ident", "int", "string", "lparen", "lbrace")
+_ATOM_START = frozenset(("ident", "int", "string", "lparen", "lbrace"))
 
 
 class _Parser:
@@ -203,17 +206,29 @@ class _Parser:
     addressed by its index."""
 
     def __init__(self, src: str) -> None:
-        self.kinds, self.texts, self.starts, self.ends, self.lines, self.cols = _tokenize(src)
+        self.kinds, self.texts, self.starts, self.ends = _tokenize(src)
         self.pos = 0
+        # The offset of each newline, after a -1 for the start of the
+        # source: line n starts after breaks[n - 1].  Found with
+        # `str.find`, not `re.finditer`, whose calls each left about 55
+        # bytes in the traced allocation peak.
+        self.breaks = breaks = [-1]
+        i = src.find("\n")
+        while i >= 0:
+            breaks.append(i)
+            i = src.find("\n", i + 1)
         # Type variables by name; a name's first use fixes its kind (row
         # tail vs. field/arrow position).
         self.type_vars: dict[str, TypeVar] = {}
 
     def span(self, i: int, end: int | None = None) -> SourceSpan:
         """Token `i`'s span, or the span from its start to `end`."""
-        return SourceSpan(
-            self.starts[i], self.ends[i] if end is None else end, self.lines[i], self.cols[i]
-        )
+        start = self.starts[i]
+        if end is None:
+            end = self.ends[i]
+        breaks = self.breaks
+        line = bisect_left(breaks, start)
+        return _new(SourceSpan, (start, end, line, start - breaks[line - 1]))
 
     def expect(self, kind: str, description: str) -> int:
         i = self.pos
@@ -230,40 +245,50 @@ class _Parser:
     # -- terms --------------------------------------------------------------
 
     def term(self) -> Term:
-        i = self.pos
-        kind = self.kinds[i]
-        if kind == "lambda":
-            self.pos = i + 1
-            param = self.expect("ident", "identifier")
-            self.expect("dot", "'.'")
-            body = self.term()
-            return Lam(self.texts[param], body, span=self.span(i, body.span.end))
-        if kind == "let":
-            self.pos = i + 1
-            name = self.expect("ident", "identifier")
-            self.expect("equals", "'='")
-            bound = self.term()
-            self.expect("in", "'in'")
-            body = self.term()
-            return Let(self.texts[name], bound, body, span=self.span(i, body.span.end))
-        return self.application()
-
-    def application(self) -> Term:
+        """A spine of binders, read in a loop, then an application."""
+        kinds, texts = self.kinds, self.texts
+        binders: list[tuple[int, int, Term | None]] = []  # (first token, name, bound)
+        while True:
+            i = self.pos
+            kind = kinds[i]
+            if kind == "lambda":
+                self.pos = i + 1
+                param = self.expect("ident", "identifier")
+                self.expect("dot", "'.'")
+                binders.append((i, param, None))
+            elif kind == "let":
+                self.pos = i + 1
+                name = self.expect("ident", "identifier")
+                self.expect("equals", "'='")
+                bound = self.term()
+                self.expect("in", "'in'")
+                binders.append((i, name, bound))
+            else:
+                break
         t = self.atom()
-        while self.kinds[self.pos] in _ATOM_START:
+        while kinds[self.pos] in _ATOM_START:
             arg = self.atom()
-            t = App(t, arg, span=_join(t.span, arg.span.end))
+            t = App(t, arg, span=_join(t.span, arg.span[1]))
+        if binders:
+            end = t.span[1]  # every binder of the spine ends where its body ends
+            for i, name, bound in reversed(binders):
+                if bound is None:
+                    t = Lam(texts[name], t, span=self.span(i, end))
+                else:
+                    t = Let(texts[name], bound, t, span=self.span(i, end))
         return t
 
     def atom(self) -> Term:
+        """An atom and the selections and restrictions after it."""
+        kinds, texts = self.kinds, self.texts
         i = self.pos
-        kind = self.kinds[i]
+        kind = kinds[i]
         if kind == "ident":
             self.pos = i + 1
-            t: Term = Var(self.texts[i], span=self.span(i))
+            t: Term = Var(texts[i], span=self.span(i))
         elif kind == "int":
             self.pos = i + 1
-            text = self.texts[i]
+            text = texts[i]
             try:
                 value = int(text)
             except ValueError:  # more digits than the interpreter converts
@@ -276,7 +301,7 @@ class _Parser:
             t = Lit(value, span=self.span(i))
         elif kind == "string":
             self.pos = i + 1
-            t = Lit(self.texts[i], span=self.span(i))
+            t = Lit(texts[i], span=self.span(i))
         elif kind == "lparen":
             self.pos = i + 1
             t = self.term()
@@ -287,57 +312,51 @@ class _Parser:
             t = self.record()
         else:
             raise self.fail("identifier", "literal", "'('", "'{'")
-        return self.postfix(t)
-
-    def postfix(self, t: Term) -> Term:
-        kinds = self.kinds
         while True:
             kind = kinds[self.pos]
-            if kind == "dot" or kind == "minus":
-                self.pos += 1
-                label = self.expect("ident", "identifier")
-                node = Select if kind == "dot" else Restrict
-                t = node(t, self.texts[label], span=_join(t.span, self.ends[label]))
+            if kind == "dot":
+                node = Select
+            elif kind == "minus":
+                node = Restrict
             else:
                 return t
+            self.pos += 1
+            label = self.expect("ident", "identifier")
+            t = node(t, texts[label], span=_join(t.span, self.ends[label]))
 
     def record(self) -> Term:
         open_ = self.expect("lbrace", "'{'")
         kinds, texts = self.kinds, self.texts
-        fields: list[tuple[int, Term]] = []
+        fields: dict[str, Term] = {}
+        duplicate = None  # the first label that repeats one before it
         if kinds[self.pos] == "ident":
             while True:
                 label = self.expect("ident", "identifier")
                 self.expect("equals", "'='")
-                fields.append((label, self.term()))
+                value = self.term()
+                if texts[label] not in fields:
+                    fields[texts[label]] = value
+                elif duplicate is None:
+                    duplicate = label
                 if kinds[self.pos] != "comma":
                     break
                 self.pos += 1
         elif kinds[self.pos] != "rbrace":
             raise self.fail("identifier", "'}'")
-        seen: set[str] = set()
-        for label, _ in fields:
-            if texts[label] in seen:
-                raise ParseError(
-                    self.span(label), ("a distinct label",), f"duplicate label '{texts[label]}'"
-                )
-            seen.add(texts[label])
-        if kinds[self.pos] == "pipe":
-            if not fields:
-                raise ParseError(self.span(self.pos), ("at least one field before '|'",), "'|'")
+        if duplicate is not None:
+            raise ParseError(
+                self.span(duplicate), ("a distinct label",), f"duplicate label '{texts[duplicate]}'"
+            )
+        if kinds[self.pos] == "pipe":  # `fields` is not empty: '|' is no label
             self.pos += 1
-            tail = self.term()
+            t = self.term()
             close = self.expect("rbrace", "'}'")
             span = self.span(open_, self.ends[close])
-            t = tail
-            for label, value in reversed(fields):
-                t = Extend(texts[label], value, t, span=span)
+            for label, value in reversed(fields.items()):
+                t = Extend(label, value, t, span=span)
             return t
         close = self.expect("rbrace", "'}'")
-        return RecordLit(
-            {texts[label]: value for label, value in fields},
-            span=self.span(open_, self.ends[close]),
-        )
+        return RecordLit(fields, span=self.span(open_, self.ends[close]))
 
     # -- types --------------------------------------------------------------
 
@@ -418,7 +437,8 @@ class _Parser:
 
 
 def _join(span: SourceSpan, end: int) -> SourceSpan:
-    return SourceSpan(span.start, end, span.line, span.col)
+    """`span` extended to `end`."""
+    return _new(SourceSpan, (span[0], end, span[2], span[3]))
 
 
 def parse_term(src: str) -> Term:

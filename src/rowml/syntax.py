@@ -24,8 +24,9 @@ compared by identity.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from collections.abc import Iterable, Iterator
 
+TYPE_CHECKING = False  # what typing.TYPE_CHECKING is, without importing typing
 if TYPE_CHECKING:
     from rowml.parser import SourceSpan
 
@@ -402,9 +403,9 @@ class Lit(Term):
     """An integer or string literal."""
 
     __match_args__ = ("value",)
-    value: Union[int, str]
+    value: int | str
 
-    def __init__(self, value: Union[int, str], *, span: SourceSpan | None = None) -> None:
+    def __init__(self, value: int | str, *, span: SourceSpan | None = None) -> None:
         _set(self, "value", value)
         _set(self, "span", span)
 

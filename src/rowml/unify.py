@@ -28,7 +28,7 @@ its variable supply, they extend it in place and leave it triangular.
 from __future__ import annotations
 
 import operator
-from typing import Iterable
+from collections.abc import Iterable
 
 from rowml.syntax import (
     FreshVars,

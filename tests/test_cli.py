@@ -31,9 +31,11 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out == f"{path}: ∀a:*. a -> a\n"
 
-    def test_a_new_process_checks_without_loading_dataclasses(self):
+    def test_a_new_process_checks_without_loading_what_check_never_runs(self):
         # Each `rowml check` starts a new interpreter, so it pays for every
-        # module its import loads; dataclasses would load inspect and ast.
+        # module its import loads; dataclasses would load inspect and ast,
+        # typing is needed for annotations only, and the oracle only by
+        # `rowml oracle`.
         src = Path(rowml.__file__).resolve().parents[1]
         sample = Path(__file__).resolve().parents[1] / "samples" / "twice.rml"
         code = (
@@ -41,7 +43,8 @@ class TestCheck:
             "sys.path.insert(0, sys.argv[1])\n"
             "from rowml.cli import main\n"
             "status = main(['check', sys.argv[2]])\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "unused = {'dataclasses', 'inspect', 'typing', 'rowml.oracle'}\n"
+            "print(sorted(unused & set(sys.modules)))\n"
             "sys.exit(status)\n"
         )
         run = subprocess.run(

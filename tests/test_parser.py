@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from rowml.parser import ParseError, SourceSpan, parse_term, parse_type
+from rowml.parser import ParseError, SourceSpan, _tokenize, parse_term, parse_type
 from rowml.syntax import (
     App,
     Extend,
@@ -338,6 +338,8 @@ class TestLexer:
             ('f "a\\', "expected escape sequence, found end of input", (2, 5, 1, 3)),
             ("x\r\n # y", "expected a token, found '#'", (4, 5, 2, 2)),
             ("Ⅻ", "expected a token, found 'Ⅻ'", (0, 1, 1, 1)),
+            ('f "a\\q -- b"', "expected escape sequence, found 'q'", (2, 5, 1, 3)),
+            ('-- "a\n#', "expected a token, found '#'", (6, 7, 2, 1)),
         ],
     )
     def test_error_messages_and_spans(self, src, message, span):
@@ -380,3 +382,69 @@ class TestLexer:
             elif isinstance(node, Lit):
                 assert text[0] == text[-1] == '"'
                 assert re.sub(r"\\(.)", lambda m: _ESCAPED[m[1]], text[1:-1]) == node.value
+
+    @pytest.mark.parametrize(
+        "src, kinds, texts, starts, ends",
+        [
+            ("", ["eof"], [""], [0], [0]),
+            (" \t\r\n ", ["eof"], [""], [5], [5]),
+            ("x\r\n\ty", ["ident", "ident", "eof"], ["x", "y", ""], [0, 4, 5], [1, 5, 5]),
+            ("a\rb", ["ident", "ident", "eof"], ["a", "b", ""], [0, 2, 3], [1, 3, 3]),
+            ("\t\\x.\tx", ["lambda", "ident", "dot", "ident", "eof"], ["\\", "x", ".", "x", ""],
+             [1, 2, 3, 5, 6], [2, 3, 4, 6, 6]),
+            ("f -- note", ["ident", "eof"], ["f", ""], [0, 9], [1, 9]),
+            ("f --\n1", ["ident", "int", "eof"], ["f", "1", ""], [0, 5, 6], [1, 6, 6]),
+            ("-->", ["eof"], [""], [3], [3]),
+            ("- ->", ["minus", "arrow", "eof"], ["-", "->", ""], [0, 2, 4], [1, 4, 4]),
+            ('"a--b"', ["string", "eof"], ["a--b", ""], [0, 6], [6, 6]),
+            ('"a" -- "b\n"c"', ["string", "string", "eof"], ["a", "c", ""], [0, 10, 13], [3, 13, 13]),
+            ("x---y\nz", ["ident", "ident", "eof"], ["x", "z", ""], [0, 6, 7], [1, 7, 7]),
+            ('"\\\\ \\" \\n \\t"', ["string", "eof"], ['\\ " \n \t', ""], [0, 13], [13, 13]),
+            ("é٣ ٣", ["ident", "int", "eof"], ["é٣", "٣", ""], [0, 3, 4], [2, 4, 4]),
+        ],
+    )
+    def test_tokens(self, src, kinds, texts, starts, ends):
+        assert _tokenize(src) == (kinds, texts, starts, ends)
+
+    @given(st.one_of(programs(), noise), st.data())
+    def test_space_between_tokens_changes_no_term(self, src, data):
+        # Whitespace or a comment goes where a token ends; a token split
+        # or joined by it would change the term or the error.
+        padding = st.sampled_from((" ", "\t", "\r", "\n", "\r\n", " -- é \\ \"\n", " --\r\n"))
+        try:
+            _, _, _, ends = _tokenize(src)
+        except ParseError:
+            return
+        padded, last = [], 0
+        for end in sorted(data.draw(st.sets(st.sampled_from(ends)))):
+            padded += [src[last:end], data.draw(padding)]
+            last = end
+        padded = "".join(padded) + src[last:]
+        try:
+            t = parse_term(src)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as again:
+                parse_term(padded)
+            assert str(again.value) == str(exc)
+        else:
+            assert parse_term(padded) == t
+
+
+class TestBinderSpines:
+    # The parser reads a spine of binders in a loop, so its depth is no
+    # limit; checking such a program still is (tests/test_cli.py).
+    @pytest.mark.parametrize(
+        "src, body",
+        [
+            ("".join(f"\\x{i}. " for i in range(1500)) + "1", Lit(1)),
+            ("".join(f"let x{i} = {i} in " for i in range(1500)) + "x0", Var("x0")),
+        ],
+        ids=["lambdas", "lets"],
+    )
+    def test_1500_binders(self, src, body):
+        t = parse_term(src)
+        starts = [m.start() for m in re.finditer(r"\\|let", src)]
+        for start in starts:  # each binder ends where the spine's body ends
+            assert isinstance(t, (Lam, Let)) and t.span == (start, len(src), 1, start + 1)
+            t = t.body
+        assert len(starts) == 1500 and t == body
