@@ -1,9 +1,18 @@
 """Type inference for the surface language.
 
-Algorithm W over mutable session state.  The session is its own fresh
-variable supply and owns the current level; it keeps one triangular
-`Subst` of variable bindings, which holds the level of every variable
-the session made.  Each unification hands the unresolved types to
+Algorithm W over mutable session state.  `_infer` dispatches on a term's
+class through the table `_RULES`, one rule function per term form, and
+each rule reaches its sub-terms' rules through the table itself, so each
+level of nesting costs one Python frame.  A program's own bindings live
+in one dict, the scope: a `Lam` or `Let` sets its name there around its
+body and restores the outer meaning afterwards, and a name with no entry
+is looked up in the initial `TypeEnv`, which is never copied or
+extended.
+
+The session is its own fresh variable supply and owns the current
+level; it keeps one triangular `Subst` of variable bindings, which
+holds the level of every variable the session made.  Each unification
+hands the unresolved types to
 `rowml.unify.unify` with the session's store, which it extends in
 place: the image of a bound variable may mention variables bound
 before or after it, and `InferSession.resolve` follows the chains only
@@ -21,7 +30,11 @@ Kiselyov, "How OCaml type checker works" (2013).  A `let` infers its
 bound one level deeper than its body.  Binding a variable lowers every
 variable its image reaches to the bound variable's level, in the walk of
 the occurs check, so a variable still deeper than the session after the
-bound is free nowhere in the environment and may be quantified.
+bound is free nowhere in the environment and may be quantified.  Every
+variable free in the environment is at the session's level or below; so
+a bound that made no fresh variable, as a literal, a record literal of
+monomorphic names or a selection from a known record does, reaches no
+deeper variable, and its `let` binds its type with no `generalize` walk.
 
 Every row the session builds is registered with the store, so its
 tail lacks the row's labels, and the rows of the initial environment
@@ -198,7 +211,14 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
     again.  The walk recurses, as `Subst.apply` does.  With an empty
     store there is nothing to resolve, and `free_vars_ordered` collects
     with a stack of its own, so a type built with no unification step
-    generalizes however deep it is."""
+    generalizes however deep it is.
+
+    A `let` whose bound made no fresh variable does not call this: the
+    variables free in the environment are at the session's level or
+    below, a variable made at a deeper level is lowered as soon as it is
+    bound into one of them, and a bound that made none reaches only
+    those.  So the walk would quantify nothing and pop no lacks, and the
+    bound's type, resolved or not, is already its scheme."""
     subst = session.subst
     if subst.mapping:
         free: dict[int, TypeVar] = {}
@@ -257,7 +277,7 @@ def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> 
     found = head = session.subst.find(t)
     while isinstance(head, TApp):
         head = session.subst.find(head.fun)
-    if isinstance(head, (TCon, TFun)) and head != REC:
+    if isinstance(head, (TCon, TFun)) and head is not REC and head != REC:
         raise NotARecord(session.resolve(t), span)
     return found
 
@@ -267,71 +287,132 @@ def infer_term(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
     return session.resolve(_infer(session, gamma, term))
 
 
+class _Scope(dict):
+    """A program's own bindings by name; a name with no entry means what
+    the initial environment `initial` says."""
+
+    __slots__ = ("initial",)
+
+    def __init__(self, initial: TypeEnv) -> None:
+        self.initial = initial
+
+    def __missing__(self, name: str) -> Scheme | None:
+        return self.initial.lookup(name)
+
+
 def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
     """The type of `term` under `gamma`; bound variables in it are not yet resolved."""
-    if isinstance(term, Var):
-        scheme = gamma.lookup(term.name)
-        if scheme is None:
-            raise UnboundVariable(term.name, term.span)
-        return instantiate(session, scheme)
+    rule = _RULES.get(term.__class__)
+    if rule is None:
+        raise AssertionError(f"unexpected term node: {term!r}")
+    return rule(session, _Scope(gamma), term)
 
-    if isinstance(term, Lit):
-        return INT if isinstance(term.value, int) else STRING
 
-    if isinstance(term, Lam):
-        param = session.fresh(STAR)
-        inner = gamma.extend(term.param, Scheme._normal((), param, ()))
-        return TFun(param, _infer(session, inner, term.body))
+# A rule takes the session, the scope and a term of its class.  It calls
+# a sub-term's rule from `_RULES` itself: going through `_infer` would
+# cost a second Python frame per level of nesting.
 
-    if isinstance(term, App):
-        fun = _infer(session, gamma, term.fun)
-        arg = _infer(session, gamma, term.arg)
-        result = session.fresh(STAR)
-        session.unify(fun, TFun(arg, result), term.span)
-        return result
 
-    if isinstance(term, Let):
-        session.level += 1
-        bound = _infer(session, gamma, term.bound)
-        session.level -= 1
-        scheme = generalize(session, bound)
-        return _infer(session, gamma.extend(term.name, scheme), term.body)
+def _infer_var(session: InferSession, scope: _Scope, term: Var) -> Type:
+    scheme = scope[term.name]
+    if scheme is None:
+        raise UnboundVariable(term.name, term.span)
+    return instantiate(session, scheme)
 
-    if isinstance(term, RecordLit):
-        fields = {label: _infer(session, gamma, value) for label, value in term.fields.items()}
-        return TApp(REC, TRow(fields, None))
 
-    if isinstance(term, Select):
-        rec_type = _require_record(session, _infer(session, gamma, term.record), term.span)
-        if isinstance(rec_type, TApp) and rec_type.fun == REC and isinstance(rec_type.arg, TRow):
-            # A closed row that has the label: the template step would only
-            # bind its value to the field and its tail to the other fields.
-            try:
-                row = session.subst.walk_row(rec_type.arg)
-            except DuplicateLabel as exc:
-                raise UnifyFailure(exc, term.span) from exc
-            if row.tail is None and term.label in row.fields:
-                return row.fields[term.label]
-        value = session.fresh(STAR)
-        session.unify(rec_type, TApp(REC, session.template_row(term.label, value)), term.span)
-        return value
+def _infer_lit(session: InferSession, scope: _Scope, term: Lit) -> Type:
+    return INT if isinstance(term.value, int) else STRING
 
-    if isinstance(term, Extend):
-        value = _infer(session, gamma, term.value)
-        rec_type = _infer(session, gamma, term.record)
-        _require_record(session, rec_type, term.span)
-        extended = session.template_row(term.label, value)
-        session.unify(rec_type, TApp(REC, TRow({}, extended.tail)), term.span)
-        return TApp(REC, extended)
 
-    if isinstance(term, Restrict):
-        rec_type = _infer(session, gamma, term.record)
-        _require_record(session, rec_type, term.span)
-        row = session.template_row(term.label, session.fresh(STAR))
-        session.unify(rec_type, TApp(REC, row), term.span)
-        return TApp(REC, TRow({}, row.tail))
+def _infer_lam(session: InferSession, scope: _Scope, term: Lam) -> Type:
+    name, body, param = term.param, term.body, session.fresh(STAR)
+    outer = scope.get(name)
+    scope[name] = Scheme._normal((), param, ())
+    result = _RULES[body.__class__](session, scope, body)
+    if outer is None:
+        del scope[name]
+    else:
+        scope[name] = outer
+    return TFun(param, result)
 
-    raise AssertionError(f"unexpected term node: {term!r}")
+
+def _infer_app(session: InferSession, scope: _Scope, term: App) -> Type:
+    fun = _RULES[term.fun.__class__](session, scope, term.fun)
+    arg = _RULES[term.arg.__class__](session, scope, term.arg)
+    result = session.fresh(STAR)
+    session.unify(fun, TFun(arg, result), term.span)
+    return result
+
+
+def _infer_let(session: InferSession, scope: _Scope, term: Let) -> Type:
+    name, body, start = term.name, term.body, session._next
+    session.level += 1
+    bound = _RULES[term.bound.__class__](session, scope, term.bound)
+    session.level -= 1
+    # A bound that made no variable reaches none deeper than the session.
+    scheme = Scheme._normal((), bound, ()) if session._next == start else generalize(session, bound)
+    outer = scope.get(name)
+    scope[name] = scheme
+    result = _RULES[body.__class__](session, scope, body)
+    if outer is None:
+        del scope[name]
+    else:
+        scope[name] = outer
+    return result
+
+
+def _infer_record(session: InferSession, scope: _Scope, term: RecordLit) -> Type:
+    fields = {label: _RULES[v.__class__](session, scope, v) for label, v in term.fields.items()}
+    return TApp(REC, TRow(fields, None))
+
+
+def _infer_select(session: InferSession, scope: _Scope, term: Select) -> Type:
+    rec_type = _RULES[term.record.__class__](session, scope, term.record)
+    rec_type = _require_record(session, rec_type, term.span)
+    if isinstance(rec_type, TApp) and isinstance(rec_type.arg, TRow) and (
+        rec_type.fun is REC or rec_type.fun == REC
+    ):
+        # A closed row that has the label: the template step would only
+        # bind its value to the field and its tail to the other fields.
+        try:
+            row = session.subst.walk_row(rec_type.arg)
+        except DuplicateLabel as exc:
+            raise UnifyFailure(exc, term.span) from exc
+        if row.tail is None and term.label in row.fields:
+            return row.fields[term.label]
+    value = session.fresh(STAR)
+    session.unify(rec_type, TApp(REC, session.template_row(term.label, value)), term.span)
+    return value
+
+
+def _infer_extend(session: InferSession, scope: _Scope, term: Extend) -> Type:
+    value = _RULES[term.value.__class__](session, scope, term.value)
+    rec_type = _RULES[term.record.__class__](session, scope, term.record)
+    _require_record(session, rec_type, term.span)
+    extended = session.template_row(term.label, value)
+    session.unify(rec_type, TApp(REC, TRow({}, extended.tail)), term.span)
+    return TApp(REC, extended)
+
+
+def _infer_restrict(session: InferSession, scope: _Scope, term: Restrict) -> Type:
+    rec_type = _RULES[term.record.__class__](session, scope, term.record)
+    _require_record(session, rec_type, term.span)
+    row = session.template_row(term.label, session.fresh(STAR))
+    session.unify(rec_type, TApp(REC, row), term.span)
+    return TApp(REC, TRow({}, row.tail))
+
+
+_RULES = {
+    Var: _infer_var,
+    Lit: _infer_lit,
+    Lam: _infer_lam,
+    App: _infer_app,
+    Let: _infer_let,
+    RecordLit: _infer_record,
+    Select: _infer_select,
+    Extend: _infer_extend,
+    Restrict: _infer_restrict,
+}
 
 
 def infer_program(

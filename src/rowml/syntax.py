@@ -314,7 +314,10 @@ def base_kind_env() -> KindEnv:
 
 
 class TypeEnv(_Node):
-    """Term-variable context; lookup returns the innermost binding first."""
+    """Term-variable context; lookup returns the innermost binding first.
+    Inference reads it only as the initial environment, by name, where
+    the program binds none: it keeps the program's own bindings in a
+    scope of its own and never extends this."""
 
     __slots__ = __match_args__ = ("bindings",)
     bindings: tuple[tuple[str, Scheme], ...]

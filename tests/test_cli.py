@@ -24,6 +24,16 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def deep_let_bound_records(result: str) -> str:
+    """400 nested `let`s, after one unification step, where x_i is bound
+    to a record that holds x_(i-1), so its type is i records deep."""
+    return (
+        "let z = (\\y. y) 1 in let x0 = {a = 1} in "
+        + "".join(f"let x{i} = {{a = x{i - 1}}} in " for i in range(1, 400))
+        + result
+    )
+
+
 class TestCheck:
     def test_identity_file(self, tmp_path, capsys):
         path = write(tmp_path, "id.rml", "\\x. x\n")
@@ -177,10 +187,9 @@ class TestCheck:
             "\\r. r" + ".a" * 3000,
             "{a = " * 800 + "1" + "}" * 800,
             "".join(f"let x{i} = {i} in " for i in range(1500)) + "x0",
-            # The term nests 400 deep, but x_i's type is i records deep.
-            "let z = (\\y. y) 1 in let x0 = {a = 1} in "
-            + "".join(f"let x{i} = {{a = x{i - 1}}} in " for i in range(1, 400))
-            + "1",
+            # The term nests 400 deep, but x_i's type is i records deep,
+            # and the result resolves and prints x399's type.
+            deep_let_bound_records("x399"),
         ],
         ids=[
             "parens",
@@ -190,7 +199,7 @@ class TestCheck:
             "selections",
             "records",
             "lets",
-            "let_bound_records",
+            "let_bound_records_used",
         ],
     )
     def test_deep_nesting_is_a_located_error(self, tmp_path, capsys, src):
@@ -199,6 +208,13 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == f"{path}:1:1: error: program nested too deeply\n"
         assert captured.err == ""
+
+    def test_deep_let_bound_records_check_where_their_types_are_unused(self, tmp_path, capsys):
+        # No bound after z's makes a type variable, so no later `let`
+        # generalizes and no walk of a type meets the 400 nested records.
+        path = write(tmp_path, "deep.rml", deep_let_bound_records("1"))
+        assert main(["check", path]) == 0
+        assert capsys.readouterr().out == f"{path}: Int\n"
 
     @settings(max_examples=300, deadline=None)
     @given(st.binary(max_size=40))

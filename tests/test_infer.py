@@ -25,6 +25,7 @@ from rowml.syntax import (
     BOOL,
     INT,
     LIST,
+    Let,
     REC,
     ROW,
     STAR,
@@ -42,6 +43,7 @@ from rowml.syntax import (
     scan_rows,
 )
 from rowml.unify import DuplicateLabel, Mismatch, OccursCheck, RowMissingLabel
+from test_soundness import applied_programs
 
 A = TypeVar(0)
 RHO = TypeVar(1, ROW)
@@ -277,6 +279,41 @@ class TestHMBattery:
 
     def test_shadowing_uses_innermost_binding(self):
         assert pretty_scheme(scheme_of("\\x. \\x. x")) == "∀a:*. ∀b:*. a -> b -> b"
+
+
+class TestScopes:
+    """A program's own bindings shadow the initial environment only
+    inside their body."""
+
+    ENV = TypeEnv((("x", Scheme((), INT)),))
+
+    def test_a_lambda_and_a_let_shadow_an_initial_name(self):
+        src = '\\x. {a = let x = "s" in x, b = x}'
+        assert pretty_scheme(scheme_of(src, self.ENV)) == "∀a:*. a -> Rec {a:String, b:a}"
+
+    def test_the_initial_binding_is_visible_after_the_inner_bodies(self):
+        src = '{f = \\x. {a = let x = "s" in x, b = x}, g = x, h = let x = {} in x}'
+        assert (
+            pretty_scheme(scheme_of(src, self.ENV))
+            == "∀a:*. Rec {f:a -> Rec {a:String, b:a}, g:Int, h:Rec {}}"
+        )
+
+    def test_an_unbound_variable_keeps_its_span(self):
+        src = "let y = 1 in \\z. {a = y, b = w}"
+        with pytest.raises(UnboundVariable) as exc:
+            scheme_of(src)
+        span = exc.value.span
+        assert (span.line, span.col) == (1, 30)
+        assert src[span.start : span.end] == "w"
+
+    def test_a_failure_in_a_nested_scope_leaves_the_environment_as_it_was(self):
+        with pytest.raises(UnifyFailure):
+            scheme_of('\\y. let x = "s" in \\x. x 1 (x 2)', self.ENV)
+        assert self.ENV == TypeEnv((("x", Scheme((), INT)),))
+        src = "{a = x, b = \\x. x}"
+        fresh = TypeEnv((("x", Scheme((), INT)),))
+        assert scheme_of(src, self.ENV) == scheme_of(src, fresh)
+        assert pretty_scheme(scheme_of(src, self.ENV)) == "∀a:*. Rec {a:Int, b:a -> a}"
 
 
 class TestRecordErrors:
@@ -574,9 +611,9 @@ class TestScale:
         assert pretty_scheme(scheme_of(f"{lets}f{n - 3} {{}}")) == f"Rec {{x{n - 3}:Int}}"
 
     def test_deep_let_bound_records_generalize_without_recursion(self):
-        # No step binds a variable, so the store is empty and `generalize`
-        # collects with stacks: the last record is nested n deep, more
-        # than a recursive walk of its type could take under this stack.
+        # No bound makes a variable, so no `let` generalizes, and no walk
+        # of a type meets the last record, nested n deep: more than a
+        # recursive walk of its type could take under this stack.
         n = sys.getrecursionlimit() // 2
         lets = "".join(f"let x{i} = {{a = x{i - 1}}} in " for i in range(1, n))
         assert pretty_scheme(scheme_of(f"let x0 = 1 in {lets}1")) == "Int"
@@ -593,6 +630,57 @@ class TestScale:
             session.subst.mapping[v.id] = TRow({f"l{i}": INT}, w)
         resolved = session.resolve(record({}, tails[0])).arg
         assert len(resolved.fields) == n - 1 and resolved.tail == tails[-1]
+
+
+def nested_records(t, depth: int):
+    """The type nested `depth` records ``Rec {a:..}`` inside `t`, read
+    with a loop: `==` on the whole type would recurse."""
+    for _ in range(depth):
+        assert isinstance(t, TApp) and t.fun is REC and list(t.arg.fields) == ["a"]
+        t = t.arg.fields["a"]
+    return t
+
+
+def lambdas_result(scheme: Scheme, depth: int):
+    t = scheme.body
+    for _ in range(depth):
+        assert isinstance(t, TFun)
+        t = t.cod
+    return t
+
+
+class TestOneFramePerLevel:
+    """Each shape checks a little below the depth at which it first ran
+    out of stack on CPython 3.11 when inference recursed one Python frame
+    per level of nesting (lets 992, lambdas 991, parentheses 495, nested
+    arguments 495, records 330, selections 248, each counted from a
+    script's top level).  A rule that added a frame per level would fail
+    the shapes whose limit inference sets."""
+
+    def test_lets(self):
+        src = "".join(f"let x{i} = {i} in " for i in range(900)) + "x0"
+        assert pretty_scheme(scheme_of(src)) == "Int"
+
+    def test_lambdas(self):
+        scheme = scheme_of("".join(f"\\x{i}. " for i in range(900)) + "1")
+        assert len(scheme.quantified) == 900 and lambdas_result(scheme, 900) == INT
+
+    def test_parentheses(self):
+        assert pretty_scheme(scheme_of("(" * 450 + "1" + ")" * 450)) == "Int"
+
+    def test_nested_arguments(self):
+        src = "\\f. " + "f (" * 450 + "1" + ")" * 450
+        assert pretty_scheme(scheme_of(src)) == "(Int -> Int) -> Int"
+
+    def test_record_literals(self):
+        scheme = scheme_of("{a = " * 300 + "1" + "}" * 300)
+        assert scheme.quantified == () and nested_records(scheme.body, 300) == INT
+
+    def test_selection_chains(self):
+        scheme = scheme_of("\\r. r" + ".a" * 225)
+        dom, cod = scheme.body.dom, scheme.body.cod
+        assert len(scheme.quantified) == 226
+        assert nested_records(dom, 225) == cod
 
 
 class TestInferProgramPipeline:
@@ -893,3 +981,58 @@ class TestGeneralizeAgainstTheReference:
 
     def test_labels_from_the_store_only(self):
         self.check("let f = \\r. \\q. (\\s. \\t. 1) {b = 1, a = 2 | r} {y = 1, x = 2, c = 3 | q} in f")
+
+
+class TestLetWithoutNewVariables:
+    """A `let` whose bound made no variable binds the bound's type as it
+    is, with no `generalize` walk.  At each such `let`, the walk run on
+    the same session state must quantify nothing, pop no lacks and give
+    the resolved bound, so the two schemes mean the same."""
+
+    def check(self, src: str, env: TypeEnv | None = None) -> int:
+        """Infer `src`, checking each `let` that skipped the walk when its
+        body is entered; returns how many there were."""
+        lets = {}  # id of a let's body -> the let and the supply's count before its bound
+        skipped = []
+
+        def wrap(rule):
+            def checked_rule(session, scope, term):
+                entry = lets.pop(id(term), None)
+                if entry is not None and session._next == entry[1]:
+                    scheme = scope[entry[0].name]
+                    assert scheme.quantified == () and scheme.lacks == ()
+                    store_lacks = dict(session.subst.lacks)
+                    walked = generalize(session, scheme.body)
+                    assert walked.quantified == () and walked.lacks == ()
+                    assert session.subst.lacks == store_lacks
+                    assert walked.body == session.resolve(scheme.body)
+                    skipped.append(entry[0])
+                if isinstance(term, Let):
+                    lets[id(term.body)] = (term, session._next)
+                return rule(session, scope, term)
+
+            return checked_rule
+
+        with pytest.MonkeyPatch.context() as patch:
+            for cls, rule in list(infer_mod._RULES.items()):
+                patch.setitem(infer_mod._RULES, cls, wrap(rule))
+            try:
+                infer_program(src, env=env)
+            except InferError:
+                pass
+        return len(skipped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(applied_programs())
+    def test_applied_programs(self, src):
+        self.check(src)
+
+    @settings(max_examples=150, deadline=None)
+    @given(helper_programs())
+    def test_programs_over_an_initial_environment(self, src):
+        self.check(src, HELPERS)
+
+    def test_literals_records_and_selections_from_known_records(self):
+        src = "\\r. let a = 1 in let b = {x = a, y = r} in let c = b.y in let d = r in {c = c, d = d}"
+        assert self.check(src) == 4
+        assert self.check("let f = \\x. x in let g = f in g", HELPERS) == 0
