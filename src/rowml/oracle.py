@@ -13,13 +13,17 @@ is always relative to the space: both sides only count assignments
 whose rows fit inside it, by size, labels and field types.
 
 Ground rows are sorted (label, type name) tuples, numbered once per
-space by `_ground_row_keys`.  The instance side loops over the images'
-residual variables: for each choice of residual star types it grounds
-every image once, and an open image `{F | rho}` reads its value for
-each ground row of rho, by number, from the fit table `_fits(F, space)`,
+space by `_ground_row_keys`, and each has a bitmask of its labels,
+`_row_masks`.  The instance side loops over the images' residual
+variables: for each choice of residual star types it grounds every
+image once, and an open image `{F | rho}` reads its value for each
+ground row of rho, by number, from the fit table `_fits(F, space)`,
 which holds the merged row where it is duplicate-free and fits the
-space and None elsewhere.  Every table is a `functools` cache keyed by
-ground rows and the space, whose hash is computed once.
+space and None elsewhere.  Whether a problem's side `{G | v}` stays
+duplicate-free depends on labels alone, so it is settled before the
+loop: rho ranges only over the ground rows whose mask shares no bit
+with G's labels.  Every table is a `functools` cache keyed by ground
+rows and the space, whose hash is computed once.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from rowml.syntax import (
 Problem = tuple[TRow, TRow]
 GroundRow = tuple[tuple[str, str], ...]  # sorted (label, type name) pairs
 Assignment = frozenset  # of (variable id, GroundRow | type name)
+ProblemVars = tuple[list[TypeVar], list[TypeVar]]  # row tails, star field variables
 
 
 class GroundSpace(_Node):
@@ -96,6 +101,19 @@ def _ground_row_keys(space: GroundSpace) -> tuple[GroundRow, ...]:
 
 
 @lru_cache(maxsize=None)
+def _label_bits(space: GroundSpace) -> dict[str, int]:
+    """A bit of its own for each label of the space, by sorted order."""
+    return {label: 1 << i for i, label in enumerate(sorted(space.labels))}
+
+
+@lru_cache(maxsize=None)
+def _row_masks(space: GroundSpace) -> tuple[int, ...]:
+    """By the index of each ground row of the space, its labels' bits."""
+    bits = _label_bits(space)
+    return tuple(sum(bits[label] for label, _ in key) for key in _ground_row_keys(space))
+
+
+@lru_cache(maxsize=None)
 def _merge(fields: GroundRow, extra: GroundRow) -> GroundRow | None:
     """Union of two ground rows, or None when a label repeats."""
     if not fields:
@@ -120,7 +138,7 @@ def _absorption_index(fields: GroundRow, space: GroundSpace) -> dict[GroundRow, 
     return {merged: tuple(keys) for merged, keys in index.items()}
 
 
-def _problem_vars(problem: Problem) -> tuple[list[TypeVar], list[TypeVar]]:
+def _problem_vars(problem: Problem) -> ProblemVars:
     """Row tails and star-kinded field variables, in a fixed order."""
     row_vars: list[TypeVar] = []
     star_vars: list[TypeVar] = []
@@ -154,11 +172,14 @@ def _ground_fields(side: TRow, star_env: dict[int, str]) -> GroundRow:
     )
 
 
-def ground_solutions(problem: Problem, space: GroundSpace) -> set[Assignment]:
+def ground_solutions(
+    problem: Problem, space: GroundSpace, problem_vars: ProblemVars | None = None
+) -> set[Assignment]:
     """Every assignment of ground rows/types (within the space) to the
-    problem's variables making both sides the same label-to-type map."""
+    problem's variables making both sides the same label-to-type map.
+    `problem_vars` is `_problem_vars(problem)`, when the caller has it."""
     r1, r2 = problem
-    row_vars, star_vars = _problem_vars(problem)
+    row_vars, star_vars = problem_vars or _problem_vars(problem)
     rows = _ground_row_keys(space)
     solutions: set[Assignment] = set()
     tail1, tail2 = r1.tail, r2.tail
@@ -217,18 +238,26 @@ def _fits(fields: GroundRow, space: GroundSpace) -> tuple[GroundRow | None, ...]
     return tuple(table)
 
 
-def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assignment]:
+def _instances_within(
+    sigma, problem: Problem, space: GroundSpace, problem_vars: ProblemVars | None = None
+) -> set[Assignment]:
     """Ground instances of the substitution, restricted to assignments
     that fit in the space (size, labels and types) and are admissible
     for the problem: substituting them keeps both rows duplicate-free.
+    `problem_vars` is `_problem_vars(problem)`, when the caller has it.
 
-    The residual variables of the images range over the space.  For each
-    choice of residual star types, every row variable's image and every
-    open side of the problem are grounded once; an open image
-    `{F | rho}` then reads its value for each ground row of rho, by index,
-    from the table `_fits(F, space)`, so the loop over residual rows does
-    one table read per row variable and one merge per open side."""
-    row_vars, star_vars = _problem_vars(problem)
+    The residual variables of the images range over the space.  An open
+    side `{G | v}` of the problem stays duplicate-free when the value of
+    `v` has none of G's labels.  Labels do not depend on the residual
+    star types, so that is settled once: when the image of `v` has one of
+    them in its own fields no instance is admissible, and when the image
+    is open, `{F | rho}`, rho takes only the ground rows whose label mask
+    (`_row_masks`) shares no bit with G's.  Then, for each choice of
+    residual star types, every row variable's image is grounded once, and
+    an open image reads its value for each ground row of its residual
+    tail, by index, from the table `_fits(F, space)`; the loop over
+    residual rows does one table read per row variable and no merge."""
+    row_vars, star_vars = problem_vars or _problem_vars(problem)
     images: dict[int, Type] = {}
     for v in row_vars:
         image = sigma.mapping.get(v.id, v)
@@ -244,8 +273,19 @@ def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assign
             if free not in bucket:
                 bucket.append(free)
     position = {v.id: i for i, v in enumerate(residual_rows)}
-    indices = range(len(_ground_row_keys(space)))
-    choices = list(itertools.product(indices, repeat=len(residual_rows)))
+    clashing = [0] * len(residual_rows)  # per residual row, the labels it must lack
+    bits = _label_bits(space)
+    for side in problem:
+        if side.tail is not None:
+            image = images[side.tail.id]
+            if side.fields.keys() & image.fields.keys():
+                return set()
+            if image.tail is not None:
+                for label in side.fields:
+                    clashing[position[image.tail.id]] |= bits.get(label, 0)
+    masks = _row_masks(space)
+    allowed = [[i for i, mask in enumerate(masks) if not mask & lacks] for lacks in clashing]
+    choices = list(itertools.product(*allowed))
 
     out: set[Assignment] = set()
     for star_choice in itertools.product(space.type_names, repeat=len(residual_stars)):
@@ -254,11 +294,6 @@ def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assign
         for v in star_vars:
             image = images[v.id]
             values[v.id] = image.name if isinstance(image, TCon) else star_env[image.id]
-        open_sides = [
-            (_ground_fields(side, values), side.tail.id)
-            for side in problem
-            if side.tail is not None
-        ]
         tables: list[tuple[int, tuple[GroundRow | None, ...], int]] = []
         for v in row_vars:
             image = images[v.id]
@@ -277,8 +312,7 @@ def _instances_within(sigma, problem: Problem, space: GroundSpace) -> set[Assign
                         break
                     values[vid] = value
                 else:
-                    if all(_merge(fields, values[tail]) is not None for fields, tail in open_sides):
-                        out.add(frozenset(values.items()))
+                    out.add(frozenset(values.items()))
     return out
 
 
@@ -297,7 +331,8 @@ def oracle_agrees(problem: Problem, space: GroundSpace, unifier=None) -> bool:
         sigma = run(r1, r2, FreshVars(1_000_000))
     except UnifyError:
         sigma = None
-    solutions = ground_solutions(problem, space)
+    problem_vars = _problem_vars(problem)
+    solutions = ground_solutions(problem, space, problem_vars)
     if sigma is None:
         return not solutions
     try:
@@ -305,7 +340,7 @@ def oracle_agrees(problem: Problem, space: GroundSpace, unifier=None) -> bool:
             return False
     except UnifyError:
         return False
-    return _instances_within(sigma, problem, space) == solutions
+    return _instances_within(sigma, problem, space, problem_vars) == solutions
 
 
 # ---------------------------------------------------------------------------

@@ -80,16 +80,21 @@ _new = tuple.__new__
 
 
 class ParseError(Exception):
+    """The source does not parse: at `span`, one of `expected` was due
+    and `found` came.  The fields are its `args` too, so it copies and
+    pickles; its message is rendered when it is read."""
+
     def __init__(self, span: SourceSpan, expected: tuple[str, ...], found: str) -> None:
         assert expected, "a parse error must list what it expected"
+        super().__init__(span, expected, found)
         self.span = span
         self.expected = expected
         self.found = found
-        if len(expected) == 1:
-            what = expected[0]
-        else:
-            what = "one of: " + ", ".join(expected)
-        super().__init__(f"expected {what}, found {found}")
+
+    def __str__(self) -> str:
+        expected = self.expected
+        what = expected[0] if len(expected) == 1 else "one of: " + ", ".join(expected)
+        return f"expected {what}, found {self.found}"
 
 
 # Splitting on tokens leaves the space between them.  The last

@@ -47,48 +47,60 @@ from rowml.syntax import (
 
 
 class UnifyError(Exception):
-    """Base class for unification failures."""
+    """Base class for unification failures.  A failure keeps the types
+    and labels it names, as attributes and as its `args`, so it copies
+    and pickles; its message is rendered when it is read, by `str`."""
 
 
 class Mismatch(UnifyError):
     """Two types with different head constructors."""
 
     def __init__(self, left: Type, right: Type) -> None:
+        super().__init__(left, right)
         self.left = left
         self.right = right
-        left_s, right_s = pretty_types_shared([left, right])
-        super().__init__(f"cannot unify {left_s} with {right_s}")
+
+    def __str__(self) -> str:
+        left_s, right_s = pretty_types_shared([self.left, self.right])
+        return f"cannot unify {left_s} with {right_s}"
 
 
 class OccursCheck(UnifyError):
     """Binding the variable would make it contain itself."""
 
     def __init__(self, var: TypeVar, type_: Type) -> None:
+        super().__init__(var, type_)
         self.var = var
         self.type = type_
-        var_s, type_s = pretty_types_shared([var, type_])
-        super().__init__(f"infinite type: {var_s} occurs in {type_s}")
+
+    def __str__(self) -> str:
+        var_s, type_s = pretty_types_shared([self.var, self.type])
+        return f"infinite type: {var_s} occurs in {type_s}"
 
 
 class RowMissingLabel(UnifyError):
     """A closed row lacks a label required by the other side."""
 
     def __init__(self, label: str, closed_row: TRow) -> None:
+        super().__init__(label, closed_row)
         self.label = label
         self.closed_row = closed_row
-        super().__init__(f"record row {pretty_type(closed_row)} lacks label '{label}'")
+
+    def __str__(self) -> str:
+        return f"record row {pretty_type(self.closed_row)} lacks label '{self.label}'"
 
 
 class RowTailEscape(UnifyError):
     """One row variable terminates both rows but their fields differ."""
 
     def __init__(self, var: TypeVar, row: TRow) -> None:
+        super().__init__(var, row)
         self.var = var
         self.row = row
-        var_s, row_s = pretty_types_shared([var, row])
-        super().__init__(
-            f"row variable {var_s} would have to contain itself to match {row_s}"
-        )
+
+    def __str__(self) -> str:
+        var_s, row_s = pretty_types_shared([self.var, self.row])
+        return f"row variable {var_s} would have to contain itself to match {row_s}"
 
 
 class DuplicateLabel(UnifyError):
@@ -96,9 +108,12 @@ class DuplicateLabel(UnifyError):
     extending a record with a label it already has."""
 
     def __init__(self, label: str, row: TRow) -> None:
+        super().__init__(label, row)
         self.label = label
         self.row = row
-        super().__init__(f"duplicate record label '{label}'")
+
+    def __str__(self) -> str:
+        return f"duplicate record label '{self.label}'"
 
 
 class Subst:

@@ -99,6 +99,25 @@ class TestCheck:
         assert out.startswith(f"{path}:1:")
         assert "error" in out and "name" in out
 
+    @pytest.mark.parametrize(
+        "src, line",
+        [
+            ("1 2", "1:1: error: cannot unify Int with Int -> a"),
+            ("\\f. f f", "1:5: error: infinite type: a occurs in a -> b"),
+            ("(\\r. r.name) {age = 7}", "1:1: error: record row {age:Int} lacks label 'name'"),
+            (
+                "\\r. (\\f. f r (f {x = 1 | r} 1)) (\\a. \\b. b)",
+                "1:15: error: row variable a would have to contain itself to match {x:Int | a}",
+            ),
+            ("{a = 1 | {a = 2}}", "1:1: error: duplicate record label 'a'"),
+        ],
+        ids=["Mismatch", "OccursCheck", "RowMissingLabel", "RowTailEscape", "DuplicateLabel"],
+    )
+    def test_each_unifier_failure_prints_its_exact_message(self, tmp_path, capsys, src, line):
+        path = write(tmp_path, "bad.rml", src + "\n")
+        assert main(["check", path]) == 1
+        assert capsys.readouterr().out == f"{path}:{line}\n"
+
     def test_parse_error_location(self, tmp_path, capsys):
         path = write(tmp_path, "syn.rml", "let x = in x")
         assert main(["check", path]) == 1

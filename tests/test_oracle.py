@@ -1,5 +1,6 @@
 """Tests for the brute-force row-unification oracle."""
 
+import importlib
 import itertools
 import math
 
@@ -182,6 +183,19 @@ class TestOracleAgrees:
         result = run_campaign(exhaustive_problems(space), space)
         assert result == CampaignResult(problems=486, failures=0, first_failure=None)
 
+    def test_the_oracle_renders_no_message(self, monkeypatch):
+        # Most problems fail to unify; the verdict reads only the class.
+        def render(*_args, **_kwargs):
+            raise AssertionError("the oracle rendered a unifier message")
+
+        # The package's `unify` is the function, which hides the module.
+        unify_module = importlib.import_module("rowml.unify")
+        monkeypatch.setattr(unify_module, "pretty_type", render)
+        monkeypatch.setattr(unify_module, "pretty_types_shared", render)
+        space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2)
+        result = run_campaign(exhaustive_problems(space), space)
+        assert result == CampaignResult(problems=486, failures=0, first_failure=None)
+
     def test_exhaustive_with_variable_fields(self):
         # exhaustive over a tiny space where fields may also be type
         # variables, so every pointwise-unification shape is covered
@@ -339,6 +353,20 @@ class TestInstancesWithin:
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(NAIVE_SPACES), problems(), hand_built_substitutions())
     @example(NAIVE_SPACES[1], (TRow({}, RHO), TRow({"b": BOOL})), {RHO.id: TRow({"b": BOOL})})
+    # The side's label c clashes with the residual row of ρ's image, which
+    # may hold c, so only the residual rows without c are admissible.
+    @example(
+        NAIVE_SPACES[1],
+        (TRow({"c": INT}, RHO), TRow({}, RHO2)),
+        {RHO.id: TRow({"b": GAMMA}, RHO3), RHO2.id: TRow({}, RHO3)},
+    )
+    # The side's label a lies outside the space: no residual row holds it,
+    # so it rules none out.
+    @example(
+        NAIVE_SPACES[1],
+        (TRow({"a": INT, "b": ALPHA}, RHO), TRow({}, RHO2)),
+        {RHO.id: TRow({}, RHO3), RHO2.id: TRow({"c": ALPHA}, RHO3)},
+    )
     def test_hand_built_substitutions_match_the_definition(self, space, problem, mapping):
         sigma = Subst(mapping)
         assert _instances_within(sigma, problem, space) == naive_instances(sigma, problem, space)

@@ -1,5 +1,7 @@
 """Tests for the lexer and parser, including print/parse round trips."""
 
+import copy
+import pickle
 import re
 import sys
 
@@ -140,6 +142,34 @@ class TestParseTermErrors:
         span = exc.value.span
         assert (span.start, span.end) == (len("let x = "), len(src) - len(" in x"))
         assert "digits" in str(exc.value)
+
+
+    @pytest.mark.parametrize(
+        "src, fields, message",
+        [
+            (
+                "let x = 1 in )",
+                (SourceSpan(13, 14, 1, 14), ("identifier", "literal", "'('", "'{'"), "')'"),
+                "expected one of: identifier, literal, '(', '{', found ')'",
+            ),
+            (
+                '"a\\qb"',
+                (SourceSpan(0, 3, 1, 1), ("escape sequence",), "'q'"),
+                "expected escape sequence, found 'q'",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, lambda exc: pickle.loads(pickle.dumps(exc))], ids=["copy", "pickle"]
+    )
+    def test_errors_copy_and_pickle(self, src, fields, message, duplicate):
+        with pytest.raises(ParseError) as exc:
+            parse_term(src)
+        for error in (exc.value, duplicate(exc.value)):
+            assert type(error) is ParseError
+            assert (error.span, error.expected, error.found) == fields
+            assert error.args == fields
+            assert str(error) == message
 
 
 class TestSpans:

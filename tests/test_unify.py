@@ -1,5 +1,8 @@
 """Tests for substitutions and (row) unification."""
 
+import copy
+import pickle
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -380,6 +383,75 @@ class TestUnifyRows:
     def test_empty_open_row_unifies_with_anything(self):
         s = unify_rows(TRow({}, RHO), TRow({"a": INT, "b": BOOL}))
         assert s.mapping == {RHO.id: TRow({"a": INT, "b": BOOL})}
+
+
+# Each failure class raised by a unification, with its fields and the
+# exact message it renders.
+FAILURES = [
+    pytest.param(
+        lambda: unify(TApp(LIST, A), TFun(A, B)),
+        Mismatch,
+        {"left": TApp(LIST, A), "right": TFun(A, B)},
+        "cannot unify List a with a -> b",
+        id="Mismatch",
+    ),
+    pytest.param(
+        lambda: unify(A, TFun(B, TApp(LIST, A))),
+        OccursCheck,
+        {"var": A, "type": TFun(B, TApp(LIST, A))},
+        "infinite type: a occurs in b -> List a",
+        id="OccursCheck",
+    ),
+    pytest.param(
+        lambda: unify_rows(TRow({"a": INT, "c": A}, RHO), TRow({"b": BOOL})),
+        RowMissingLabel,
+        {"label": "a", "closed_row": TRow({"b": BOOL})},
+        "record row {b:Bool} lacks label 'a'",
+        id="RowMissingLabel",
+    ),
+    pytest.param(
+        lambda: unify_rows(TRow({"a": INT}, RHO), TRow({"b": A}, RHO)),
+        RowTailEscape,
+        {"var": RHO, "row": TRow({"b": A}, RHO)},
+        "row variable a would have to contain itself to match {b:b | a}",
+        id="RowTailEscape",
+    ),
+    pytest.param(
+        lambda: unify(
+            TFun(record({"a": INT}, RHO), record({}, RHO)),
+            TFun(record({"b": INT}, RHO1), record({"a": BOOL}, RHO1)),
+        ),
+        DuplicateLabel,
+        {"label": "a", "row": TRow({"a": INT}, TypeVar(4, ROW))},
+        "duplicate record label 'a'",
+        id="DuplicateLabel",
+    ),
+]
+
+
+class TestFailures:
+    @pytest.mark.parametrize("step, cls, fields, message", FAILURES)
+    def test_each_failure_keeps_its_fields_and_renders_its_message(
+        self, step, cls, fields, message
+    ):
+        with pytest.raises(UnifyError) as info:
+            step()
+        assert type(info.value) is cls
+        assert vars(info.value) == fields
+        assert info.value.args == tuple(fields.values())
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("step, cls, fields, message", FAILURES)
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, lambda exc: pickle.loads(pickle.dumps(exc))], ids=["copy", "pickle"]
+    )
+    def test_each_failure_copies_and_pickles(self, step, cls, fields, message, duplicate):
+        with pytest.raises(UnifyError) as info:
+            step()
+        twin = duplicate(info.value)
+        assert type(twin) is cls
+        assert vars(twin) == fields
+        assert str(twin) == message
 
 
 # -- properties ---------------------------------------------------------------
