@@ -43,9 +43,10 @@ error of the unification step that would make it; nothing is walked
 again afterwards.  The store is the one record of the labels a row
 variable lacks: `generalize` moves a quantified row variable's labels
 from it into the scheme, and `instantiate` gives them to the variable's
-fresh copy.  One walk of the bound type resolves it and collects its
-free variables, so the scheme is built in normal form and not walked
-again.
+fresh copy.  `generalize` resolves the bound type and collects its free
+variables in one walk, `Subst.apply_collecting`, so the scheme is built
+in normal form and not walked again.  At the top level too the inferred
+type goes to `generalize` unresolved.
 
 Inference is staged: `infer_program` first kind-checks every scheme of
 the initial environment, then runs inference; constraint solving never
@@ -53,8 +54,6 @@ consults the kind checker.
 """
 
 from __future__ import annotations
-
-import operator
 
 from rowml.kindcheck import KindError, UnboundTypeName, check_scheme
 from rowml.parser import SourceSpan, parse_term
@@ -199,19 +198,20 @@ def instantiate(session: InferSession, scheme: Scheme) -> Type:
 
 
 def generalize(session: InferSession, tau: Type) -> Scheme:
-    """Quantify the variables of the resolved `tau` that live deeper than
-    the session's current level, in first-occurrence order, and move the
-    labels they lack from the store into the scheme.
+    """Quantify the variables of `tau`, read through the store, that live
+    deeper than the session's current level, in first-occurrence order,
+    and move the labels they lack from the store into the scheme.
 
     Every row of `tau` must have been registered with the store, as
     `_infer` registers the rows it builds: the store's labels are then
     all a quantified row variable lacks, those of the rows it ends
-    included.  One walk resolves `tau` and collects its free variables,
-    so the scheme is built in normal form and its body is not walked
-    again.  The walk recurses, as `Subst.apply` does.  With an empty
-    store there is nothing to resolve, and `free_vars_ordered` collects
-    with a stack of its own, so a type built with no unification step
-    generalizes however deep it is.
+    included.  `tau` need not be resolved: `Subst.apply_collecting`
+    resolves it and collects its free variables in one walk, so the
+    scheme is built in normal form and its body is not walked again.
+    That walk recurses.  With an empty store there is nothing to
+    resolve, and `free_vars_ordered` collects with a stack of its own, so
+    a type built with no unification step generalizes however deep it
+    is.
 
     A `let` whose bound made no fresh variable does not call this: the
     variables free in the environment are at the session's level or
@@ -222,7 +222,7 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
     subst = session.subst
     if subst.mapping:
         free: dict[int, TypeVar] = {}
-        tau = _resolve_collecting(subst, tau, free)
+        tau = subst.apply_collecting(tau, free)
     else:
         free = {v.id: v for v in free_vars_ordered(tau)}
     level, levels = session.level, subst.levels
@@ -234,41 +234,6 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
         if labels:
             lacks.append((v, tuple(sorted(labels))))
     return Scheme._normal(quantified, tau, tuple(lacks))
-
-
-def _resolve_collecting(subst: Subst, t: Type, free: dict[int, TypeVar]) -> Type:
-    """`subst.apply(t)`, returning unchanged subtrees as they are.  The
-    same walk adds the unbound variables of the result to `free` in the
-    order `free_vars_ordered` visits them (row fields by label, then the
-    tail)."""
-    if isinstance(t, TypeVar):
-        t = subst.find(t)
-        if isinstance(t, TypeVar):
-            if t.id not in free:
-                free[t.id] = t
-            return t
-    if isinstance(t, TCon):
-        return t
-    if isinstance(t, TFun):
-        dom = _resolve_collecting(subst, t.dom, free)
-        cod = _resolve_collecting(subst, t.cod, free)
-        return t if dom is t.dom and cod is t.cod else TFun(dom, cod)
-    if isinstance(t, TApp):
-        fun = _resolve_collecting(subst, t.fun, free)
-        arg = _resolve_collecting(subst, t.arg, free)
-        return t if fun is t.fun and arg is t.arg else TApp(fun, arg)
-    if isinstance(t, TRow):
-        row = subst.walk_row(t)
-        fields = dict.fromkeys(row.fields)  # the order `Subst.apply` keeps
-        for label in sorted(fields):
-            fields[label] = _resolve_collecting(subst, row.fields[label], free)
-        tail = row.tail
-        if tail is not None and tail.id not in free:
-            free[tail.id] = tail
-        if row is t and all(map(operator.is_, fields.values(), t.fields.values())):
-            return t
-        return TRow(fields, tail)
-    raise AssertionError(f"unexpected type node: {t!r}")
 
 
 def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> Type:
@@ -283,7 +248,8 @@ def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> 
 
 
 def infer_term(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
-    """Infer the type of `term` under `gamma`, fully resolved."""
+    """Infer the type of `term` under `gamma`, fully resolved.
+    `infer_program` does not call this: `generalize` resolves its type."""
     return session.resolve(_infer(session, gamma, term))
 
 
@@ -447,7 +413,7 @@ def infer_program(
     session = InferSession(fresh_start=top + 1)
     session.subst.lacks.update(free_rows)
     session.level += 1
-    inferred = infer_term(session, gamma, term)
+    inferred = _infer(session, gamma, term)
     session.level -= 1
     result = generalize(session, inferred)
     return Scheme._normal(result.quantified, canonicalize(result.body), result.lacks)

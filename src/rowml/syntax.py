@@ -661,40 +661,3 @@ def pretty_types_shared(types: Iterable[Type]) -> list[str]:
             if v.id not in names:
                 names[v.id] = next(seq)
     return [pretty_type(t, names) for t in types]
-
-
-def _quote(s: str) -> str:
-    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
-    return '"' + "".join(escapes.get(c, c) for c in s) + '"'
-
-
-def pretty_term(t: Term) -> str:
-    """Render a term in the concrete syntax accepted by the parser."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Lit):
-        return _quote(t.value) if isinstance(t.value, str) else str(t.value)
-    if isinstance(t, Lam):
-        return f"\\{t.param}. {pretty_term(t.body)}"
-    if isinstance(t, Let):
-        return f"let {t.name} = {pretty_term(t.bound)} in {pretty_term(t.body)}"
-    if isinstance(t, App):
-        fun = pretty_term(t.fun)
-        if isinstance(t.fun, (Lam, Let)):
-            fun = f"({fun})"
-        return f"{fun} {_term_atom(t.arg)}"
-    if isinstance(t, Select):
-        return f"{_term_atom(t.record)}.{t.label}"
-    if isinstance(t, Restrict):
-        return f"{_term_atom(t.record)} - {t.label}"
-    if isinstance(t, RecordLit):
-        inner = ", ".join(f"{l} = {pretty_term(t.fields[l])}" for l in sorted(t.fields))
-        return "{" + inner + "}"
-    if isinstance(t, Extend):
-        return f"{{{t.label} = {pretty_term(t.value)} | {pretty_term(t.record)}}}"
-    raise AssertionError(f"unexpected term node: {t!r}")
-
-
-def _term_atom(t: Term) -> str:
-    s = pretty_term(t)
-    return f"({s})" if isinstance(t, (Lam, Let, App)) else s

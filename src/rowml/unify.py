@@ -197,25 +197,39 @@ class Subst:
     def apply(self, t: Type) -> Type:
         """`t` with every bound variable replaced by what it stands for.
         A subtree that mentions no bound variable comes back as it is."""
-        if not self.mapping:
-            return t
+        return self.apply_collecting(t, {}) if self.mapping else t
+
+    def apply_collecting(self, t: Type, free: dict[int, TypeVar]) -> Type:
+        """`apply(t)`, whose walk also adds the unbound variables of the
+        result to `free` in the order `free_vars_ordered` visits them:
+        row fields by label, then the tail.  A row keeps its field order."""
         if isinstance(t, TypeVar):
-            image = self.find(t)
-            return image if isinstance(image, TypeVar) else self.apply(image)
+            t = self.find(t)
+            if isinstance(t, TypeVar):
+                if t.id not in free:
+                    free[t.id] = t
+                return t
         if isinstance(t, TCon):
             return t
-        if isinstance(t, TApp):
-            fun, arg = self.apply(t.fun), self.apply(t.arg)
-            return t if fun is t.fun and arg is t.arg else TApp(fun, arg)
         if isinstance(t, TFun):
-            dom, cod = self.apply(t.dom), self.apply(t.cod)
+            dom = self.apply_collecting(t.dom, free)
+            cod = self.apply_collecting(t.cod, free)
             return t if dom is t.dom and cod is t.cod else TFun(dom, cod)
+        if isinstance(t, TApp):
+            fun = self.apply_collecting(t.fun, free)
+            arg = self.apply_collecting(t.arg, free)
+            return t if fun is t.fun and arg is t.arg else TApp(fun, arg)
         if isinstance(t, TRow):
             row = self.walk_row(t)
-            fields = {label: self.apply(f) for label, f in row.fields.items()}
+            fields = dict.fromkeys(row.fields)
+            for label in sorted(fields):
+                fields[label] = self.apply_collecting(row.fields[label], free)
+            tail = row.tail
+            if tail is not None and tail.id not in free:
+                free[tail.id] = tail
             if row is t and all(map(operator.is_, fields.values(), t.fields.values())):
                 return t
-            return TRow(fields, row.tail)
+            return TRow(fields, tail)
         raise AssertionError(f"unexpected type node: {t!r}")
 
     def _lack(self, vid: int, labels: Iterable[str]) -> None:

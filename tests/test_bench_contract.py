@@ -11,6 +11,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import rowml.cli
+import rowml.infer
+import rowml.oracle
+import rowml.parser
+import rowml.syntax
+import rowml.unify
 from rowml.infer import infer_program
 from rowml.parser import parse_term
 from rowml.syntax import ROW, STAR, TRow, Term, TypeVar
@@ -28,11 +34,11 @@ def bench(monkeypatch):
 
 def rowml_modules() -> SimpleNamespace:
     """The submodules by name, as `bench/run.py` hands them to the
-    tracer: the package itself re-exports a function named `unify`."""
-    return SimpleNamespace(**{
-        module: importlib.import_module(f"rowml.{module}")
-        for module in ("cli", "infer", "oracle", "parser", "syntax", "unify")
-    })
+    tracer."""
+    return SimpleNamespace(
+        cli=rowml.cli, infer=rowml.infer, oracle=rowml.oracle,
+        parser=rowml.parser, syntax=rowml.syntax, unify=rowml.unify,
+    )
 
 
 def test_the_tracer_wraps_every_boundary_and_counts_through_them(bench):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import ModuleType
 
 import hypothesis.strategies as st
 import pytest
@@ -15,7 +16,7 @@ import rowml
 from rowml.cli import cmd_check, cmd_oracle, cmd_repl, main
 from rowml.infer import infer_program
 from rowml.parser import ParseError
-from rowml.syntax import pretty_scheme
+from rowml.syntax import TRow, pretty_scheme
 
 
 def write(tmp_path, name, text):
@@ -325,3 +326,22 @@ class TestOracleCommand:
     def test_main_dispatches(self, capsys):
         assert main(["oracle", "--labels", "1", "--types", "1", "--max-size", "1", "--samples", "5"]) == 0
         assert "failures" in capsys.readouterr().out
+
+
+class TestPackage:
+    def test_the_package_exports_the_library_example_and_no_other_name(self):
+        exported = {
+            name for name, value in vars(rowml).items()
+            if not name.startswith("_") and not isinstance(value, ModuleType)
+        }
+        assert exported == {"infer_program", "pretty_scheme"}
+        src = 'let f = \\r. r.name in f {name = "a", age = 1}'
+        assert rowml.pretty_scheme(rowml.infer_program(src)) == "String"
+
+    def test_a_submodule_is_reached_by_its_dotted_name(self, monkeypatch):
+        # A package name that shadows `rowml.unify` would bind here instead.
+        import rowml.unify as unify_module
+
+        assert unify_module.Subst.__module__ == "rowml.unify"
+        monkeypatch.setattr("rowml.unify.pretty_type", lambda _t: "ROW")
+        assert str(unify_module.RowMissingLabel("a", TRow({}))) == "record row ROW lacks label 'a'"

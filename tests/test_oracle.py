@@ -1,6 +1,5 @@
 """Tests for the brute-force row-unification oracle."""
 
-import importlib
 import itertools
 import math
 
@@ -188,10 +187,8 @@ class TestOracleAgrees:
         def render(*_args, **_kwargs):
             raise AssertionError("the oracle rendered a unifier message")
 
-        # The package's `unify` is the function, which hides the module.
-        unify_module = importlib.import_module("rowml.unify")
-        monkeypatch.setattr(unify_module, "pretty_type", render)
-        monkeypatch.setattr(unify_module, "pretty_types_shared", render)
+        monkeypatch.setattr("rowml.unify.pretty_type", render)
+        monkeypatch.setattr("rowml.unify.pretty_types_shared", render)
         space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2)
         result = run_campaign(exhaustive_problems(space), space)
         assert result == CampaignResult(problems=486, failures=0, first_failure=None)

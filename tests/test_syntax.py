@@ -47,12 +47,12 @@ from rowml.syntax import (
     canonicalize,
     free_vars_ordered,
     pretty_scheme,
-    pretty_term,
     pretty_type,
     record,
     type_kind,
 )
 from rowml.unify import Mismatch
+from test_parser import pretty_term
 
 A = TypeVar(0)
 B = TypeVar(1)

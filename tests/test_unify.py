@@ -5,7 +5,7 @@ import pickle
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from rowml.oracle import GroundSpace, oracle_agrees
 from rowml.syntax import (
@@ -176,6 +176,43 @@ def rebuild_apply(mapping, t):
             tail = image.tail
         return TRow(fields, tail)
     return t
+
+
+def assert_shares_unbound_subtrees(mapping, t, out):
+    """Each subtree of `t` that mentions no bound variable is, as the same
+    object, at its place in `out`."""
+    if not {v.id for v in free_vars_ordered(t)} & mapping.keys():
+        assert out is t
+    elif isinstance(t, TFun):
+        assert_shares_unbound_subtrees(mapping, t.dom, out.dom)
+        assert_shares_unbound_subtrees(mapping, t.cod, out.cod)
+    elif isinstance(t, TApp):
+        assert_shares_unbound_subtrees(mapping, t.fun, out.fun)
+        assert_shares_unbound_subtrees(mapping, t.arg, out.arg)
+    elif isinstance(t, TRow):
+        for label, field in t.fields.items():
+            assert_shares_unbound_subtrees(mapping, field, out.fields[label])
+
+
+class TestApplyCollecting:
+    @given(store_mappings(), store_types(-1))
+    # Variables are collected by label, not in the row's own order.
+    @example({12: INT}, TApp(REC, TRow({"b": TypeVar(10), "a": TypeVar(11)})))
+    # The bound tail brings back the label the row has.
+    @example({14: TRow({"a": INT})}, TApp(REC, TRow({"a": BOOL}, TypeVar(14, ROW))))
+    def test_the_walk_is_apply_and_collects_in_free_vars_order(self, mapping, t):
+        try:
+            expected = Subst(dict(mapping)).apply(t)
+        except DuplicateLabel as exc:
+            with pytest.raises(DuplicateLabel) as again:
+                Subst(dict(mapping)).apply_collecting(t, {})
+            assert again.value.label == exc.label
+            return
+        free = {}
+        out = Subst(dict(mapping)).apply_collecting(t, free)
+        assert out == expected == rebuild_apply(mapping, t)
+        assert_shares_unbound_subtrees(mapping, t, out)
+        assert list(free.values()) == free_vars_ordered(out)
 
 
 class TestUnify:
