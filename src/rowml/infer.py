@@ -63,7 +63,6 @@ from rowml.syntax import (
     FreshVars,
     INT,
     Kind,
-    KindEnv,
     Lam,
     Let,
     Lit,
@@ -84,7 +83,6 @@ from rowml.syntax import (
     TypeEnv,
     TypeVar,
     Var,
-    base_kind_env,
     canonicalize,
     free_vars_ordered,
     pretty_types_shared,
@@ -247,12 +245,6 @@ def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> 
     return found
 
 
-def infer_term(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
-    """Infer the type of `term` under `gamma`, fully resolved.
-    `infer_program` does not call this: `generalize` resolves its type."""
-    return session.resolve(_infer(session, gamma, term))
-
-
 class _Scope(dict):
     """A program's own bindings by name; a name with no entry means what
     the initial environment `initial` says."""
@@ -384,24 +376,25 @@ _RULES = {
 def infer_program(
     src: str,
     env: TypeEnv | None = None,
-    delta: KindEnv | None = None,
+    delta: dict[int, Kind] = {},
 ) -> Scheme:
     """Parse, kind-check, infer, and generalize a whole program.
 
-    Stage one kind-checks every scheme in the initial environment (the
-    only type annotations a program has); stage two runs inference and
-    generalizes at top level.  The returned scheme has canonically
-    ordered rows.  Raises ParseError, KindFailure, or one of the
-    inference errors; the first failing stage wins.
+    Stage one kind-checks every scheme in the initial environment `env`
+    (the only type annotations a program has) under `delta`, which maps
+    the ids of the environment's free type variables to their kinds and
+    is only read; constructors take their kinds from `BASE_CONSTRUCTORS`.
+    Stage two runs inference and generalizes at top level.  The returned
+    scheme has canonically ordered rows.  Raises ParseError, KindFailure,
+    or one of the inference errors; the first failing stage wins.
     """
     term = parse_term(src)
-    kind_env = delta if delta is not None else base_kind_env()
     gamma = env if env is not None else TypeEnv()
     top = -1
     free_rows: dict[int, frozenset[str]] = {}  # the labels the environment's free row variables lack
     for _, scheme in gamma:
         try:
-            check_scheme(kind_env, scheme)
+            check_scheme(delta, scheme)
         except (KindError, UnboundTypeName) as exc:
             raise KindFailure(exc) from exc
         rows: dict[int, frozenset[str]] = {}

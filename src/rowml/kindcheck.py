@@ -2,16 +2,19 @@
 
 Every type expression entering inference is first assigned a kind here,
 so unification and the typing rules only ever see well-kinded types.
-There is no kind inference: quantified variables carry explicit kinds,
-and internal variables get theirs at the point of introduction.
+The judgement is ``Δ ⊢ τ : κ``, where Δ is a plain dict from the ids of
+the type variables in scope to their kinds.  A constructor's kind comes
+from `BASE_CONSTRUCTORS`, the fixed table the parser reads too.  There
+is no kind inference: quantified variables carry explicit kinds, and
+internal variables get theirs at the point of introduction.
 """
 
 from __future__ import annotations
 
 from rowml.syntax import (
     ArrowKind,
+    BASE_CONSTRUCTORS,
     Kind,
-    KindEnv,
     ROW,
     STAR,
     Scheme,
@@ -48,24 +51,25 @@ class KindError(Exception):
         )
 
 
-def kind_of(delta: KindEnv, tau: Type) -> Kind:
-    """The unique kind of `tau` under `delta`.
+def kind_of(delta: dict[int, Kind], tau: Type) -> Kind:
+    """The unique kind of `tau` under `delta`, which maps the ids of the
+    type variables in scope to their kinds.
 
-    Raises UnboundTypeName when a constructor or variable is missing
-    from the context, KindError on any mismatch.
+    Raises UnboundTypeName when a variable is missing from `delta` or a
+    constructor from `BASE_CONSTRUCTORS`, KindError on any mismatch.
     """
     if isinstance(tau, TypeVar):
-        k = delta.vars.get(tau.id)
+        k = delta.get(tau.id)
         if k is None:
             raise UnboundTypeName(tau.id)
         return k
     if isinstance(tau, TCon):
-        k = delta.cons.get(tau.name)
-        if k is None:
+        con = BASE_CONSTRUCTORS.get(tau.name)
+        if con is None:
             raise UnboundTypeName(tau.name)
-        if k != tau.kind:
-            raise KindError(tau, k, tau.kind)
-        return k
+        if con.kind != tau.kind:
+            raise KindError(tau, con.kind, tau.kind)
+        return con.kind
     if isinstance(tau, TFun):
         for side in (tau.dom, tau.cod):
             k = kind_of(delta, side)
@@ -93,10 +97,10 @@ def kind_of(delta: KindEnv, tau: Type) -> Kind:
     raise AssertionError(f"unexpected type node: {tau!r}")
 
 
-def check_scheme(delta: KindEnv, scheme: Scheme) -> None:
+def check_scheme(delta: dict[int, Kind], scheme: Scheme) -> None:
     """Check that a scheme's body has kind ``*`` with its quantified
-    variables in scope at their declared kinds."""
-    inner = delta.with_vars(scheme.quantified)
+    variables in scope at their declared kinds; `delta` is not changed."""
+    inner = delta | {v.id: v.kind for v in scheme.quantified}
     k = kind_of(inner, scheme.body)
     if k is not STAR:
         raise KindError(scheme.body, STAR, k)

@@ -156,8 +156,6 @@ def _problem_vars(problem: Problem) -> ProblemVars:
             )
         if side.tail is not None and side.tail not in row_vars:
             row_vars.append(side.tail)
-    if len(row_vars) > 2:
-        raise ValueError("oracle problems allow at most two distinct row variables")
     return row_vars, star_vars
 
 

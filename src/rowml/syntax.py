@@ -290,29 +290,6 @@ class Scheme(_Node):
 # Environments
 
 
-class KindEnv:
-    """Kinding context: the kinds of type constructors and type variables."""
-
-    __slots__ = ("cons", "vars")
-
-    def __init__(
-        self, cons: dict[str, Kind] | None = None, vars: dict[int, Kind] | None = None
-    ) -> None:
-        self.cons = {} if cons is None else cons
-        self.vars = {} if vars is None else vars
-
-    def with_vars(self, new: Iterable[TypeVar]) -> KindEnv:
-        ext = dict(self.vars)
-        for v in new:
-            ext[v.id] = v.kind
-        return KindEnv(self.cons, ext)
-
-
-def base_kind_env() -> KindEnv:
-    """The constructors every program starts with: Int, String, Bool, List, Rec."""
-    return KindEnv({name: con.kind for name, con in BASE_CONSTRUCTORS.items()}, {})
-
-
 class TypeEnv(_Node):
     """Term-variable context; lookup returns the innermost binding first.
     Inference reads it only as the initial environment, by name, where

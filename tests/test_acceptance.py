@@ -34,14 +34,13 @@ from rowml.syntax import (
     TRow,
     TypeEnv,
     TypeVar,
-    base_kind_env,
     pretty_scheme,
     record,
 )
 from rowml.unify import Mismatch, OccursCheck, unify
 
 RHO = TypeVar(0, ROW)
-DELTA = base_kind_env()
+DELTA = {}
 
 
 @contextmanager

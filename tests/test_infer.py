@@ -17,7 +17,6 @@ from rowml.infer import (
     UnifyFailure,
     generalize,
     infer_program,
-    infer_term,
     instantiate,
 )
 from rowml.parser import parse_term
@@ -36,7 +35,6 @@ from rowml.syntax import (
     TRow,
     TypeEnv,
     TypeVar,
-    base_kind_env,
     free_vars_ordered,
     pretty_scheme,
     record,
@@ -366,7 +364,7 @@ class TestRecordErrors:
             .extend("x", Scheme((), record({"a": INT}, RHO)))
             .extend("y", Scheme((), record({}, RHO)))
         )
-        delta = base_kind_env().with_vars([RHO])
+        delta = {v.id: v.kind for v in [RHO]}
         with pytest.raises(UnifyFailure) as exc:
             infer_program("y.a", env=env, delta=delta)
         assert isinstance(exc.value.cause, DuplicateLabel)
@@ -568,7 +566,7 @@ class TestResultIsFullySubstituted:
     )
     def test_session_substitution_is_settled(self, src):
         session = InferSession()
-        t = infer_term(session, TypeEnv(), parse_term(src))
+        t = session.resolve(infer_mod._infer(session, TypeEnv(), parse_term(src)))
         assert session.resolve(t) == t
         for image in list(session.subst.mapping.values()):  # idempotency
             once = session.resolve(image)
@@ -681,6 +679,21 @@ class TestOneFramePerLevel:
         dom, cod = scheme.body.dom, scheme.body.cod
         assert len(scheme.quantified) == 226
         assert nested_records(dom, 225) == cod
+
+
+class TestGeneralizeWithAnEmptyStore:
+    def test_a_deep_record_ladder_under_a_lambda(self):
+        """No step of this program unifies, so `generalize` meets `f`'s
+        type, 600 records deep, with an empty store and collects its
+        variables with `free_vars_ordered`'s stack.  The recursive
+        resolving walk runs out of stack here from about 400 `let`s on."""
+        src = (
+            "let x0 = {a = 1} in "
+            + "".join(f"let x{i} = {{a = x{i - 1}}} in " for i in range(1, 599))
+            + "let f = \\y. x598 in 1"
+        )
+        assert src.count("let ") == 600
+        assert pretty_scheme(scheme_of(src)) == "Int"
 
 
 class TestInferProgramPipeline:

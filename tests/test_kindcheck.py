@@ -18,13 +18,12 @@ from rowml.syntax import (
     TFun,
     TRow,
     TypeVar,
-    base_kind_env,
     free_vars_ordered,
     record,
 )
 from rowml.unify import unify
 
-DELTA = base_kind_env()
+DELTA = {}
 RHO = TypeVar(0, ROW)
 A = TypeVar(1)
 
@@ -57,7 +56,7 @@ class TestKindOf:
 
     def test_arrow_requires_star_sides(self):
         with pytest.raises(KindError) as exc:
-            kind_of(DELTA.with_vars([RHO]), TFun(RHO, INT))
+            kind_of({v.id: v.kind for v in [RHO]}, TFun(RHO, INT))
         assert exc.value.expected == STAR
         assert exc.value.actual == ROW
 
@@ -75,7 +74,7 @@ class TestKindOf:
 
     def test_row_tail_bound_at_the_wrong_kind(self):
         with pytest.raises(KindError) as exc:
-            kind_of(DELTA.with_vars([TypeVar(0, STAR)]), TRow({"a": INT}, RHO))
+            kind_of({v.id: v.kind for v in [TypeVar(0, STAR)]}, TRow({"a": INT}, RHO))
         assert str(exc.value) == "t0 has kind *, expected row"
         assert exc.value.offender == RHO
 
@@ -90,7 +89,7 @@ class TestKindOf:
 
     def test_kinds_are_unique(self):
         tau = parse_type("Rec {xs:List Int | r} -> List String")
-        delta = DELTA.with_vars(free_vars_ordered(tau))
+        delta = {v.id: v.kind for v in free_vars_ordered(tau)}
         assert kind_of(delta, tau) == kind_of(delta, tau) == STAR
 
 
@@ -132,7 +131,7 @@ class TestSubstitutionPreservesKinds:
         all_vars = set(free_vars_ordered(t1)) | set(free_vars_ordered(t2))
         for image in sigma.mapping.values():
             all_vars |= set(free_vars_ordered(image))
-        delta = DELTA.with_vars(all_vars)
+        delta = {v.id: v.kind for v in all_vars}
         for t in (t1, t2):
             assert kind_of(delta, sigma.apply(t)) == kind_of(delta, t)
 

@@ -266,6 +266,23 @@ class TestParseType:
         with pytest.raises(ParseError):
             parse_type("{a:Int, a:Bool}")
 
+    @pytest.mark.parametrize(
+        "src, message, span",
+        [
+            ("Rec {a:Int | R}", "expected a row variable, found 'R'", (13, 14, 1, 14)),
+            (
+                "Int -> ",
+                "expected one of: type constructor, type variable, '(', '{', found end of input",
+                (7, 7, 1, 8),
+            ),
+        ],
+    )
+    def test_error_messages_and_spans(self, src, message, span):
+        with pytest.raises(ParseError) as exc:
+            parse_type(src)
+        assert str(exc.value) == message
+        assert exc.value.span == SourceSpan(*span)
+
 
 # -- round trips -------------------------------------------------------------
 

@@ -43,7 +43,6 @@ from rowml.syntax import (
     TypeEnv,
     TypeVar,
     Var,
-    base_kind_env,
     canonicalize,
     free_vars_ordered,
     pretty_scheme,
@@ -269,7 +268,7 @@ class TestFreeTypeVars:
         env = TypeEnv().extend("x", Scheme((), A))
         env = env.extend("y", Scheme((B,), TFun(B, B)))
         env = env.extend("z", Scheme((), record({}, RHO)))
-        delta = base_kind_env().with_vars([A, RHO])
+        delta = {v.id: v.kind for v in [A, RHO]}
         s = infer_program("{x = x, y = y, z = z}", env=env, delta=delta)
         free = set(free_vars_ordered(s.body)) - set(s.quantified)
         assert free == {A, RHO}
@@ -379,6 +378,19 @@ class TestNodes:
             hash(record({}))
         with pytest.raises(TypeError):
             hash(RecordLit({"a": Lit(1)}))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TRow({}, TypeVar(0, STAR)), "row tail must have kind row, got *"),
+            (lambda: Scheme((A, A), A), "scheme quantifies the same variable twice"),
+        ],
+        ids=["star_tail", "repeated_quantifier"],
+    )
+    def test_ill_formed_nodes_are_rejected(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "node, name",
