@@ -12,6 +12,15 @@ it shares nothing with the unifier beyond the syntax types.  Comparison
 is always relative to the space: both sides only count assignments
 whose rows fit inside it, by size, labels and field types.
 
+A verdict runs the unifier once, reaching it through the module
+attribute `rowml.unify.unify_rows` so that a wrapper put there sees the
+call.  It sorts each side's fields once and grounds them for every
+choice of field types, and grounds the unifier's answer only when there
+is one.  Work that does not depend on the problem is done once per
+campaign: `exhaustive_problems` builds its right-hand sides once and
+pairs every left side with them, and the tables below are built once
+per space.
+
 Ground rows are sorted (label, type name) tuples, numbered once per
 space by `_ground_row_keys`, and each has a bitmask of its labels,
 `_row_masks`.  The instance side loops over the images' residual
@@ -22,8 +31,9 @@ which holds the merged row where it is duplicate-free and fits the
 space and None elsewhere.  Whether a problem's side `{G | v}` stays
 duplicate-free depends on labels alone, so it is settled before the
 loop: rho ranges only over the ground rows whose mask shares no bit
-with G's labels.  Every table is a `functools` cache keyed by ground
-rows and the space, whose hash is computed once.
+with G's labels, which `_rows_lacking` lists once per mask.  Every
+table is a `functools` cache keyed by ground rows or a mask and the
+space, whose hash is computed once.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import random
 from functools import lru_cache
 from collections.abc import Iterable, Iterator
 
+from rowml import unify
 from rowml.syntax import (
     BOOL,
     FreshVars,
@@ -57,7 +68,8 @@ ProblemVars = tuple[list[TypeVar], list[TypeVar]]  # row tails, star field varia
 
 class GroundSpace(_Node):
     """The finite space ground solutions are drawn from: at least one
-    label and one base type, and rows of at most `max_row_size` fields.
+    label and one base type, none repeated, and rows of at most
+    `max_row_size` fields.
 
     Every oracle table is cached per space, so the space's hash is taken
     once, here, rather than on each lookup; `type_names` is fixed too."""
@@ -76,12 +88,15 @@ class GroundSpace(_Node):
     ) -> None:
         if not labels or not base_types:
             raise ValueError("a ground space needs at least one label and one base type")
+        type_names = tuple(t.name for t in base_types)
+        if len(set(labels)) < len(labels) or len(set(type_names)) < len(type_names):
+            raise ValueError("a ground space's labels and base types must not repeat")
         if max_row_size < 0:
             raise ValueError(f"max_row_size must not be negative, got {max_row_size}")
         _set(self, "labels", labels)
         _set(self, "base_types", base_types)
         _set(self, "max_row_size", max_row_size)
-        _set(self, "type_names", tuple(t.name for t in base_types))
+        _set(self, "type_names", type_names)
         _set(self, "_hash", hash((labels, base_types, max_row_size)))
 
     def __hash__(self) -> int:
@@ -159,14 +174,11 @@ def _problem_vars(problem: Problem) -> ProblemVars:
     return row_vars, star_vars
 
 
-def _ground_fields(side: TRow, star_env: dict[int, str]) -> GroundRow:
+def _ground_fields(fields: list[tuple[str, Type]], star_env: dict[int, str]) -> GroundRow:
+    """The ground row of a side's fields, given as `sorted(side.fields.items())`
+    so that a problem sorts each side once, not once per star choice."""
     return tuple(
-        sorted(
-            [
-                (label, t.name if isinstance(t, TCon) else star_env[t.id])
-                for label, t in side.fields.items()
-            ]
-        )
+        [(label, t.name if isinstance(t, TCon) else star_env[t.id]) for label, t in fields]
     )
 
 
@@ -181,12 +193,13 @@ def ground_solutions(
     rows = _ground_row_keys(space)
     solutions: set[Assignment] = set()
     tail1, tail2 = r1.tail, r2.tail
+    items1, items2 = sorted(r1.fields.items()), sorted(r2.fields.items())
     star_ids = [v.id for v in star_vars]
     for combo in itertools.product(space.type_names, repeat=len(star_vars)):
         star_items = tuple(zip(star_ids, combo))
         star_env = dict(star_items)
-        fields1 = _ground_fields(r1, star_env)
-        fields2 = _ground_fields(r2, star_env)
+        fields1 = _ground_fields(items1, star_env)
+        fields2 = _ground_fields(items2, star_env)
         if tail1 is None and tail2 is None:
             if fields1 == fields2:
                 solutions.add(frozenset(star_items))
@@ -225,6 +238,13 @@ def _within(row: GroundRow, space: GroundSpace) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _rows_lacking(lacks: int, space: GroundSpace) -> tuple[int, ...]:
+    """The indices of the space's ground rows with none of the labels
+    whose bits are set in `lacks`."""
+    return tuple(i for i, mask in enumerate(_row_masks(space)) if not mask & lacks)
+
+
+@lru_cache(maxsize=None)
 def _fits(fields: GroundRow, space: GroundSpace) -> tuple[GroundRow | None, ...]:
     """For an image `{fields | rho}`: by the index of each ground row of
     rho, the merged row when it is duplicate-free and within the space,
@@ -257,9 +277,13 @@ def _instances_within(
     residual rows does one table read per row variable and no merge."""
     row_vars, star_vars = problem_vars or _problem_vars(problem)
     images: dict[int, Type] = {}
+    row_images: list[tuple[int, list[tuple[str, Type]], TypeVar | None]] = []
     for v in row_vars:
         image = sigma.mapping.get(v.id, v)
-        images[v.id] = TRow({}, image) if isinstance(image, TypeVar) else image
+        if isinstance(image, TypeVar):
+            image = TRow({}, image)
+        images[v.id] = image
+        row_images.append((v.id, sorted(image.fields.items()), image.tail))
     for v in star_vars:
         images[v.id] = sigma.mapping.get(v.id, v)
 
@@ -281,9 +305,7 @@ def _instances_within(
             if image.tail is not None:
                 for label in side.fields:
                     clashing[position[image.tail.id]] |= bits.get(label, 0)
-    masks = _row_masks(space)
-    allowed = [[i for i, mask in enumerate(masks) if not mask & lacks] for lacks in clashing]
-    choices = list(itertools.product(*allowed))
+    choices = list(itertools.product(*[_rows_lacking(lacks, space) for lacks in clashing]))
 
     out: set[Assignment] = set()
     for star_choice in itertools.product(space.type_names, repeat=len(residual_stars)):
@@ -293,13 +315,12 @@ def _instances_within(
             image = images[v.id]
             values[v.id] = image.name if isinstance(image, TCon) else star_env[image.id]
         tables: list[tuple[int, tuple[GroundRow | None, ...], int]] = []
-        for v in row_vars:
-            image = images[v.id]
-            fields = _ground_fields(image, star_env)
-            if image.tail is not None:
-                tables.append((v.id, _fits(fields, space), position[image.tail.id]))
+        for vid, items, tail in row_images:
+            fields = _ground_fields(items, star_env)
+            if tail is not None:
+                tables.append((vid, _fits(fields, space), position[tail.id]))
             elif _within(fields, space):
-                values[v.id] = fields
+                values[vid] = fields
             else:
                 break
         else:
@@ -321,13 +342,11 @@ def oracle_agrees(problem: Problem, space: GroundSpace, unifier=None) -> bool:
     actually unifies the two rows and (b) has exactly the brute-forced
     ground solutions as its instances within the space.
     """
-    from rowml.unify import UnifyError, unify_rows
-
-    run = unifier if unifier is not None else unify_rows
+    run = unifier if unifier is not None else unify.unify_rows
     r1, r2 = problem
     try:
         sigma = run(r1, r2, FreshVars(1_000_000))
-    except UnifyError:
+    except unify.UnifyError:
         sigma = None
     problem_vars = _problem_vars(problem)
     solutions = ground_solutions(problem, space, problem_vars)
@@ -336,7 +355,7 @@ def oracle_agrees(problem: Problem, space: GroundSpace, unifier=None) -> bool:
     try:
         if sigma.apply(r1) != sigma.apply(r2):  # rows compare modulo field order
             return False
-    except UnifyError:
+    except unify.UnifyError:
         return False
     return _instances_within(sigma, problem, space, problem_vars) == solutions
 
@@ -358,12 +377,12 @@ def exhaustive_problems(space: GroundSpace) -> Iterator[Problem]:
     sides = [
         {label: by_name[name] for label, name in fm.items()} for fm in field_maps
     ]
+    rights = [TRow(fields2, tail2) for fields2 in sides for tail2 in (None, _RHO1, _RHO2)]
     for fields1 in sides:
         for tail1 in (None, _RHO1):
             left = TRow(fields1, tail1)
-            for fields2 in sides:
-                for tail2 in (None, _RHO1, _RHO2):
-                    yield (left, TRow(fields2, tail2))
+            for right in rights:
+                yield (left, right)
 
 
 def sample_problems(

@@ -493,7 +493,9 @@ def scan_rows(t: Type, lacks: dict[int, frozenset[str]]) -> int:
         if isinstance(t, TCon):
             continue
         if isinstance(t, TRow):
-            todo += t.fields.values()
+            for field in t.fields.values():
+                if type(field) is not TCon:  # a constructor leaf has nothing to scan
+                    todo.append(field)
             tail = t.tail
             if tail is not None:
                 if tail.id > top:

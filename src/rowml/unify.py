@@ -150,6 +150,8 @@ class Subst:
         chain of variable bindings, an unbound variable or a type that is
         not a variable.  Every variable on the chain is rebound straight
         to that end."""
+        if not isinstance(t, TypeVar):
+            return t
         path: list[int] = []
         while isinstance(t, TypeVar):
             image = self.mapping.get(t.id)
@@ -363,7 +365,9 @@ def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
     elif isinstance(t2, TypeVar):
         s.bind(t2, t1)
     elif isinstance(t1, TCon) and isinstance(t2, TCon):
-        if t1 != t2:
+        # Constructors are mostly the shared constants, whose identity
+        # spares `!=` its field-by-field compare.
+        if t1 is not t2 and t1 != t2:
             raise Mismatch(t1, t2)
     elif isinstance(t1, TApp) and isinstance(t2, TApp):
         _unify(t1.fun, t2.fun, fresh, s)
@@ -378,16 +382,25 @@ def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
 
 
 def _unify_rows(r1: TRow, r2: TRow, fresh: FreshVars, s: Subst) -> None:
+    a = s.walk_row(r1)
+    b = s.walk_row(r2)
+    todo = sorted(a.fields.keys() & b.fields.keys())
     done: set[str] = set()
-    while True:
+    while todo:
+        for label in todo:
+            _unify(a.fields[label], b.fields[label], fresh, s)
+        # Walk again only when the pass bound a.tail or b.tail: a walk of
+        # r1 follows r1's tail chain, which ends at a.tail, and a binding
+        # is never undone, so no other binding changes what it gives.
+        mapping = s.mapping
+        if (a.tail is None or a.tail.id not in mapping) and (
+            b.tail is None or b.tail.id not in mapping
+        ):
+            break
+        done.update(todo)
         a = s.walk_row(r1)
         b = s.walk_row(r2)
         todo = sorted((a.fields.keys() & b.fields.keys()) - done)
-        if not todo:
-            break
-        for label in todo:
-            _unify(a.fields[label], b.fields[label], fresh, s)
-            done.add(label)
     only1 = {label: t for label, t in a.fields.items() if label not in b.fields}
     only2 = {label: t for label, t in b.fields.items() if label not in a.fields}
     if only2 and a.tail is None:

@@ -19,7 +19,7 @@ import rowml.syntax
 import rowml.unify
 from rowml.infer import infer_program
 from rowml.parser import parse_term
-from rowml.syntax import ROW, STAR, TRow, Term, TypeVar
+from rowml.syntax import INT, ROW, STAR, TRow, Term, TypeVar
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -52,6 +52,20 @@ def test_the_tracer_wraps_every_boundary_and_counts_through_them(bench):
     assert tracer.counts["infer.fresh_vars"] > 0  # InferSession.fresh reaches FreshVars.fresh
     assert tracer.counts["unify.calls"] > 0
     assert tracer.counts["unify.row_calls"] > 0
+
+
+def test_the_tracer_sees_the_oracle_s_calls_to_the_unifier(bench):
+    tracer = bench.spans.Tracer()
+    tracer.install(rowml_modules())
+    try:
+        # The tracer wraps rowml.unify.unify_rows; an oracle that bound
+        # that name when it was imported would call past the wrapper.
+        problem = (TRow({"a": INT}, TypeVar(1, ROW)), TRow({"a": INT}))
+        assert rowml.oracle.oracle_agrees(problem, rowml.oracle.GroundSpace(labels=("a",)))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["unify.row_calls"] == 1
+    assert tracer.counts["oracle.problems"] == 1
 
 
 def test_the_problem_space_counts_a_field_variable(bench):

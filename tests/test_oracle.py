@@ -55,7 +55,16 @@ class TestEnumerateGroundRows:
         assert _ground_row_keys(space) == ((),)
 
     @pytest.mark.parametrize(
-        "bounds", [{"labels": ()}, {"base_types": ()}, {"max_row_size": -1}]
+        "bounds",
+        [
+            {"labels": ()},
+            {"base_types": ()},
+            {"max_row_size": -1},
+            # A repeated label makes ground rows that repeat it; a repeated
+            # type makes the same ground row twice.
+            {"labels": ("a", "a"), "base_types": (INT,), "max_row_size": 2},
+            {"labels": ("a", "b"), "base_types": (INT, INT)},
+        ],
     )
     def test_an_empty_alphabet_or_a_negative_size_is_rejected(self, bounds):
         with pytest.raises(ValueError):
@@ -108,6 +117,19 @@ class TestGroundSolutions:
         space = GroundSpace(labels=("a",), max_row_size=1)
         problem = (TRow({"a": ALPHA}), TRow({"a": INT}))
         assert ground_solutions(problem, space) == {frozenset({(ALPHA.id, "Int")})}
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2),
+            GroundSpace(labels=("a", "b", "c"), base_types=(INT, BOOL), max_row_size=1),
+        ],
+    )
+    def test_solutions_match_the_definition(self, space):
+        for problem in itertools.chain(
+            exhaustive_problems(space), sample_problems(300, space, seed=11)
+        ):
+            assert ground_solutions(problem, space) == naive_solutions(problem, space)
 
     def test_rejects_rich_field_types(self):
         from rowml.syntax import TFun
@@ -223,6 +245,19 @@ class TestOracleAgrees:
 
 
 class TestSampling:
+    def test_exhaustive_problems_pair_every_left_side_with_every_right_side(self):
+        space = GroundSpace(labels=("a", "b", "c"), base_types=(INT, BOOL, STRING), max_row_size=3)
+        by_name = {t.name: t for t in space.base_types}
+        sides = [{label: by_name[name] for label, name in key} for key in _ground_row_keys(space)]
+        expected = [
+            (TRow(fields1, tail1), TRow(fields2, tail2))
+            for fields1 in sides
+            for tail1 in (None, RHO)
+            for fields2 in sides
+            for tail2 in (None, RHO, RHO2)
+        ]
+        assert list(exhaustive_problems(space)) == expected
+
     def test_sampling_is_deterministic(self):
         space = GroundSpace()
         a = list(sample_problems(25, space, seed=7))
@@ -240,6 +275,35 @@ class TestSampling:
         space = GroundSpace(labels=("a", "b", "c"), max_row_size=2)
         result = run_campaign(sample_problems(150, space, seed=3), space)
         assert result.failures == 0
+
+
+def naive_solutions(problem, space: GroundSpace) -> set:
+    """The definition `ground_solutions` implements: every assignment of a
+    ground row of the space to each row variable and a base type of the
+    space to each field variable, kept when both sides become the same
+    label-to-type map and neither repeats a label."""
+    variables = sorted({v for side in problem for v in free_vars_ordered(side)}, key=lambda v: v.id)
+    rows = _ground_row_keys(space)
+    names = [t.name for t in space.base_types]
+
+    def ground(side, env):
+        """The side's label-to-name map, None when a label repeats."""
+        pairs = [
+            (label, t.name if isinstance(t, TCon) else env[t.id])
+            for label, t in side.fields.items()
+        ]
+        if side.tail is not None:
+            pairs += env[side.tail.id]
+        row = dict(pairs)
+        return row if len(row) == len(pairs) else None
+
+    out = set()
+    for choice in itertools.product(*[rows if v.kind == ROW else names for v in variables]):
+        env = {v.id: value for v, value in zip(variables, choice)}
+        left, right = (ground(side, env) for side in problem)
+        if left is not None and left == right:
+            out.add(frozenset(env.items()))
+    return out
 
 
 def naive_instances(sigma: Subst, problem, space: GroundSpace) -> set:

@@ -393,8 +393,17 @@ class TestUnifyRows:
         # unifying the shared field binds RHO2, revealing a new shared label
         r1 = TRow({"a": record({}, RHO2), "b": INT}, RHO1)
         r2 = TRow({"a": record({"b": INT})}, RHO2)
-        s = unify_rows(r1, r2, FreshVars(100))
-        assert_sound(s, r1, r2)
+        for left, right in ((r1, r2), (r2, r1)):
+            assert_sound(unify_rows(left, right, FreshVars(100)), left, right)
+
+    def test_tail_bound_during_pointwise_step_brings_a_leftover_label(self):
+        # unifying the shared field binds RHO2 to a row with b, a label
+        # that the other side lacks and its tail must absorb
+        rho3 = TypeVar(5, ROW)
+        r1 = TRow({"a": record({}, RHO2)}, RHO1)
+        r2 = TRow({"a": record({"b": INT}, rho3)}, RHO2)
+        for left, right in ((r1, r2), (r2, r1)):
+            assert_sound(unify_rows(left, right, FreshVars(100)), left, right)
 
     def test_given_store_is_extended_and_returned(self):
         s = Subst({A.id: INT})
