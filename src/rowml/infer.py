@@ -224,7 +224,7 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
     else:
         free = {v.id: v for v in free_vars_ordered(tau)}
     level, levels = session.level, subst.levels
-    quantified = tuple(v for v in free.values() if levels.get(v.id, 0) > level)
+    quantified = tuple([v for v in free.values() if levels.get(v.id, 0) > level])
     store = subst.lacks
     lacks = []
     for v in quantified:
@@ -237,10 +237,14 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
 def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> Type:
     """`t` read through the store's variable chains; raises NotARecord
     when its head is a constructor other than `Rec`."""
-    found = head = session.subst.find(t)
-    while isinstance(head, TApp):
-        head = session.subst.find(head.fun)
-    if isinstance(head, (TCon, TFun)) and head is not REC and head != REC:
+    find = session.subst.find
+    found = head = find(t) if t.__class__ is TypeVar else t
+    while head.__class__ is TApp:
+        head = head.fun
+        if head.__class__ is TypeVar:
+            head = find(head)
+    cls = head.__class__
+    if cls is TFun or (cls is TCon and head is not REC and head != REC):
         raise NotARecord(session.resolve(t), span)
     return found
 

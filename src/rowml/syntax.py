@@ -19,6 +19,13 @@ fields in slots.  A term keeps them in its instance dict, with its
 source ``span``, which equality, hashing and repr leave out and copying
 and pickling keep.  The kinds ``STAR`` and ``ROW`` are singletons,
 compared by identity.
+
+The five type-node classes, `TypeVar`, `TCon`, `TApp`, `TFun` and
+`TRow`, are final.  The walks over types (Traversals below, and those of
+`rowml.unify` and `rowml.infer`) rely on it: they dispatch on a node's
+exact class, ``t.__class__ is TApp``, the most frequent class first, and
+take a constructor leaf, which has no variable in it, as it is where
+they meet it, never calling into it.
 """
 
 from __future__ import annotations
@@ -143,9 +150,18 @@ ROW = object.__new__(RowKind)
 
 
 class Type(_Node):
-    """Base class for type expressions."""
+    """Base class for type expressions.  Its five node classes are
+    final: the walks over types dispatch on a node's exact class, so a
+    subclass of one would be walked wrongly, and defining one raises
+    TypeError."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        for base in cls.__bases__:
+            if base is not Type and issubclass(base, Type):
+                raise TypeError(f"type node class {base.__name__} is final")
+        super().__init_subclass__()
 
 
 class TypeVar(Type):
@@ -454,6 +470,9 @@ class FreshVars:
 
 # ---------------------------------------------------------------------------
 # Traversals
+#
+# `free_vars_ordered` and `type_kind` dispatch on a node's exact class and
+# never push or call into a constructor leaf (see the module docstring).
 
 
 def free_vars_ordered(t: Type) -> list[TypeVar]:
@@ -467,18 +486,28 @@ def free_vars_ordered(t: Type) -> list[TypeVar]:
     todo: list[Type] = [t]  # popped from the end: push right to left
     while todo:
         t = todo.pop()
-        if isinstance(t, TypeVar):
+        cls = t.__class__
+        if cls is TypeVar:
             if t.id not in seen:
                 seen.add(t.id)
                 out.append(t)
-        elif isinstance(t, TFun):
-            todo += (t.cod, t.dom)
-        elif isinstance(t, TApp):
-            todo += (t.arg, t.fun)
-        elif isinstance(t, TRow):
+        elif cls is TFun:
+            if t.cod.__class__ is not TCon:
+                todo.append(t.cod)
+            if t.dom.__class__ is not TCon:
+                todo.append(t.dom)
+        elif cls is TApp:
+            if t.arg.__class__ is not TCon:
+                todo.append(t.arg)
+            if t.fun.__class__ is not TCon:
+                todo.append(t.fun)
+        elif cls is TRow:
             if t.tail is not None:
                 todo.append(t.tail)
-            todo += [t.fields[label] for label in sorted(t.fields, reverse=True)]
+            fields = t.fields
+            for label in sorted(fields, reverse=True):
+                if fields[label].__class__ is not TCon:
+                    todo.append(fields[label])
     return out
 
 
@@ -520,16 +549,18 @@ def type_kind(t: Type) -> Kind:
     tree is well-kinded; it exists so substitutions can verify that
     bindings respect kinds.
     """
-    if isinstance(t, (TypeVar, TCon)):
-        return t.kind
-    if isinstance(t, TFun):
-        return STAR
-    if isinstance(t, TRow):
-        return ROW
-    if isinstance(t, TApp):
-        k = type_kind(t.fun)
+    cls = t.__class__
+    if cls is TApp:
+        fun = t.fun
+        k = fun.kind if fun.__class__ is TCon else type_kind(fun)
         assert isinstance(k, ArrowKind), f"application of non-constructor kind {k}"
         return k.result
+    if cls is TFun:
+        return STAR
+    if cls is TRow:
+        return ROW
+    if cls is TypeVar or cls is TCon:
+        return t.kind
     raise AssertionError(f"unexpected type node: {t!r}")
 
 

@@ -23,6 +23,13 @@ points seed the labels to lack from the rows of their inputs and answer
 with a new, settled store, whose images mention no bound variable; given
 the inference session's store, whose rows are registered already, and
 its variable supply, they extend it in place and leave it triangular.
+
+The walks over types here (`find`, `apply_collecting`, the occurs walk
+of `bind`, `_unify`) rely on the five type-node classes being final:
+they dispatch on a node's exact class, ``t.__class__ is TApp``, the
+most frequent class first, and an unknown node is an AssertionError.
+A constructor leaf has no variable in it, so a walk returns or skips a
+`TCon` child where it meets it and never calls into one.
 """
 
 from __future__ import annotations
@@ -150,17 +157,24 @@ class Subst:
         chain of variable bindings, an unbound variable or a type that is
         not a variable.  Every variable on the chain is rebound straight
         to that end."""
-        if not isinstance(t, TypeVar):
+        if t.__class__ is not TypeVar:
             return t
-        path: list[int] = []
-        while isinstance(t, TypeVar):
-            image = self.mapping.get(t.id)
+        mapping = self.mapping
+        image = mapping.get(t.id)
+        if image is None:
+            return t
+        if image.__class__ is not TypeVar:
+            return image  # one link: nothing to rebind
+        path = [t.id]
+        t = image
+        while t.__class__ is TypeVar:
+            image = mapping.get(t.id)
             if image is None:
                 break
             path.append(t.id)
             t = image
         for vid in path[:-1]:
-            self.mapping[vid] = t
+            mapping[vid] = t
         return t
 
     def walk_row(self, row: TRow) -> TRow:
@@ -204,34 +218,50 @@ class Subst:
     def apply_collecting(self, t: Type, free: dict[int, TypeVar]) -> Type:
         """`apply(t)`, whose walk also adds the unbound variables of the
         result to `free` in the order `free_vars_ordered` visits them:
-        row fields by label, then the tail.  A row keeps its field order."""
-        if isinstance(t, TypeVar):
-            t = self.find(t)
-            if isinstance(t, TypeVar):
+        row fields by label, then the tail.  A row keeps its field order.
+
+        The walk dispatches on the node's exact class, variables first,
+        and takes a constructor child as it is without calling into it."""
+        cls = t.__class__
+        if cls is TypeVar:
+            mapping = self.mapping
+            image = mapping.get(t.id)
+            if image is not None:
+                if image.__class__ is TypeVar and image.id in mapping:
+                    image = self.find(t)  # a chain of variables, which `find` shortens
+                t = image
+            cls = t.__class__
+            if cls is TypeVar:
                 if t.id not in free:
                     free[t.id] = t
                 return t
-        if isinstance(t, TCon):
-            return t
-        if isinstance(t, TFun):
-            dom = self.apply_collecting(t.dom, free)
-            cod = self.apply_collecting(t.cod, free)
-            return t if dom is t.dom and cod is t.cod else TFun(dom, cod)
-        if isinstance(t, TApp):
-            fun = self.apply_collecting(t.fun, free)
-            arg = self.apply_collecting(t.arg, free)
-            return t if fun is t.fun and arg is t.arg else TApp(fun, arg)
-        if isinstance(t, TRow):
+        if cls is TApp:
+            fun, arg = t.fun, t.arg
+            new_fun = fun if fun.__class__ is TCon else self.apply_collecting(fun, free)
+            new_arg = arg if arg.__class__ is TCon else self.apply_collecting(arg, free)
+            return t if new_fun is fun and new_arg is arg else TApp(new_fun, new_arg)
+        if cls is TFun:
+            dom, cod = t.dom, t.cod
+            new_dom = dom if dom.__class__ is TCon else self.apply_collecting(dom, free)
+            new_cod = cod if cod.__class__ is TCon else self.apply_collecting(cod, free)
+            return t if new_dom is dom and new_cod is cod else TFun(new_dom, new_cod)
+        if cls is TRow:
             row = self.walk_row(t)
-            fields = dict.fromkeys(row.fields)
+            row_fields = row.fields
+            fields = dict.fromkeys(row_fields)
             for label in sorted(fields):
-                fields[label] = self.apply_collecting(row.fields[label], free)
+                field = row_fields[label]
+                if field.__class__ is not TCon:
+                    field = self.apply_collecting(field, free)
+                fields[label] = field
             tail = row.tail
             if tail is not None and tail.id not in free:
                 free[tail.id] = tail
-            if row is t and all(map(operator.is_, fields.values(), t.fields.values())):
+            if row is t and all(map(operator.is_, fields.values(), row_fields.values())):
                 return t
             return TRow(fields, tail)
+        if cls is TCon:
+            return t
         raise AssertionError(f"unexpected type node: {t!r}")
 
     def _lack(self, vid: int, labels: Iterable[str]) -> None:
@@ -259,34 +289,47 @@ class Subst:
         it lacks on to the variable that ends `t`'s tail chain, and drops
         its own entry; when `t` already has one of them, that is a
         DuplicateLabel naming the least such label, and `v` is not bound.
-        When it raises, the levels its walk lowered stay lowered."""
-        if isinstance(t, TypeVar) and t.id == v.id:
+        When it raises, the levels its walk lowered stay lowered.
+
+        The walk dispatches on the node's exact class and pushes no
+        constructor child, which has no variable to meet."""
+        if t.__class__ is TypeVar and t.id == v.id:
             return
-        levels = self.levels
-        level = levels.get(v.id, 0)
+        vid = v.id
+        levels, mapping = self.levels, self.mapping
+        level = levels.get(vid, 0)
         todo: list[Type] = [t]
         while todo:
             u = todo.pop()
-            if isinstance(u, TypeVar):
-                if u.id == v.id:
+            cls = u.__class__
+            if cls is TypeVar:
+                if u.id == vid:
                     raise OccursCheck(v, self.apply(t))
                 if levels.get(u.id, 0) > level:
                     levels[u.id] = level
-                image = self.mapping.get(u.id)
-                if image is not None:
+                image = mapping.get(u.id)
+                if image is not None and image.__class__ is not TCon:
                     todo.append(image)
-            elif isinstance(u, TRow):
-                todo += u.fields.values()
+            elif cls is TApp:
+                if u.fun.__class__ is not TCon:
+                    todo.append(u.fun)
+                if u.arg.__class__ is not TCon:
+                    todo.append(u.arg)
+            elif cls is TRow:
+                for field in u.fields.values():
+                    if field.__class__ is not TCon:
+                        todo.append(field)
                 if u.tail is not None:
                     todo.append(u.tail)
-            elif isinstance(u, TApp):
-                todo += (u.fun, u.arg)
-            elif isinstance(u, TFun):
-                todo += (u.dom, u.cod)
+            elif cls is TFun:
+                if u.dom.__class__ is not TCon:
+                    todo.append(u.dom)
+                if u.cod.__class__ is not TCon:
+                    todo.append(u.cod)
         assert type_kind(t) == v.kind, "binding would not respect kinds"
-        lacks = self.lacks.get(v.id)
+        lacks = self.lacks.get(vid)
         if lacks is not None:
-            row = self.walk_row(t if isinstance(t, TRow) else TRow({}, t))
+            row = self.walk_row(t if t.__class__ is TRow else TRow({}, t))
             clash = row.fields.keys() & lacks
             if clash:
                 raise DuplicateLabel(min(clash), row)
@@ -320,6 +363,9 @@ def unify(
     or ValueError is raised; without one, an omitted supply starts above
     every variable in the inputs.
     """
+    if subst is not None and fresh is not None:
+        _unify(t1, t2, fresh, subst)
+        return subst
     return _step(_unify, t1, t2, fresh, subst)
 
 
@@ -339,18 +385,18 @@ def unify_rows(
     `fresh` and `subst` are as for `unify`.  Inside a step of `unify`,
     this is the step's row case and extends its store.
     """
+    if subst is not None and fresh is not None:
+        _unify_rows(r1, r2, fresh, subst)
+        return subst
     return _step(_unify_rows, r1, r2, fresh, subst)
 
 
 def _step(solve, t1: Type, t2: Type, fresh: FreshVars | None, subst: Subst | None) -> Subst:
-    """Run `solve` on `subst`, as the row case of a step does, or on a
-    new store, seeded with the labels its inputs' row variables lack, that
-    is settled when the step ends."""
+    """Run `solve` on a new store, seeded with the labels its inputs' row
+    variables lack, that is settled when the step ends.  The entry points
+    solve in a given store themselves, when they also have a supply."""
     if subst is not None:
-        if fresh is None:
-            raise ValueError("unifying in a given store needs a fresh variable supply")
-        solve(t1, t2, fresh, subst)
-        return subst
+        raise ValueError("unifying in a given store needs a fresh variable supply")
     s = Subst()
     top = max(scan_rows(t1, s.lacks), scan_rows(t2, s.lacks))
     solve(t1, t2, fresh if fresh is not None else FreshVars(top + 1), s)
@@ -358,27 +404,38 @@ def _step(solve, t1: Type, t2: Type, fresh: FreshVars | None, subst: Subst | Non
 
 
 def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
-    t1 = s.find(t1)
-    t2 = s.find(t2)
-    if isinstance(t1, TypeVar):
+    if t1.__class__ is TypeVar:
+        t1 = s.find(t1)
+    if t2.__class__ is TypeVar:
+        t2 = s.find(t2)
+    cls = t1.__class__
+    if cls is TypeVar:
         s.bind(t1, t2)
-    elif isinstance(t2, TypeVar):
+    elif t2.__class__ is TypeVar:
         s.bind(t2, t1)
-    elif isinstance(t1, TCon) and isinstance(t2, TCon):
+    elif cls is not t2.__class__:
+        raise Mismatch(s.apply(t1), s.apply(t2))
+    # Two children that are one constructor, mostly a shared constant such
+    # as REC, already agree: only other children are unified.
+    elif cls is TApp:
+        if t1.fun.__class__ is not TCon or t1.fun is not t2.fun:
+            _unify(t1.fun, t2.fun, fresh, s)
+        if t1.arg.__class__ is not TCon or t1.arg is not t2.arg:
+            _unify(t1.arg, t2.arg, fresh, s)
+    elif cls is TFun:
+        if t1.dom.__class__ is not TCon or t1.dom is not t2.dom:
+            _unify(t1.dom, t2.dom, fresh, s)
+        if t1.cod.__class__ is not TCon or t1.cod is not t2.cod:
+            _unify(t1.cod, t2.cod, fresh, s)
+    elif cls is TRow:
+        unify_rows(t1, t2, fresh, s)
+    elif cls is TCon:
         # Constructors are mostly the shared constants, whose identity
         # spares `!=` its field-by-field compare.
         if t1 is not t2 and t1 != t2:
             raise Mismatch(t1, t2)
-    elif isinstance(t1, TApp) and isinstance(t2, TApp):
-        _unify(t1.fun, t2.fun, fresh, s)
-        _unify(t1.arg, t2.arg, fresh, s)
-    elif isinstance(t1, TFun) and isinstance(t2, TFun):
-        _unify(t1.dom, t2.dom, fresh, s)
-        _unify(t1.cod, t2.cod, fresh, s)
-    elif isinstance(t1, TRow) and isinstance(t2, TRow):
-        unify_rows(t1, t2, fresh, s)
     else:
-        raise Mismatch(s.apply(t1), s.apply(t2))
+        raise AssertionError(f"unexpected type node: {t1!r}")
 
 
 def _unify_rows(r1: TRow, r2: TRow, fresh: FreshVars, s: Subst) -> None:

@@ -392,6 +392,16 @@ class TestNodes:
             build()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("cls", [TypeVar, TCon, TApp, TFun, TRow], ids=lambda c: c.__name__)
+    def test_type_node_classes_are_final(self, cls):
+        # the walks over types dispatch on a node's exact class
+        with pytest.raises(TypeError, match=f"type node class {cls.__name__} is final"):
+            type("Sub", (cls,), {"__slots__": ()})
+
+    def test_a_direct_subclass_of_type_still_gets_its_fields(self):
+        node = type("Node", (Type,), {"__slots__": ("x",), "__match_args__": ("x",)})
+        assert "_fields" in vars(node)
+
     @pytest.mark.parametrize(
         "node, name",
         [(A, "id"), (A, "var"), (INT, "name"), (TApp(LIST, INT), "arg"),

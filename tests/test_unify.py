@@ -111,6 +111,45 @@ class TestApply:
             assert out is t
 
 
+class _Writes(dict):
+    """A store mapping that records the ids written to it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.written = []
+
+    def __setitem__(self, key, value):
+        self.written.append(key)
+        super().__setitem__(key, value)
+
+
+class TestFind:
+    def test_a_chain_is_rebound_straight_to_its_end(self):
+        c, d = TypeVar(5), TypeVar(6)
+        for end in (d, INT):
+            mapping = _Writes({A.id: B, B.id: c, c.id: end})
+            s = Subst(mapping)
+            assert s.find(A) is end
+            # c's link is the last one, so already straight to the end
+            assert mapping.written == [A.id, B.id]
+            assert mapping == {A.id: end, B.id: end, c.id: end}
+            assert s.find(A) is end and s.find(B) is end
+
+    def test_a_one_link_chain_writes_nothing(self):
+        for image in (B, INT, TFun(B, B), TRow({"a": INT})):
+            mapping = _Writes({A.id: image})
+            assert Subst(mapping).find(A) is image
+            assert mapping.written == []
+
+    def test_a_non_variable_comes_back_as_it_is(self):
+        mapping = _Writes({A.id: INT})
+        s = Subst(mapping)
+        for t in (INT, TFun(A, A), TApp(LIST, A), record({"a": A}, RHO), TRow({}, RHO)):
+            assert s.find(t) is t
+        assert s.find(B) is B  # an unbound variable too
+        assert mapping.written == []
+
+
 # Random acyclic stores: star variables 10-13 and row variables 14-17, where
 # an image mentions only variables of a higher id, and each row variable's
 # image has labels of its own, so that no merge repeats a label.
@@ -523,6 +562,19 @@ def nested_types():
     return st.recursive(leaves, extend, max_leaves=8)
 
 
+def rows_of(t):
+    if isinstance(t, TRow):
+        yield t
+        for field in t.fields.values():
+            yield from rows_of(field)
+    elif isinstance(t, TApp):
+        yield from rows_of(t.fun)
+        yield from rows_of(t.arg)
+    elif isinstance(t, TFun):
+        yield from rows_of(t.dom)
+        yield from rows_of(t.cod)
+
+
 def assert_kinds_kept(s: Subst, *types):
     kinds = {v.id: v.kind for t in (*types, *s.mapping.values()) for v in free_vars_ordered(t)}
     for vid, image in s.mapping.items():
@@ -546,6 +598,32 @@ class TestProperties:
                 assert_sound(s, t1, t2)
                 assert_idempotent(s)
                 assert_kinds_kept(s, t1, t2)
+
+    @given(nested_types(), nested_types())
+    # unifying field a binds RHO2, the tail of the right-hand row, to a row
+    # with b: the rows must be walked again to see b on both sides
+    @example(
+        record({"a": record({}, RHO2), "b": INT}, RHO1), record({"a": record({"b": INT})}, RHO2)
+    )
+    def test_a_given_store_gives_the_verdict_of_a_new_one(self, t1, t2):
+        # inference unifies in its own store, with every row registered
+        try:
+            unify(t1, t2)
+            expected = True
+        except UnifyError:
+            expected = False
+        store = Subst()
+        for t in (t1, t2):
+            for row in rows_of(t):
+                store.register(row)
+        try:
+            out = unify(t1, t2, FreshVars(100), store)
+        except UnifyError:
+            out = None
+        assert (out is not None) == expected
+        if out is not None:
+            assert out is store
+            assert store.apply(t1) == store.apply(t2)
 
     @given(row_st, row_st)
     def test_success_is_symmetric_and_sound(self, r1, r2):
