@@ -23,9 +23,14 @@ per space.
 
 Ground rows are sorted (label, type name) tuples, numbered once per
 space by `_ground_row_keys`, and each has a bitmask of its labels,
-`_row_masks`.  The instance side loops over the images' residual
-variables: for each choice of residual star types it grounds every
-image once, and an open image `{F | rho}` reads its value for each
+`_row_masks`.  An assignment is a plain tuple of values, one per
+problem variable in the order `_problem_vars` gives: the row tails,
+then the star field variables, each by first appearance, left side
+first and labels sorted.  Every assignment of a problem covers the same
+variables, so the tuples stand one-to-one for the sets of (variable id,
+value) pairs they spell.  The instance side loops over the images'
+residual variables: for each choice of residual star types it grounds
+every image once, and an open image `{F | rho}` reads its value for each
 ground row of rho, by number, from the fit table `_fits(F, space)`,
 which holds the merged row where it is duplicate-free and fits the
 space and None elsewhere.  Whether a problem's side `{G | v}` stays
@@ -62,7 +67,7 @@ from rowml.syntax import (
 
 Problem = tuple[TRow, TRow]
 GroundRow = tuple[tuple[str, str], ...]  # sorted (label, type name) pairs
-Assignment = frozenset  # of (variable id, GroundRow | type name)
+Assignment = tuple  # GroundRow | type name, by position in `_problem_vars`
 ProblemVars = tuple[list[TypeVar], list[TypeVar]]  # row tails, star field variables
 
 
@@ -154,23 +159,31 @@ def _absorption_index(fields: GroundRow, space: GroundSpace) -> dict[GroundRow, 
 
 
 def _problem_vars(problem: Problem) -> ProblemVars:
-    """Row tails and star-kinded field variables, in a fixed order."""
+    """Row tails and star-kinded field variables, in a fixed order: by
+    first appearance, left side first, each side's fields by label.  Each
+    list drops repeats by id, with an id set of its own, so a tail and a
+    field variable that share an id are both kept."""
     row_vars: list[TypeVar] = []
     star_vars: list[TypeVar] = []
+    row_ids: set[int] = set()
+    star_ids: set[int] = set()
     for side in problem:
         for label in sorted(side.fields):
             t = side.fields[label]
             if isinstance(t, TCon):
                 continue
             if isinstance(t, TypeVar) and t.kind is STAR:
-                if t not in star_vars:
+                if t.id not in star_ids:
+                    star_ids.add(t.id)
                     star_vars.append(t)
                 continue
             raise ValueError(
                 "oracle problems allow only base types and plain type variables in fields"
             )
-        if side.tail is not None and side.tail not in row_vars:
-            row_vars.append(side.tail)
+        tail = side.tail
+        if tail is not None and tail.id not in row_ids:
+            row_ids.add(tail.id)
+            row_vars.append(tail)
     return row_vars, star_vars
 
 
@@ -186,8 +199,10 @@ def ground_solutions(
     problem: Problem, space: GroundSpace, problem_vars: ProblemVars | None = None
 ) -> set[Assignment]:
     """Every assignment of ground rows/types (within the space) to the
-    problem's variables making both sides the same label-to-type map.
-    `problem_vars` is `_problem_vars(problem)`, when the caller has it."""
+    problem's variables making both sides the same label-to-type map,
+    each a tuple of the tails' ground rows and then the field variables'
+    type names, in `_problem_vars` order.  `problem_vars` is
+    `_problem_vars(problem)`, when the caller has it."""
     r1, r2 = problem
     row_vars, star_vars = problem_vars or _problem_vars(problem)
     rows = _ground_row_keys(space)
@@ -196,37 +211,34 @@ def ground_solutions(
     items1, items2 = sorted(r1.fields.items()), sorted(r2.fields.items())
     star_ids = [v.id for v in star_vars]
     for combo in itertools.product(space.type_names, repeat=len(star_vars)):
-        star_items = tuple(zip(star_ids, combo))
-        star_env = dict(star_items)
+        star_env = dict(zip(star_ids, combo))
         fields1 = _ground_fields(items1, star_env)
         fields2 = _ground_fields(items2, star_env)
         if tail1 is None and tail2 is None:
             if fields1 == fields2:
-                solutions.add(frozenset(star_items))
+                solutions.add(combo)
         elif tail1 is not None and tail2 is not None and tail1.id == tail2.id:
             # A tail row merged into both sides leaves them equal exactly
             # when their own fields are, the merges being disjoint unions.
             if fields1 == fields2:
                 for key in rows:
                     if _merge(fields1, key) is not None:
-                        solutions.add(frozenset(star_items + ((tail1.id, key),)))
+                        solutions.add((key,) + combo)
         elif tail1 is not None and tail2 is not None:
             index1 = _absorption_index(fields1, space)
             index2 = _absorption_index(fields2, space)
             for merged in index1.keys() & index2.keys():
                 for key1 in index1[merged]:
                     for key2 in index2[merged]:
-                        solutions.add(
-                            frozenset(star_items + ((tail1.id, key1), (tail2.id, key2)))
-                        )
+                        solutions.add((key1, key2) + combo)
         else:
             if tail1 is not None:
-                open_fields, open_tail, closed_fields = fields1, tail1, fields2
+                open_fields, closed_fields = fields1, fields2
             else:
-                open_fields, open_tail, closed_fields = fields2, tail2, fields1
+                open_fields, closed_fields = fields2, fields1
             index = _absorption_index(open_fields, space)
             for key in index.get(closed_fields, ()):
-                solutions.add(frozenset(star_items + ((open_tail.id, key),)))
+                solutions.add((key,) + combo)
     return solutions
 
 
@@ -262,7 +274,9 @@ def _instances_within(
     """Ground instances of the substitution, restricted to assignments
     that fit in the space (size, labels and types) and are admissible
     for the problem: substituting them keeps both rows duplicate-free.
-    `problem_vars` is `_problem_vars(problem)`, when the caller has it.
+    Each is a tuple of values in `_problem_vars` order, as in
+    `ground_solutions`.  `problem_vars` is `_problem_vars(problem)`, when
+    the caller has it.
 
     The residual variables of the images range over the space.  An open
     side `{G | v}` of the problem stays duplicate-free when the value of
@@ -276,25 +290,23 @@ def _instances_within(
     tail, by index, from the table `_fits(F, space)`; the loop over
     residual rows does one table read per row variable and no merge."""
     row_vars, star_vars = problem_vars or _problem_vars(problem)
-    images: dict[int, Type] = {}
-    row_images: list[tuple[int, list[tuple[str, Type]], TypeVar | None]] = []
+    images: dict[int, TRow] = {}
+    row_images: list[tuple[list[tuple[str, Type]], TypeVar | None]] = []
     for v in row_vars:
         image = sigma.mapping.get(v.id, v)
         if isinstance(image, TypeVar):
             image = TRow({}, image)
         images[v.id] = image
-        row_images.append((v.id, sorted(image.fields.items()), image.tail))
-    for v in star_vars:
-        images[v.id] = sigma.mapping.get(v.id, v)
+        row_images.append((sorted(image.fields.items()), image.tail))
+    star_images = [sigma.mapping.get(v.id, v) for v in star_vars]
 
-    residual_rows: list[TypeVar] = []
-    residual_stars: list[TypeVar] = []
-    for v in row_vars + star_vars:
-        for free in free_vars_ordered(images[v.id]):
-            bucket = residual_rows if free.kind is ROW else residual_stars
-            if free not in bucket:
-                bucket.append(free)
-    position = {v.id: i for i, v in enumerate(residual_rows)}
+    # The residual variables by id, in order of first appearance.
+    residual_rows: dict[int, TypeVar] = {}
+    residual_stars: dict[int, TypeVar] = {}
+    for image in [*images.values(), *star_images]:
+        for free in free_vars_ordered(image):
+            (residual_rows if free.kind is ROW else residual_stars).setdefault(free.id, free)
+    position = {vid: i for i, vid in enumerate(residual_rows)}
     clashing = [0] * len(residual_rows)  # per residual row, the labels it must lack
     bits = _label_bits(space)
     for side in problem:
@@ -309,29 +321,29 @@ def _instances_within(
 
     out: set[Assignment] = set()
     for star_choice in itertools.product(space.type_names, repeat=len(residual_stars)):
-        star_env = {v.id: name for v, name in zip(residual_stars, star_choice)}
-        values: dict[int, str | GroundRow] = {}
-        for v in star_vars:
-            image = images[v.id]
-            values[v.id] = image.name if isinstance(image, TCon) else star_env[image.id]
+        star_env = dict(zip(residual_stars, star_choice))
+        # One slot per problem variable: the row tails', then the stars'.
+        values: list[GroundRow | str | None] = [None] * len(row_images)
+        for image in star_images:
+            values.append(image.name if isinstance(image, TCon) else star_env[image.id])
         tables: list[tuple[int, tuple[GroundRow | None, ...], int]] = []
-        for vid, items, tail in row_images:
+        for slot, (items, tail) in enumerate(row_images):
             fields = _ground_fields(items, star_env)
             if tail is not None:
-                tables.append((vid, _fits(fields, space), position[tail.id]))
+                tables.append((slot, _fits(fields, space), position[tail.id]))
             elif _within(fields, space):
-                values[vid] = fields
+                values[slot] = fields
             else:
                 break
         else:
             for choice in choices:
-                for vid, table, at in tables:
+                for slot, table, at in tables:
                     value = table[choice[at]]
                     if value is None:
                         break
-                    values[vid] = value
+                    values[slot] = value
                 else:
-                    out.add(frozenset(values.items()))
+                    out.add(tuple(values))
     return out
 
 
@@ -394,10 +406,11 @@ def sample_problems(
     type_pool: list[Type] = list(space.base_types)
     var_pool: list[Type] = [_ALPHA, _BETA]
     max_fields = min(3, len(space.labels))
+    alphabet = sorted(space.labels)
 
     def side(tails: tuple) -> TRow:
         size = rng.randint(0, max_fields)
-        labels = rng.sample(sorted(space.labels), size)
+        labels = rng.sample(alphabet, size)
         fields: dict[str, Type] = {}
         for label in labels:
             if rng.random() < 0.2:

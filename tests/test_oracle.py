@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -12,6 +13,7 @@ from rowml.oracle import (
     GroundSpace,
     _ground_row_keys,
     _instances_within,
+    _problem_vars,
     exhaustive_problems,
     ground_solutions,
     oracle_agrees,
@@ -30,6 +32,16 @@ RHO3 = TypeVar(5, ROW)
 RHO4 = TypeVar(6, ROW)
 GAMMA = TypeVar(7, STAR)
 DELTA = TypeVar(8, STAR)
+
+
+def as_pairs(problem, assignments) -> set:
+    """The oracle's tuple assignments of a problem as the sets of
+    (variable id, value) pairs they stand for: the tuples hold one value
+    per variable of `_problem_vars(problem)`, row tails first."""
+    row_vars, star_vars = _problem_vars(problem)
+    ids = [v.id for v in row_vars + star_vars]
+    assert all(len(values) == len(ids) for values in assignments)
+    return {frozenset(zip(ids, values)) for values in assignments}
 
 
 def expected_row_count(space: GroundSpace) -> int:
@@ -91,7 +103,7 @@ class TestGroundSolutions:
         space = GroundSpace(labels=("age", "name"), max_row_size=2)
         problem = (TRow({"name": STRING}, RHO), TRow({"name": STRING, "age": INT}))
         sols = ground_solutions(problem, space)
-        assert sols == {frozenset({(RHO.id, (("age", "Int"),))})}
+        assert as_pairs(problem, sols) == {frozenset({(RHO.id, (("age", "Int"),))})}
 
     def test_unequal_closed_rows(self):
         space = GroundSpace(labels=("a",), max_row_size=1)
@@ -102,7 +114,7 @@ class TestGroundSolutions:
         problem = (TRow({"a": INT}, RHO), TRow({"b": BOOL}, RHO2))
         sols = ground_solutions(problem, space)
         assert sols  # e.g. rho={b:Bool}, rho2={a:Int}
-        for assignment in sols:
+        for assignment in as_pairs(problem, sols):
             values = dict(assignment)
             r1 = dict(values[RHO.id])
             r2 = dict(values[RHO2.id])
@@ -116,7 +128,9 @@ class TestGroundSolutions:
     def test_type_variables_range_over_base_types(self):
         space = GroundSpace(labels=("a",), max_row_size=1)
         problem = (TRow({"a": ALPHA}), TRow({"a": INT}))
-        assert ground_solutions(problem, space) == {frozenset({(ALPHA.id, "Int")})}
+        assert as_pairs(problem, ground_solutions(problem, space)) == {
+            frozenset({(ALPHA.id, "Int")})
+        }
 
     @pytest.mark.parametrize(
         "space",
@@ -129,7 +143,8 @@ class TestGroundSolutions:
         for problem in itertools.chain(
             exhaustive_problems(space), sample_problems(300, space, seed=11)
         ):
-            assert ground_solutions(problem, space) == naive_solutions(problem, space)
+            got = as_pairs(problem, ground_solutions(problem, space))
+            assert got == naive_solutions(problem, space)
 
     def test_rejects_rich_field_types(self):
         from rowml.syntax import TFun
@@ -271,10 +286,37 @@ class TestSampling:
                 assert len(side.fields) <= 3
                 assert set(side.fields) <= set(space.labels)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sampling_sorts_the_alphabet_once_without_changing_the_stream(self, seed):
+        space = GroundSpace()
+        assert list(sample_problems(2000, space, seed)) == sample_sorting_per_side(2000, space, seed)
+
     def test_small_sampled_campaign(self):
         space = GroundSpace(labels=("a", "b", "c"), max_row_size=2)
         result = run_campaign(sample_problems(150, space, seed=3), space)
         assert result.failures == 0
+
+
+def sample_sorting_per_side(count, space: GroundSpace, seed: int) -> list:
+    """`sample_problems` as it was when each side sorted the label
+    alphabet again: the reference for its random stream."""
+    rng = random.Random(seed)
+    type_pool = list(space.base_types)
+    var_pool = [ALPHA, BETA]
+    max_fields = min(3, len(space.labels))
+
+    def side(tails):
+        size = rng.randint(0, max_fields)
+        labels = rng.sample(sorted(space.labels), size)
+        fields = {}
+        for label in labels:
+            if rng.random() < 0.2:
+                fields[label] = rng.choice(var_pool)
+            else:
+                fields[label] = rng.choice(type_pool)
+        return TRow(fields, rng.choice(tails))
+
+    return [(side((None, RHO)), side((None, RHO, RHO2))) for _ in range(count)]
 
 
 def naive_solutions(problem, space: GroundSpace) -> set:
@@ -430,7 +472,8 @@ class TestInstancesWithin:
     )
     def test_hand_built_substitutions_match_the_definition(self, space, problem, mapping):
         sigma = Subst(mapping)
-        assert _instances_within(sigma, problem, space) == naive_instances(sigma, problem, space)
+        got = as_pairs(problem, _instances_within(sigma, problem, space))
+        assert got == naive_instances(sigma, problem, space)
 
     @pytest.mark.parametrize(
         "mapping, residual_rows",
@@ -450,7 +493,8 @@ class TestInstancesWithin:
         images = [sigma.mapping.get(v.id, v) for v in (RHO, RHO2)]
         residuals = {v for t in images for v in free_vars_ordered(t) if v.kind == ROW}
         assert len(residuals) == residual_rows
-        assert _instances_within(sigma, problem, space) == naive_instances(sigma, problem, space)
+        got = as_pairs(problem, _instances_within(sigma, problem, space))
+        assert got == naive_instances(sigma, problem, space)
 
     def test_unifier_answers_match_the_definition(self):
         space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=1)
@@ -461,5 +505,53 @@ class TestInstancesWithin:
                 sigma = unify_rows(*problem)
             except UnifyError:
                 continue
-            got = _instances_within(sigma, problem, space)
+            got = as_pairs(problem, _instances_within(sigma, problem, space))
             assert got == naive_instances(sigma, problem, space)
+
+
+class TestAssignmentTuples:
+    def test_both_sides_of_every_verdict_match_the_definitions(self):
+        space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2)
+        for problem in itertools.chain(
+            exhaustive_problems(space), sample_problems(500, space, seed=13)
+        ):
+            solutions = as_pairs(problem, ground_solutions(problem, space))
+            assert solutions == naive_solutions(problem, space)
+            try:
+                sigma = unify_rows(*problem)
+            except UnifyError:
+                continue
+            instances = as_pairs(problem, _instances_within(sigma, problem, space))
+            assert instances == naive_instances(sigma, problem, space)
+
+    def test_variables_are_ordered_tails_first_left_side_first_labels_sorted(self):
+        problem = (
+            TRow({"b": ALPHA, "a": BETA}, RHO2),
+            TRow({"b": ALPHA, "a": GAMMA, "c": INT}, RHO),
+        )
+        assert _problem_vars(problem) == ([RHO2, RHO], [BETA, ALPHA, GAMMA])
+
+    def test_both_sides_lay_out_their_tuples_in_that_order(self):
+        # The only solution: β = Int at a, α = Bool at b, ρ2 = {c:Int}, ρ = {}.
+        space = GroundSpace(labels=("a", "b", "c"), base_types=(INT, BOOL), max_row_size=3)
+        problem = (TRow({"b": ALPHA, "a": BETA}, RHO2), TRow({"a": INT, "b": BOOL, "c": INT}, RHO))
+        expected = {((("c", "Int"),), (), "Int", "Bool")}
+        assert ground_solutions(problem, space) == expected
+        assert _instances_within(unify_rows(*problem), problem, space) == expected
+
+    def test_equal_variables_that_are_distinct_objects_count_once(self):
+        alpha, rho = TypeVar(3, STAR), TypeVar(1, ROW)
+        assert alpha is not ALPHA and rho is not RHO
+        problem = (TRow({"a": ALPHA}, RHO), TRow({"b": alpha}, rho))
+        row_vars, star_vars = _problem_vars(problem)
+        assert row_vars == [RHO] and row_vars[0] is RHO
+        assert star_vars == [ALPHA] and star_vars[0] is ALPHA
+        space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2)
+        assert all(len(values) == 2 for values in ground_solutions(problem, space))
+
+    def test_a_tail_and_a_field_variable_with_one_id_are_both_kept(self):
+        # Each list drops repeats on its own: the two are different
+        # variables, as their kinds differ.
+        star, row = TypeVar(1, STAR), TypeVar(1, ROW)
+        problem = (TRow({"a": star}, row), TRow({"a": INT}, row))
+        assert _problem_vars(problem) == ([row], [star])
