@@ -1,13 +1,13 @@
 """Type inference for the surface language.
 
-Algorithm W over mutable session state.  `_infer` dispatches on a term's
-class through the table `_RULES`, one rule function per term form, and
-each rule reaches its sub-terms' rules through the table itself, so each
-level of nesting costs one Python frame.  A program's own bindings live
-in one dict, the scope: a `Lam` or `Let` sets its name there around its
-body and restores the outer meaning afterwards, and a name with no entry
-is looked up in the initial `TypeEnv`, which is never copied or
-extended.
+Algorithm W over mutable session state.  The table `_RULES` holds one
+rule function per term form, and each rule reaches its sub-terms' rules
+through the table itself, so each level of nesting costs one Python
+frame.  A program's own bindings live in one plain dict, the scope: a
+`Lam` or `Let` sets its name there around its body and restores the
+outer meaning afterwards.  A name with no entry means its innermost
+binding in the initial `TypeEnv`, which the session keeps and reads in
+place: it is never copied, extended or turned into a dict.
 
 The session is its own fresh variable supply and owns the current
 level; it keeps one triangular `Subst` of variable bindings, which
@@ -48,9 +48,9 @@ variables in one walk, `Subst.apply_collecting`, so the scheme is built
 in normal form and not walked again.  At the top level too the inferred
 type goes to `generalize` unresolved.
 
-Inference is staged: `infer_program` first kind-checks every scheme of
-the initial environment, then runs inference; constraint solving never
-consults the kind checker.
+Inference is staged: `infer_program` first kind-checks every binding of
+the initial environment, a shadowed one too, then runs inference;
+constraint solving never consults the kind checker.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from rowml.syntax import (
     TCon,
     TFun,
     TRow,
-    Term,
     Type,
     TypeEnv,
     TypeVar,
@@ -144,12 +143,16 @@ class InferSession(FreshVars):
     session alive.  `subst.lacks` holds the labels each unbound row
     variable must lack; every row the session builds is registered
     there before it is unified, so no step walks its inputs' rows.
+    `env` is the initial environment, read in place, never copied, for
+    each name the program does not bind; a name bound twice there means
+    its innermost binding.
     """
 
-    def __init__(self, fresh_start: int = 0) -> None:
+    def __init__(self, fresh_start: int = 0, env: TypeEnv = TypeEnv()) -> None:
         super().__init__(fresh_start)
         self.level = 0
         self.subst = Subst()
+        self.env = env
 
     def fresh(self, kind: Kind) -> TypeVar:
         v = super().fresh(kind)
@@ -201,7 +204,7 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
     and move the labels they lack from the store into the scheme.
 
     Every row of `tau` must have been registered with the store, as
-    `_infer` registers the rows it builds: the store's labels are then
+    inference registers the rows it builds: the store's labels are then
     all a quantified row variable lacks, those of the rows it ends
     included.  `tau` need not be resolved: `Subst.apply_collecting`
     resolves it and collects its free variables in one walk, so the
@@ -249,44 +252,24 @@ def _require_record(session: InferSession, t: Type, span: SourceSpan | None) -> 
     return found
 
 
-class _Scope(dict):
-    """A program's own bindings by name; a name with no entry means what
-    the initial environment `initial` says."""
-
-    __slots__ = ("initial",)
-
-    def __init__(self, initial: TypeEnv) -> None:
-        self.initial = initial
-
-    def __missing__(self, name: str) -> Scheme | None:
-        return self.initial.lookup(name)
+# A rule takes the session, the scope of the program's own bindings and
+# a term of its class, and calls a sub-term's rule from `_RULES` itself.
 
 
-def _infer(session: InferSession, gamma: TypeEnv, term: Term) -> Type:
-    """The type of `term` under `gamma`; bound variables in it are not yet resolved."""
-    rule = _RULES.get(term.__class__)
-    if rule is None:
-        raise AssertionError(f"unexpected term node: {term!r}")
-    return rule(session, _Scope(gamma), term)
-
-
-# A rule takes the session, the scope and a term of its class.  It calls
-# a sub-term's rule from `_RULES` itself: going through `_infer` would
-# cost a second Python frame per level of nesting.
-
-
-def _infer_var(session: InferSession, scope: _Scope, term: Var) -> Type:
-    scheme = scope[term.name]
+def _infer_var(session: InferSession, scope: dict[str, Scheme], term: Var) -> Type:
+    scheme = scope.get(term.name)
     if scheme is None:
-        raise UnboundVariable(term.name, term.span)
+        scheme = session.env.lookup(term.name)
+        if scheme is None:
+            raise UnboundVariable(term.name, term.span)
     return instantiate(session, scheme)
 
 
-def _infer_lit(session: InferSession, scope: _Scope, term: Lit) -> Type:
+def _infer_lit(session: InferSession, scope: dict[str, Scheme], term: Lit) -> Type:
     return INT if isinstance(term.value, int) else STRING
 
 
-def _infer_lam(session: InferSession, scope: _Scope, term: Lam) -> Type:
+def _infer_lam(session: InferSession, scope: dict[str, Scheme], term: Lam) -> Type:
     name, body, param = term.param, term.body, session.fresh(STAR)
     outer = scope.get(name)
     scope[name] = Scheme._normal((), param, ())
@@ -298,7 +281,7 @@ def _infer_lam(session: InferSession, scope: _Scope, term: Lam) -> Type:
     return TFun(param, result)
 
 
-def _infer_app(session: InferSession, scope: _Scope, term: App) -> Type:
+def _infer_app(session: InferSession, scope: dict[str, Scheme], term: App) -> Type:
     fun = _RULES[term.fun.__class__](session, scope, term.fun)
     arg = _RULES[term.arg.__class__](session, scope, term.arg)
     result = session.fresh(STAR)
@@ -306,7 +289,7 @@ def _infer_app(session: InferSession, scope: _Scope, term: App) -> Type:
     return result
 
 
-def _infer_let(session: InferSession, scope: _Scope, term: Let) -> Type:
+def _infer_let(session: InferSession, scope: dict[str, Scheme], term: Let) -> Type:
     name, body, start = term.name, term.body, session._next
     session.level += 1
     bound = _RULES[term.bound.__class__](session, scope, term.bound)
@@ -323,12 +306,12 @@ def _infer_let(session: InferSession, scope: _Scope, term: Let) -> Type:
     return result
 
 
-def _infer_record(session: InferSession, scope: _Scope, term: RecordLit) -> Type:
+def _infer_record(session: InferSession, scope: dict[str, Scheme], term: RecordLit) -> Type:
     fields = {label: _RULES[v.__class__](session, scope, v) for label, v in term.fields.items()}
     return TApp(REC, TRow(fields, None))
 
 
-def _infer_select(session: InferSession, scope: _Scope, term: Select) -> Type:
+def _infer_select(session: InferSession, scope: dict[str, Scheme], term: Select) -> Type:
     rec_type = _RULES[term.record.__class__](session, scope, term.record)
     rec_type = _require_record(session, rec_type, term.span)
     if isinstance(rec_type, TApp) and isinstance(rec_type.arg, TRow) and (
@@ -347,7 +330,7 @@ def _infer_select(session: InferSession, scope: _Scope, term: Select) -> Type:
     return value
 
 
-def _infer_extend(session: InferSession, scope: _Scope, term: Extend) -> Type:
+def _infer_extend(session: InferSession, scope: dict[str, Scheme], term: Extend) -> Type:
     value = _RULES[term.value.__class__](session, scope, term.value)
     rec_type = _RULES[term.record.__class__](session, scope, term.record)
     _require_record(session, rec_type, term.span)
@@ -356,7 +339,7 @@ def _infer_extend(session: InferSession, scope: _Scope, term: Extend) -> Type:
     return TApp(REC, extended)
 
 
-def _infer_restrict(session: InferSession, scope: _Scope, term: Restrict) -> Type:
+def _infer_restrict(session: InferSession, scope: dict[str, Scheme], term: Restrict) -> Type:
     rec_type = _RULES[term.record.__class__](session, scope, term.record)
     _require_record(session, rec_type, term.span)
     row = session.template_row(term.label, session.fresh(STAR))
@@ -407,10 +390,10 @@ def infer_program(
             rows.pop(v.id, None)
         for vid, labels in rows.items():
             free_rows[vid] = free_rows.get(vid, frozenset()).union(labels)
-    session = InferSession(fresh_start=top + 1)
+    session = InferSession(fresh_start=top + 1, env=gamma)
     session.subst.lacks.update(free_rows)
     session.level += 1
-    inferred = _infer(session, gamma, term)
+    inferred = _RULES[term.__class__](session, {}, term)
     session.level -= 1
     result = generalize(session, inferred)
     return Scheme._normal(result.quantified, canonicalize(result.body), result.lacks)

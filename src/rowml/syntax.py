@@ -308,9 +308,11 @@ class Scheme(_Node):
 
 class TypeEnv(_Node):
     """Term-variable context; lookup returns the innermost binding first.
-    Inference reads it only as the initial environment, by name, where
-    the program binds none: it keeps the program's own bindings in a
-    scope of its own and never extends this."""
+    Inference reads it only as the initial environment, in place, for
+    each name the program does not bind: a name bound twice means its
+    innermost binding, and the program's own bindings go in a scope of
+    their own, so this is never copied or extended.  Stage one
+    kind-checks every binding, a shadowed one too."""
 
     __slots__ = __match_args__ = ("bindings",)
     bindings: tuple[tuple[str, Scheme], ...]

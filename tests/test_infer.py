@@ -313,6 +313,14 @@ class TestScopes:
         assert scheme_of(src, self.ENV) == scheme_of(src, fresh)
         assert pretty_scheme(scheme_of(src, self.ENV)) == "∀a:*. Rec {a:Int, b:a -> a}"
 
+    def test_the_innermost_binding_of_the_initial_environment_wins(self):
+        # The environment is read in place: seeding the scope with
+        # `dict(env.bindings)` would let the outer, later entry win.
+        env = TypeEnv().extend("x", Scheme((), INT)).extend("x", Scheme((), STRING))
+        assert pretty_scheme(scheme_of("x", env)) == "String"
+        src = "{a = \\x. x, b = x}"
+        assert pretty_scheme(scheme_of(src, env)) == "∀a:*. Rec {a:a -> a, b:String}"
+
 
 class TestRecordErrors:
     def test_selection_via_application_mismatches(self):
@@ -522,6 +530,13 @@ class TestStageSeparation:
         with pytest.raises(KindFailure):
             infer_program("x", env=env)
 
+    def test_a_shadowed_binding_is_kind_checked_too(self):
+        # Stage one checks every binding, not the innermost one per name.
+        env = TypeEnv().extend("x", Scheme((), LIST)).extend("x", Scheme((), INT))
+        with pytest.raises(KindFailure) as exc:
+            infer_program("x", env=env)
+        assert str(exc.value.cause) == "List has kind * -> *, expected *"
+
     def test_no_kind_checking_during_inference(self, monkeypatch):
         calls = []
 
@@ -566,7 +581,8 @@ class TestResultIsFullySubstituted:
     )
     def test_session_substitution_is_settled(self, src):
         session = InferSession()
-        t = session.resolve(infer_mod._infer(session, TypeEnv(), parse_term(src)))
+        term = parse_term(src)
+        t = session.resolve(infer_mod._RULES[term.__class__](session, {}, term))
         assert session.resolve(t) == t
         for image in list(session.subst.mapping.values()):  # idempotency
             once = session.resolve(image)
