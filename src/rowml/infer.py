@@ -36,10 +36,11 @@ a bound that made no fresh variable, as a literal, a record literal of
 monomorphic names or a selection from a known record does, reaches no
 deeper variable, and its `let` binds its type with no `generalize` walk.
 
-Every row the session builds is registered with the store, so its
-tail lacks the row's labels, and the rows of the initial environment
-are registered before inference begins.  A repeated label is then the
-error of the unification step that would make it; nothing is walked
+The store knows the labels each row variable lacks before a step
+unifies it: those of the initial environment's rows are scanned first,
+and the only other rows with fields and a tail, record templates, have
+a fresh tail that lacks the template's label.  A repeated label is then
+the error of the unification step that would make it; nothing is walked
 again afterwards.  The store is the one record of the labels a row
 variable lacks: `generalize` moves a quantified row variable's labels
 from it into the scheme, and `instantiate` gives them to the variable's
@@ -141,8 +142,8 @@ class InferSession(FreshVars):
     `fresh_start`, are not in it and are at level 0.  The store never
     points back at the session, so no reference cycle keeps a finished
     session alive.  `subst.lacks` holds the labels each unbound row
-    variable must lack; every row the session builds is registered
-    there before it is unified, so no step walks its inputs' rows.
+    variable must lack; `template_row` writes there the label its fresh
+    tail lacks, so no step walks its inputs' rows.
     `env` is the initial environment, read in place, never copied, for
     each name the program does not bind; a name bound twice there means
     its innermost binding.
@@ -180,9 +181,10 @@ class InferSession(FreshVars):
 
     def template_row(self, label: str, field: Type) -> TRow:
         """The row ``{label:field | rest}`` of a record template, over a
-        fresh tail `rest` that lacks `label`."""
+        fresh tail `rest`.  The store records that `rest` lacks `label`;
+        being fresh, it lacks nothing else yet."""
         row = TRow({label: field}, self.fresh(ROW))
-        self.subst.register(row)
+        self.subst.lacks[row.tail.id] = frozenset((label,))
         return row
 
 
@@ -203,8 +205,8 @@ def generalize(session: InferSession, tau: Type) -> Scheme:
     deeper than the session's current level, in first-occurrence order,
     and move the labels they lack from the store into the scheme.
 
-    Every row of `tau` must have been registered with the store, as
-    inference registers the rows it builds: the store's labels are then
+    The store must know the labels of every row of `tau`, as it knows
+    those of every row inference builds: the store's labels are then
     all a quantified row variable lacks, those of the rows it ends
     included.  `tau` need not be resolved: `Subst.apply_collecting`
     resolves it and collects its free variables in one walk, so the

@@ -12,11 +12,12 @@ it shares nothing with the unifier beyond the syntax types.  Comparison
 is always relative to the space: both sides only count assignments
 whose rows fit inside it, by size, labels and field types.
 
-A verdict runs the unifier once, reaching it through the module
-attribute `rowml.unify.unify_rows` so that a wrapper put there sees the
-call.  It sorts each side's fields once and grounds them for every
-choice of field types, and grounds the unifier's answer only when there
-is one.  Work that does not depend on the problem is done once per
+A verdict runs the unifier once, in a new store that `scan_rows` seeds,
+reaching it through the module attribute `rowml.unify.unify_rows` so
+that a wrapper put there sees the call, and reads the triangular store
+it returns through `Subst.apply`.  It sorts each side's fields once and
+grounds them for every choice of field types, and grounds the unifier's
+answer only when there is one.  Work that does not depend on the problem is done once per
 campaign: `exhaustive_problems` builds its right-hand sides once and
 pairs every left side with them, and the tables below are built once
 per space.
@@ -63,6 +64,7 @@ from rowml.syntax import (
     _Node,
     _set,
     free_vars_ordered,
+    scan_rows,
 )
 
 Problem = tuple[TRow, TRow]
@@ -276,7 +278,8 @@ def _instances_within(
     for the problem: substituting them keeps both rows duplicate-free.
     Each is a tuple of values in `_problem_vars` order, as in
     `ground_solutions`.  `problem_vars` is `_problem_vars(problem)`, when
-    the caller has it.
+    the caller has it.  Images are read through `sigma.apply`, so a
+    triangular store gives what its resolved copy gives.
 
     The residual variables of the images range over the space.  An open
     side `{G | v}` of the problem stays duplicate-free when the value of
@@ -293,12 +296,12 @@ def _instances_within(
     images: dict[int, TRow] = {}
     row_images: list[tuple[list[tuple[str, Type]], TypeVar | None]] = []
     for v in row_vars:
-        image = sigma.mapping.get(v.id, v)
+        image = sigma.apply(v)
         if isinstance(image, TypeVar):
             image = TRow({}, image)
         images[v.id] = image
         row_images.append((sorted(image.fields.items()), image.tail))
-    star_images = [sigma.mapping.get(v.id, v) for v in star_vars]
+    star_images = [sigma.apply(v) for v in star_vars]
 
     # The residual variables by id, in order of first appearance.
     residual_rows: dict[int, TypeVar] = {}
@@ -352,12 +355,16 @@ def oracle_agrees(problem: Problem, space: GroundSpace, unifier=None) -> bool:
 
     True when both report no solution, or when the unifier's answer (a)
     actually unifies the two rows and (b) has exactly the brute-forced
-    ground solutions as its instances within the space.
+    ground solutions as its instances within the space.  `unifier`, if
+    given, stands in for `unify.unify_rows` and takes the same arguments.
     """
     run = unifier if unifier is not None else unify.unify_rows
     r1, r2 = problem
+    store = unify.Subst()
+    scan_rows(r1, store.lacks)
+    scan_rows(r2, store.lacks)
     try:
-        sigma = run(r1, r2, FreshVars(1_000_000))
+        sigma = run(r1, r2, FreshVars(1_000_000), store)
     except unify.UnifyError:
         sigma = None
     problem_vars = _problem_vars(problem)

@@ -294,7 +294,7 @@ class Scheme(_Node):
         label with all it lacks, sorted, counting the labels of each row
         of `body` with fields that the variable ends.  `generalize` passes
         the inference store's sets, which count those labels because
-        every row of `body` was registered with the store."""
+        the store knows the labels of every row of `body`."""
         scheme = object.__new__(cls)
         _set(scheme, "quantified", quantified)
         _set(scheme, "body", body)

@@ -15,17 +15,16 @@ each row it ends.  Binding a row variable to a row that has one of them
 is a DuplicateLabel; otherwise the labels pass on to the variable that
 ends the row.
 
-One `Subst` is threaded through a whole unification step: each binding
-is recorded as it is made and never re-applied to the bindings before
-it, so the store is triangular.  A failed step raises where it fails,
-and its caller discards the store.  Given no store, the public entry
-points seed the labels to lack from the rows of their inputs and answer
-with a new, settled store, whose images mention no bound variable; given
-the inference session's store, whose rows are registered already, and
-its variable supply, they extend it in place and leave it triangular.
+One `Subst` is threaded through a whole unification step, and `unify`
+and `unify_rows` extend the store they are given and return it: each
+binding is recorded as it is made and never re-applied to the bindings
+before it, so the store is triangular.  The caller seeds the labels the
+inputs' row variables lack, with `scan_rows` for a new store; the
+inference session records them as it builds each row.  A failed step
+raises where it fails, and its caller discards the store.
 
 The walks over types here (`find`, `apply_collecting`, the occurs walk
-of `bind`, `_unify`) rely on the five type-node classes being final:
+of `bind`, `unify`) rely on the five type-node classes being final:
 they dispatch on a node's exact class, ``t.__class__ is TApp``, the
 most frequent class first, and an unknown node is an AssertionError.
 A constructor leaf has no variable in it, so a walk returns or skips a
@@ -35,7 +34,6 @@ A constructor leaf has no variable in it, so a walk returns or skips a
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable
 
 from rowml.syntax import (
     FreshVars,
@@ -48,7 +46,6 @@ from rowml.syntax import (
     TypeVar,
     pretty_type,
     pretty_types_shared,
-    scan_rows,
     type_kind,
 )
 
@@ -130,9 +127,7 @@ class Subst:
     themselves, so types are read through `find`, `walk_row` and `apply`,
     which follow the chains.  Row variables map to rows; reading a row
     whose tail is bound merges the bound fields into the row, and a merge
-    that repeats a label raises DuplicateLabel.  `unify` and `unify_rows`
-    answer with `settled()` stores, whose images mention no bound
-    variable, unless they were given a store to extend.
+    that repeats a label raises DuplicateLabel.
 
     `levels` maps a variable id to its let-depth, absent meaning 0.  `bind`
     lowers it to the bound variable's level for every variable an image
@@ -140,9 +135,9 @@ class Subst:
     makes there.
 
     `lacks` maps an unbound row variable's id to the labels it must lack,
-    absent meaning none.  `register` adds the labels of a row to the
-    variable that ends it, and `bind` checks them and passes them on, so
-    no row reached through the store repeats a label.
+    absent meaning none.  Whoever builds the store seeds it with the
+    labels of each row a variable ends, and `bind` checks them and passes
+    them on, so no row reached through the store repeats a label.
     """
 
     __slots__ = ("mapping", "levels", "lacks")
@@ -264,21 +259,6 @@ class Subst:
             return t
         raise AssertionError(f"unexpected type node: {t!r}")
 
-    def _lack(self, vid: int, labels: Iterable[str]) -> None:
-        old = self.lacks.get(vid)
-        if old is None:
-            self.lacks[vid] = frozenset(labels)
-        elif not old.issuperset(labels):
-            self.lacks[vid] = old.union(labels)
-
-    def register(self, row: TRow) -> None:
-        """Record that the variable ending `row`'s tail chain lacks the
-        row's labels.  Raises DuplicateLabel, with nothing written, when
-        the row repeats a label under the store's bindings."""
-        end = self.walk_row(row)
-        if end.tail is not None and end.fields:
-            self._lack(end.tail.id, end.fields.keys())
-
     def bind(self, v: TypeVar, t: Type) -> None:
         """Bind the unbound variable `v` to `t`, after an occurs check
         that follows the bindings of `t`'s variables.
@@ -334,76 +314,24 @@ class Subst:
             if clash:
                 raise DuplicateLabel(min(clash), row)
             if row.tail is not None:
-                self._lack(row.tail.id, lacks)
+                old = self.lacks.get(row.tail.id)
+                if old is None or not old.issuperset(lacks):
+                    self.lacks[row.tail.id] = lacks if old is None else old | lacks
             del self.lacks[v.id]
         self.mapping[v.id] = t
 
-    def settled(self) -> Subst:
-        """A copy whose images mention no bound variable."""
-        if len(self.mapping) < 2:  # `bind` keeps a variable out of its own image
-            out = Subst(dict(self.mapping))
-        else:
-            out = Subst({vid: self.apply(t) for vid, t in self.mapping.items()})
-        out.lacks = self.lacks
-        return out
 
-
-def unify(
-    t1: Type, t2: Type, fresh: FreshVars | None = None, subst: Subst | None = None
-) -> Subst:
-    """Most general unifier of two types of equal kind.
+def unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> Subst:
+    """Most general unifier of two types of equal kind, as an extension
+    of the store `s`, which is returned.
 
     Structural everywhere except at row nodes, which unify through
-    `unify_rows` and therefore ignore field order.  With `subst`, whose
-    `register` the inputs' rows have been through, the types unify under
-    its bindings, and `subst` itself is extended and returned, unsettled;
-    a failed step leaves it as the step left it when it raised, so discard
-    it.  Otherwise the answer is a new, settled store.  `fresh` supplies
-    the tail variables row unification may need.  A given store needs it,
-    or ValueError is raised; without one, an omitted supply starts above
-    every variable in the inputs.
+    `unify_rows` and therefore ignore field order.  The types unify
+    under the store's bindings, and the store must know the labels each
+    row variable of the inputs lacks (`scan_rows` seeds a new store).
+    `fresh` supplies the tail variables row unification may need.  A
+    failed step leaves the store as it was when the step raised.
     """
-    if subst is not None and fresh is not None:
-        _unify(t1, t2, fresh, subst)
-        return subst
-    return _step(_unify, t1, t2, fresh, subst)
-
-
-def unify_rows(
-    r1: TRow, r2: TRow, fresh: FreshVars | None = None, subst: Subst | None = None
-) -> Subst:
-    """Unify two rows regardless of field order or known size.
-
-    Fields under labels common to both rows unify pointwise; because a
-    pointwise step can instantiate a tail and reveal new common labels,
-    this repeats until the shared labels are exhausted.  The remaining
-    fields on each side are then pushed into the other side's tail: a
-    closed side with leftovers on the other side fails with
-    RowMissingLabel, two distinct tails meet in a fresh shared tail, and
-    the same tail on both sides is only consistent when nothing is left.
-
-    `fresh` and `subst` are as for `unify`.  Inside a step of `unify`,
-    this is the step's row case and extends its store.
-    """
-    if subst is not None and fresh is not None:
-        _unify_rows(r1, r2, fresh, subst)
-        return subst
-    return _step(_unify_rows, r1, r2, fresh, subst)
-
-
-def _step(solve, t1: Type, t2: Type, fresh: FreshVars | None, subst: Subst | None) -> Subst:
-    """Run `solve` on a new store, seeded with the labels its inputs' row
-    variables lack, that is settled when the step ends.  The entry points
-    solve in a given store themselves, when they also have a supply."""
-    if subst is not None:
-        raise ValueError("unifying in a given store needs a fresh variable supply")
-    s = Subst()
-    top = max(scan_rows(t1, s.lacks), scan_rows(t2, s.lacks))
-    solve(t1, t2, fresh if fresh is not None else FreshVars(top + 1), s)
-    return s.settled()
-
-
-def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
     if t1.__class__ is TypeVar:
         t1 = s.find(t1)
     if t2.__class__ is TypeVar:
@@ -419,14 +347,14 @@ def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
     # as REC, already agree: only other children are unified.
     elif cls is TApp:
         if t1.fun.__class__ is not TCon or t1.fun is not t2.fun:
-            _unify(t1.fun, t2.fun, fresh, s)
+            unify(t1.fun, t2.fun, fresh, s)
         if t1.arg.__class__ is not TCon or t1.arg is not t2.arg:
-            _unify(t1.arg, t2.arg, fresh, s)
+            unify(t1.arg, t2.arg, fresh, s)
     elif cls is TFun:
         if t1.dom.__class__ is not TCon or t1.dom is not t2.dom:
-            _unify(t1.dom, t2.dom, fresh, s)
+            unify(t1.dom, t2.dom, fresh, s)
         if t1.cod.__class__ is not TCon or t1.cod is not t2.cod:
-            _unify(t1.cod, t2.cod, fresh, s)
+            unify(t1.cod, t2.cod, fresh, s)
     elif cls is TRow:
         unify_rows(t1, t2, fresh, s)
     elif cls is TCon:
@@ -436,16 +364,30 @@ def _unify(t1: Type, t2: Type, fresh: FreshVars, s: Subst) -> None:
             raise Mismatch(t1, t2)
     else:
         raise AssertionError(f"unexpected type node: {t1!r}")
+    return s
 
 
-def _unify_rows(r1: TRow, r2: TRow, fresh: FreshVars, s: Subst) -> None:
+def unify_rows(r1: TRow, r2: TRow, fresh: FreshVars, s: Subst) -> Subst:
+    """Unify two rows regardless of field order or known size, as an
+    extension of the store `s`, which is returned.
+
+    Fields under labels common to both rows unify pointwise; because a
+    pointwise step can instantiate a tail and reveal new common labels,
+    this repeats until the shared labels are exhausted.  The remaining
+    fields on each side are then pushed into the other side's tail: a
+    closed side with leftovers on the other side fails with
+    RowMissingLabel, two distinct tails meet in a fresh shared tail, and
+    the same tail on both sides is only consistent when nothing is left.
+
+    `fresh` and `s` are as for `unify`, whose row case this is.
+    """
     a = s.walk_row(r1)
     b = s.walk_row(r2)
     todo = sorted(a.fields.keys() & b.fields.keys())
     done: set[str] = set()
     while todo:
         for label in todo:
-            _unify(a.fields[label], b.fields[label], fresh, s)
+            unify(a.fields[label], b.fields[label], fresh, s)
         # Walk again only when the pass bound a.tail or b.tail: a walk of
         # r1 follows r1's tail chain, which ends at a.tail, and a binding
         # is never undone, so no other binding changes what it gives.
@@ -475,3 +417,4 @@ def _unify_rows(r1: TRow, r2: TRow, fresh: FreshVars, s: Subst) -> None:
         s.bind(a.tail, TRow(only2, None))
     elif b.tail is not None:
         s.bind(b.tail, TRow(only1, None))
+    return s

@@ -106,17 +106,17 @@ class TestGeneralize:
         session = InferSession()
         (rho,) = deeper_vars(session, ROW)
         t = TFun(record({"name": STRING}, rho), STRING)
-        session.subst.register(t.dom.arg)  # as inference registers its rows
+        scan_rows(t, session.subst.lacks)  # as inference seeds the rows it is given
         s = generalize(session, t)
         assert s == Scheme((rho,), t) and s.lacks == ((rho, ("name",)),)
 
     def test_a_bound_row_is_read_in_label_order_and_its_tail_lacks_its_labels(self):
-        # Registering the row, as inference does, is what makes its tail
-        # lack its labels; the scheme takes them from the store.
+        # Seeding the store with the row, as inference does, is what makes
+        # its tail lack its labels; the scheme takes them from the store.
         session = InferSession()
         x, a, b, rho = deeper_vars(session, STAR, STAR, STAR, ROW)
         bound = record({"y": a, "x": b}, rho)
-        session.subst.register(bound.arg)
+        scan_rows(bound, session.subst.lacks)
         session.unify(x, bound, None)
         s = generalize(session, TFun(x, a))
         assert s.quantified == (b, a, rho)
@@ -758,17 +758,6 @@ def record_programs(let_wrapped: bool = False):
     return st.recursive(leaves, extend, max_leaves=12).map(lambda e: f"\\r. \\q. {e}")
 
 
-def rows_of(t):
-    """The rows of `t`, outermost first."""
-    if isinstance(t, TRow):
-        return [t] + [row for field in t.fields.values() for row in rows_of(field)]
-    if isinstance(t, TApp):
-        return rows_of(t.fun) + rows_of(t.arg)
-    if isinstance(t, TFun):
-        return rows_of(t.dom) + rows_of(t.cod)
-    return []
-
-
 STAR_POOL = tuple(TypeVar(i) for i in range(3))
 ROW_POOL = tuple(TypeVar(i, ROW) for i in range(3, 6))
 
@@ -812,12 +801,13 @@ class TestProperties:
         session.level = 3
         levels = session.subst.levels
         levels.update(enumerate(pool_levels))
+        for t1, t2 in steps:  # as inference seeds the rows of its environment
+            scan_rows(t1, session.subst.lacks)
+            scan_rows(t2, session.subst.lacks)
         for t1, t2 in steps:
             try:
-                for row in rows_of(t1) + rows_of(t2):  # as inference registers its rows
-                    session.subst.register(row)
                 session.unify(t1, t2, None)
-            except (DuplicateLabel, UnifyFailure):
+            except UnifyFailure:
                 return  # inference stops at a failed step
             assert session.resolve(t1) == session.resolve(t2)
             for vid, image in session.subst.mapping.items():
@@ -887,19 +877,16 @@ class TestSelectionFromAClosedRow:
         session = InferSession(fresh_start=6)
         session.level = 3
         session.subst.levels.update(enumerate(pool_levels))
+        row = TRow(fields, None)
+        scan_rows(row, session.subst.lacks)
+        for t1, t2 in steps:
+            scan_rows(t1, session.subst.lacks)
+            scan_rows(t2, session.subst.lacks)
         for t1, t2 in steps:
             try:
-                for r in rows_of(t1) + rows_of(t2):
-                    session.subst.register(r)
                 session.unify(t1, t2, None)
-            except (DuplicateLabel, UnifyFailure):
-                pass  # the failed step was taken back
-        row = TRow(fields, None)
-        try:
-            for r in rows_of(row):
-                session.subst.register(r)
-        except DuplicateLabel:
-            return  # inference would have rejected the row
+            except UnifyFailure:
+                pass  # the bindings of a failed step stay
         label = data.draw(st.sampled_from(sorted(fields)))
         value = session.fresh(STAR)
         template = session.template_row(label, value)

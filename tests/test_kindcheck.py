@@ -21,7 +21,8 @@ from rowml.syntax import (
     free_vars_ordered,
     record,
 )
-from rowml.unify import unify
+
+from stores import solve
 
 DELTA = {}
 RHO = TypeVar(0, ROW)
@@ -127,7 +128,7 @@ class TestSubstitutionPreservesKinds:
         # shift right-hand ids so the two parses do not collide
         shift = 100
         t2 = _shift(t2, shift)
-        sigma = unify(t1, t2)
+        sigma = solve(t1, t2)
         all_vars = set(free_vars_ordered(t1)) | set(free_vars_ordered(t2))
         for image in sigma.mapping.values():
             all_vars |= set(free_vars_ordered(image))

@@ -23,6 +23,8 @@ from rowml.oracle import (
 from rowml.syntax import BOOL, INT, ROW, STAR, STRING, TCon, TRow, TypeVar, free_vars_ordered
 from rowml.unify import Subst, UnifyError, unify_rows
 
+from stores import solve
+
 RHO = TypeVar(1, ROW)
 RHO2 = TypeVar(2, ROW)
 ALPHA = TypeVar(3, STAR)
@@ -171,7 +173,7 @@ class TestOracleAgrees:
         assert oracle_agrees((left, right), self.SPACE)
 
     def test_disagrees_with_a_lying_unifier(self):
-        def liar(r1, r2, fresh=None):
+        def liar(r1, r2, fresh, subst):
             return Subst()
 
         problem = (TRow({"a": INT}, RHO), TRow({"b": BOOL}, RHO2))
@@ -180,7 +182,7 @@ class TestOracleAgrees:
     def test_disagrees_with_an_overly_eager_failure(self):
         from rowml.unify import Mismatch
 
-        def naysayer(r1, r2, fresh=None):
+        def naysayer(r1, r2, fresh, subst):
             raise Mismatch(r1, r2)
 
         problem = (TRow({"name": STRING}, RHO), TRow({"name": STRING}))
@@ -193,8 +195,8 @@ class TestOracleAgrees:
         assert oracle_agrees((TRow({}, RHO), TRow({"a": BOOL})), space)
 
     def test_mutated_unifier_is_caught_by_a_campaign(self):
-        def swapped(r1, r2, fresh=None):
-            sigma = unify_rows(r1, r2, fresh)
+        def swapped(r1, r2, fresh, subst):
+            sigma = unify_rows(r1, r2, fresh, subst)
             tails = [t for t in (r1.tail, r2.tail) if t is not None]
             if (
                 len(tails) == 2
@@ -355,9 +357,7 @@ def naive_instances(sigma: Subst, problem, space: GroundSpace) -> set:
     is duplicate-free and fits the space's size, labels and types, and
     both sides of the problem stay duplicate-free under the values."""
     problem_vars = {v for side in problem for v in free_vars_ordered(side)}
-    images = {
-        v: sigma.mapping.get(v.id, TRow({}, v) if v.kind == ROW else v) for v in problem_vars
-    }
+    images = {v: sigma.apply(v) for v in problem_vars}
     residuals = sorted(
         {r for image in images.values() for r in free_vars_ordered(image)}, key=lambda r: r.id
     )
@@ -496,13 +496,32 @@ class TestInstancesWithin:
         got = as_pairs(problem, _instances_within(sigma, problem, space))
         assert got == naive_instances(sigma, problem, space)
 
+    def test_a_triangular_store_gives_the_instances_of_its_resolved_copy(self):
+        # ρ's image is a row whose tail ρ3 is bound too, and α's image is a
+        # variable bound to Int: each is read through its bindings
+        triangular = Subst(
+            {
+                RHO.id: TRow({"b": GAMMA}, RHO3),
+                RHO3.id: TRow({"c": INT}, RHO4),
+                RHO2.id: TRow({"b": GAMMA, "c": INT}, RHO4),
+                ALPHA.id: DELTA,
+                DELTA.id: INT,
+            }
+        )
+        resolved = Subst({vid: triangular.apply(t) for vid, t in triangular.mapping.items()})
+        problem = (TRow({"a": ALPHA}, RHO), TRow({"a": INT}, RHO2))
+        space = GroundSpace(labels=("a", "b", "c"), base_types=(INT, BOOL), max_row_size=3)
+        instances = _instances_within(resolved, problem, space)
+        assert instances  # ρ4 = {} and γ of either type
+        assert _instances_within(triangular, problem, space) == instances
+
     def test_unifier_answers_match_the_definition(self):
         space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=1)
         for problem in itertools.chain(
             exhaustive_problems(space), sample_problems(300, space, seed=5)
         ):
             try:
-                sigma = unify_rows(*problem)
+                sigma = solve(*problem, run=unify_rows)
             except UnifyError:
                 continue
             got = as_pairs(problem, _instances_within(sigma, problem, space))
@@ -518,7 +537,7 @@ class TestAssignmentTuples:
             solutions = as_pairs(problem, ground_solutions(problem, space))
             assert solutions == naive_solutions(problem, space)
             try:
-                sigma = unify_rows(*problem)
+                sigma = solve(*problem, run=unify_rows)
             except UnifyError:
                 continue
             instances = as_pairs(problem, _instances_within(sigma, problem, space))
@@ -537,7 +556,7 @@ class TestAssignmentTuples:
         problem = (TRow({"b": ALPHA, "a": BETA}, RHO2), TRow({"a": INT, "b": BOOL, "c": INT}, RHO))
         expected = {((("c", "Int"),), (), "Int", "Bool")}
         assert ground_solutions(problem, space) == expected
-        assert _instances_within(unify_rows(*problem), problem, space) == expected
+        assert _instances_within(solve(*problem, run=unify_rows), problem, space) == expected
 
     def test_equal_variables_that_are_distinct_objects_count_once(self):
         alpha, rho = TypeVar(3, STAR), TypeVar(1, ROW)
