@@ -70,7 +70,7 @@ def cmd_repl(stdin=None, out=None) -> int:
     for number, line in enumerate(stdin):
         if number == 0:
             line = line.removeprefix("\ufeff")  # a byte-order mark, which strip keeps
-        line = line.strip()
+        line = line.strip(" \t\r\n")  # the whitespace of the lexer, and no other
         if not line:
             continue
         if line in (":quit", ":q"):

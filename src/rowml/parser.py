@@ -9,10 +9,10 @@ string is double-quoted on one line, with the escapes
 Keywords: ``let``, ``in``.  A span's line and column count characters
 from 1.
 
-The lexer gives each token a kind, a text, a start and an end, as
-parallel lists; a token carries no line or column.  The parser reads a
-span's line and column off the source's newline offsets when it builds
-the span.
+The lexer gives each token a kind, a text as written and a start, in
+three parallel tables: a token ends at its start plus its text's length,
+and a string literal is unescaped when the parser builds its `Lit`.  A
+span's line and column are read off the source's newline offsets.
 
 Term grammar::
 
@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from rowml.syntax import (
     App,
@@ -106,8 +107,8 @@ class ParseError(Exception):
 # alternative.
 _TOKEN = re.compile(
     r"""( (?![ \t\r\n])
-          (?: [\\.(){},|=:]
-            | [^\W\d]\w*                 # identifier or keyword
+          (?: [^\W\d]\w*                 # identifier or keyword
+            | [\\.(){},|=:]
             | \d+                        # integer
             | ->?                        # '->' or '-'
             | "(?:[^"\\\n]|\\[\\"nt])*"   # string
@@ -142,8 +143,8 @@ _KINDS = {
 
 
 def _tokenize(src: str):
-    """The tokens of `src` as parallel lists: kind, text (a string
-    literal's value), start and end.  The last token is "eof"."""
+    """The tokens of `src` as parallel tables: kinds, texts as written
+    and starts, an `array`.  The last token is "eof"."""
     # Comments are blanked out, keeping every offset; a source without
     # "--" skips that pass, which costs more than the test.
     if "--" in src:
@@ -152,28 +153,22 @@ def _tokenize(src: str):
         parts = _TOKEN.split(src)
     texts = parts[1::2]
     texts.append("")
-    offsets = list(accumulate(map(len, parts)))  # where each part ends
-    starts = offsets[::2]  # its last is where the trailing space ends: the end of input
-    ends = offsets[1::2]
-    ends.append(offsets[-1])
+    # A space part ends where the token after it starts, the last where "eof"
+    # does.  An array is built faster from a list than from the iterator.
+    starts = array("q", list(islice(accumulate(map(len, parts)), 0, None, 2)))
     kinds = list(map(_KINDS.get, texts))
     for i, kind in enumerate(kinds):
         if kind is None:
-            text = texts[i]
-            c = text[0]
+            c = texts[i][0]
             if c.isalpha() or c == "_":
                 kinds[i] = "ident"
             elif c.isdecimal():
                 kinds[i] = "int"
-            elif c == '"' and len(text) > 1:
+            elif c == '"' and len(texts[i]) > 1:
                 kinds[i] = "string"
-                text = text[1:-1]
-                if "\\" in text:
-                    text = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e[1]], text)
-                texts[i] = text
             else:
                 raise _lex_error(src, starts[i])
-    return kinds, texts, starts, ends
+    return kinds, texts, starts
 
 
 def _blank(m: re.Match) -> str:
@@ -207,11 +202,11 @@ _ATOM_START = frozenset(("ident", "int", "string", "lparen", "lbrace"))
 
 
 class _Parser:
-    """Recursive descent over the token lists of `_tokenize`; a token is
-    addressed by its index."""
+    """Recursive descent over the token tables of `_tokenize`; a token
+    is addressed by its index."""
 
     def __init__(self, src: str) -> None:
-        self.kinds, self.texts, self.starts, self.ends = _tokenize(src)
+        self.kinds, self.texts, self.starts = _tokenize(src)
         self.pos = 0
         # The offset of each newline, after a -1 for the start of the
         # source: line n starts after breaks[n - 1].  Found with
@@ -230,7 +225,7 @@ class _Parser:
         """Token `i`'s span, or the span from its start to `end`."""
         start = self.starts[i]
         if end is None:
-            end = self.ends[i]
+            end = start + len(self.texts[i])
         breaks = self.breaks
         line = bisect_left(breaks, start)
         return _new(SourceSpan, (start, end, line, start - breaks[line - 1]))
@@ -256,31 +251,36 @@ class _Parser:
         while True:
             i = self.pos
             kind = kinds[i]
+            # A binder's name is token i + 1; `expect` reports a token out of place.
             if kind == "lambda":
                 self.pos = i + 1
-                param = self.expect("ident", "identifier")
-                self.expect("dot", "'.'")
-                binders.append((i, param, None))
+                if kinds[i + 1] != "ident" or kinds[i + 2] != "dot":
+                    self.expect("ident", "identifier")
+                    self.expect("dot", "'.'")
+                self.pos = i + 3
+                binders.append((i, i + 1, None))
             elif kind == "let":
                 self.pos = i + 1
-                name = self.expect("ident", "identifier")
-                self.expect("equals", "'='")
+                if kinds[i + 1] != "ident" or kinds[i + 2] != "equals":
+                    self.expect("ident", "identifier")
+                    self.expect("equals", "'='")
+                self.pos = i + 3
                 bound = self.term()
                 self.expect("in", "'in'")
-                binders.append((i, name, bound))
+                binders.append((i, i + 1, bound))
             else:
                 break
         t = self.atom()
         while kinds[self.pos] in _ATOM_START:
             arg = self.atom()
-            t = App(t, arg, span=_join(t.span, arg.span[1]))
+            t = App(t, arg, _join(t.span, arg.span[1]))
         if binders:
             end = t.span[1]  # every binder of the spine ends where its body ends
             for i, name, bound in reversed(binders):
                 if bound is None:
-                    t = Lam(texts[name], t, span=self.span(i, end))
+                    t = Lam(texts[name], t, self.span(i, end))
                 else:
-                    t = Let(texts[name], bound, t, span=self.span(i, end))
+                    t = Let(texts[name], bound, t, self.span(i, end))
         return t
 
     def atom(self) -> Term:
@@ -290,7 +290,7 @@ class _Parser:
         kind = kinds[i]
         if kind == "ident":
             self.pos = i + 1
-            t: Term = Var(texts[i], span=self.span(i))
+            t: Term = Var(texts[i], self.span(i))
         elif kind == "int":
             self.pos = i + 1
             text = texts[i]
@@ -303,16 +303,16 @@ class _Parser:
                     (f"integer literal of at most {limit} digits",),
                     f"{len(text)} digits",
                 ) from None
-            t = Lit(value, span=self.span(i))
+            t = Lit(value, self.span(i))
         elif kind == "string":
             self.pos = i + 1
-            t = Lit(texts[i], span=self.span(i))
+            t = Lit(_ESCAPE.sub(lambda e: _STRING_ESCAPES[e[1]], texts[i][1:-1]), self.span(i))
         elif kind == "lparen":
             self.pos = i + 1
             t = self.term()
             close = self.expect("rparen", "')'")
             # The term is new and not yet shared: widen its span in place.
-            object.__setattr__(t, "span", self.span(i, self.ends[close]))
+            object.__setattr__(t, "span", self.span(i, self.starts[close] + 1))
         elif kind == "lbrace":
             t = self.record()
         else:
@@ -327,7 +327,7 @@ class _Parser:
                 return t
             self.pos += 1
             label = self.expect("ident", "identifier")
-            t = node(t, texts[label], span=_join(t.span, self.ends[label]))
+            t = node(t, texts[label], _join(t.span, self.starts[label] + len(texts[label])))
 
     def record(self) -> Term:
         open_ = self.expect("lbrace", "'{'")
@@ -356,12 +356,12 @@ class _Parser:
             self.pos += 1
             t = self.term()
             close = self.expect("rbrace", "'}'")
-            span = self.span(open_, self.ends[close])
+            span = self.span(open_, self.starts[close] + 1)
             for label, value in reversed(fields.items()):
-                t = Extend(label, value, t, span=span)
+                t = Extend(label, value, t, span)
             return t
         close = self.expect("rbrace", "'}'")
-        return RecordLit(fields, span=self.span(open_, self.ends[close]))
+        return RecordLit(fields, self.span(open_, self.starts[close] + 1))
 
     # -- types --------------------------------------------------------------
 

@@ -340,9 +340,9 @@ class TypeEnv(_Node):
 class Term(_Node):
     """Base class for surface-language terms.  A term keeps its fields in
     its instance dict, where `term_nodes` in `bench/spans.py` reads them.
-    Every constructor also takes the keyword `span`, which the parser
-    fills; it is no field, so equality, hashing and repr leave it out,
-    and copying and pickling keep it."""
+    Every constructor also takes a `span`, after the fields, by position
+    or by keyword, which the parser fills; it is no field, so equality,
+    hashing and repr leave it out, and copying and pickling keep it."""
 
     span: SourceSpan | None
 
@@ -355,7 +355,7 @@ class Var(Term):
     __match_args__ = ("name",)
     name: str
 
-    def __init__(self, name: str, *, span: SourceSpan | None = None) -> None:
+    def __init__(self, name: str, span: SourceSpan | None = None) -> None:
         _set(self, "name", name)
         _set(self, "span", span)
 
@@ -365,7 +365,7 @@ class Lam(Term):
     param: str
     body: Term
 
-    def __init__(self, param: str, body: Term, *, span: SourceSpan | None = None) -> None:
+    def __init__(self, param: str, body: Term, span: SourceSpan | None = None) -> None:
         _set(self, "param", param)
         _set(self, "body", body)
         _set(self, "span", span)
@@ -376,7 +376,7 @@ class App(Term):
     fun: Term
     arg: Term
 
-    def __init__(self, fun: Term, arg: Term, *, span: SourceSpan | None = None) -> None:
+    def __init__(self, fun: Term, arg: Term, span: SourceSpan | None = None) -> None:
         _set(self, "fun", fun)
         _set(self, "arg", arg)
         _set(self, "span", span)
@@ -389,7 +389,7 @@ class Let(Term):
     body: Term
 
     def __init__(
-        self, name: str, bound: Term, body: Term, *, span: SourceSpan | None = None
+        self, name: str, bound: Term, body: Term, span: SourceSpan | None = None
     ) -> None:
         _set(self, "name", name)
         _set(self, "bound", bound)
@@ -403,7 +403,7 @@ class Lit(Term):
     __match_args__ = ("value",)
     value: int | str
 
-    def __init__(self, value: int | str, *, span: SourceSpan | None = None) -> None:
+    def __init__(self, value: int | str, span: SourceSpan | None = None) -> None:
         _set(self, "value", value)
         _set(self, "span", span)
 
@@ -412,7 +412,7 @@ class RecordLit(Term):
     __match_args__ = ("fields",)
     fields: dict[str, Term]
 
-    def __init__(self, fields: dict[str, Term], *, span: SourceSpan | None = None) -> None:
+    def __init__(self, fields: dict[str, Term], span: SourceSpan | None = None) -> None:
         _set(self, "fields", fields)
         _set(self, "span", span)
 
@@ -422,7 +422,7 @@ class Select(Term):
     record: Term
     label: str
 
-    def __init__(self, record: Term, label: str, *, span: SourceSpan | None = None) -> None:
+    def __init__(self, record: Term, label: str, span: SourceSpan | None = None) -> None:
         _set(self, "record", record)
         _set(self, "label", label)
         _set(self, "span", span)
@@ -435,7 +435,7 @@ class Extend(Term):
     record: Term
 
     def __init__(
-        self, label: str, value: Term, record: Term, *, span: SourceSpan | None = None
+        self, label: str, value: Term, record: Term, span: SourceSpan | None = None
     ) -> None:
         _set(self, "label", label)
         _set(self, "value", value)
@@ -448,7 +448,7 @@ class Restrict(Term):
     record: Term
     label: str
 
-    def __init__(self, record: Term, label: str, *, span: SourceSpan | None = None) -> None:
+    def __init__(self, record: Term, label: str, span: SourceSpan | None = None) -> None:
         _set(self, "record", record)
         _set(self, "label", label)
         _set(self, "span", span)

@@ -286,6 +286,14 @@ class TestRepl:
     def test_a_byte_order_mark_is_skipped_on_the_first_line(self):
         assert self.run("\ufeff\\x. x\n") == "∀a:*. a -> a\n"
 
+    @pytest.mark.parametrize(
+        "line, found", [("1\f\n", "'\\x0c'"), ("\u00a01\n", "'\\xa0'"), ("1\u2003\n", "'\\u2003'")]
+    )
+    def test_only_the_lexer_s_whitespace_is_stripped(self, line, found):
+        # Form feed and Unicode spaces are no whitespace to the lexer, so
+        # the REPL reports them as `rowml check` does.
+        assert self.run(line + "1\n") == f"error: expected a token, found {found}\nInt\n"
+
     def test_a_byte_order_mark_on_a_later_line_is_an_error(self):
         output = self.run("1\n\ufeff\\x. x\n")
         assert output == "Int\nerror: expected a token, found '\\ufeff'\n"

@@ -1,9 +1,13 @@
 """Tests for the lexer and parser, including print/parse round trips."""
 
 import copy
+import gc
 import pickle
 import re
 import sys
+import tracemalloc
+from array import array
+from itertools import accumulate
 
 import hypothesis.strategies as st
 import pytest
@@ -394,6 +398,96 @@ def programs(depth=3):
 
 noise = st.text(alphabet=st.sampled_from(list('ab1٣éⅫ²_ \t\r\n-->."\\(){},|=:#')), max_size=20)
 
+# Pieces that join into sources for the lexer alone: every token, space
+# and line ends, comments, strings with each escape and strings that do
+# not close, and characters that start no token.
+lexer_sources = st.lists(
+    st.sampled_from((
+        "\\", ".", "(", ")", "{", "}", ",", "|", "=", ":", "-", "->", "let", "in",
+        "x", "_a1", "letx", "x²", "é٣", "٣", "12", " ", "\t", "\r", "\n", "\r\n",
+        "--", "-- c", "-->", "x---y", "--\r\n", '"a"', '"\\\\"', '"\\""', '"\\n"', '"\\t"',
+        '"--"', '"', '"a', '"\\q"', '"\\', "Ⅻ", "²", "#", "\x0c", "\xa0", "\ufeff",
+    )),
+    max_size=24,
+).map("".join)
+
+
+# The lexer as it was when it kept four lists (kind, text with a string
+# literal unquoted, start and end), frozen as a reference for the tables
+# of `_tokenize`.
+_REF_TOKEN = re.compile(
+    r"""( (?![ \t\r\n])
+          (?: [\\.(){},|=:]
+            | [^\W\d]\w*                 # identifier or keyword
+            | \d+                        # integer
+            | ->?                        # '->' or '-'
+            | "(?:[^"\\\n]|\\[\\"nt])*"   # string
+            | .                          # any other character
+        ))""",
+    re.VERBOSE,
+)
+_REF_STRING_PREFIX = re.compile(r'"(?:[^"\\\n]|\\[\\"nt])*')
+_REF_COMMENT = re.compile(r'--[^\n]*|"(?:[^"\\\n]|\\[\\"nt])*"')
+_REF_KINDS = {
+    "\\": "lambda", ".": "dot", "(": "lparen", ")": "rparen", "{": "lbrace", "}": "rbrace",
+    ",": "comma", "|": "pipe", "=": "equals", ":": "colon", "-": "minus", "->": "arrow",
+    "let": "let", "in": "in", "": "eof",
+}
+
+
+def _reference_tokenize(src):
+    parts = _REF_TOKEN.split(_REF_COMMENT.sub(_reference_blank, src) if "--" in src else src)
+    texts = parts[1::2]
+    texts.append("")
+    offsets = list(accumulate(map(len, parts)))
+    starts = offsets[::2]
+    ends = offsets[1::2]
+    ends.append(offsets[-1])
+    kinds = list(map(_REF_KINDS.get, texts))
+    for i, kind in enumerate(kinds):
+        if kind is None:
+            text = texts[i]
+            c = text[0]
+            if c.isalpha() or c == "_":
+                kinds[i] = "ident"
+            elif c.isdecimal():
+                kinds[i] = "int"
+            elif c == '"' and len(text) > 1:
+                kinds[i] = "string"
+                texts[i] = _unquote(text)
+            else:
+                raise _reference_lex_error(src, starts[i])
+    return kinds, texts, starts, ends
+
+
+def _reference_blank(m):
+    return m[0] if m[0][0] == '"' else " " * len(m[0])
+
+
+def _reference_lex_error(src, pos):
+    line = src.count("\n", 0, pos) + 1
+    col = pos - src.rfind("\n", 0, pos)
+    if src[pos] != '"':
+        return ParseError(SourceSpan(pos, pos + 1, line, col), ("a token",), repr(src[pos]))
+    end = _REF_STRING_PREFIX.match(src, pos).end()
+    if end == len(src) or src[end] == "\n":
+        return ParseError(SourceSpan(pos, end, line, col), ("closing '\"'",), "end of string")
+    found = repr(src[end + 1]) if end + 1 < len(src) else "end of input"
+    return ParseError(SourceSpan(pos, end + 1, line, col), ("escape sequence",), found)
+
+
+def _unquote(text):
+    """A string literal's value."""
+    return re.sub(r"\\(.)", lambda m: _ESCAPED[m[1]], text[1:-1])
+
+
+def _tables(src):
+    """`_tokenize`'s tables as lists, one entry per token: kinds, texts
+    with each string literal unquoted, starts and ends."""
+    kinds, texts, starts = _tokenize(src)
+    values = [_unquote(text) if kind == "string" else text for kind, text in zip(kinds, texts)]
+    return kinds, values, list(starts), [start + len(text) for start, text in zip(starts, texts)]
+
 
 def _assert_located(src, span):
     assert span.line == src.count("\n", 0, span.start) + 1
@@ -464,7 +558,7 @@ class TestLexer:
                 assert text.isdecimal() and int(text) == node.value
             elif isinstance(node, Lit):
                 assert text[0] == text[-1] == '"'
-                assert re.sub(r"\\(.)", lambda m: _ESCAPED[m[1]], text[1:-1]) == node.value
+                assert _unquote(text) == node.value
 
     @pytest.mark.parametrize(
         "src, kinds, texts, starts, ends",
@@ -487,7 +581,23 @@ class TestLexer:
         ],
     )
     def test_tokens(self, src, kinds, texts, starts, ends):
-        assert _tokenize(src) == (kinds, texts, starts, ends)
+        assert _tables(src) == (kinds, texts, starts, ends)
+
+    def test_tables_hold_texts_as_written_and_starts_in_an_array(self):
+        kinds, texts, starts = _tokenize('f "a\\n" 12')
+        assert (kinds, texts) == (["ident", "string", "int", "eof"], ["f", '"a\\n"', "12", ""])
+        assert isinstance(starts, array) and list(starts) == [0, 2, 8, 10]
+
+    @given(st.one_of(lexer_sources, programs(), noise))
+    def test_tables_agree_with_the_reference_lexer(self, src):
+        try:
+            expected = _reference_tokenize(src)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as again:
+                _tokenize(src)
+            assert again.value.args == exc.args  # span, expected and found
+        else:
+            assert _tables(src) == expected
 
     @given(st.one_of(programs(), noise), st.data())
     def test_space_between_tokens_changes_no_term(self, src, data):
@@ -495,7 +605,7 @@ class TestLexer:
         # or joined by it would change the term or the error.
         padding = st.sampled_from((" ", "\t", "\r", "\n", "\r\n", " -- é \\ \"\n", " --\r\n"))
         try:
-            _, _, _, ends = _tokenize(src)
+            _, _, _, ends = _tables(src)
         except ParseError:
             return
         padded, last = [], 0
@@ -511,6 +621,33 @@ class TestLexer:
             assert str(again.value) == str(exc)
         else:
             assert parse_term(padded) == t
+
+
+class TestParseMemory:
+    def test_a_parse_allocates_little_beyond_its_term(self):
+        # A 64-field record and 64 selections from it, one line of 710
+        # tokens.  What a parse holds at its peak besides the term it
+        # returns is the token tables: 96 bytes a token when they kept
+        # four lists of Python ints, about 47 with the starts in an array
+        # and no ends.
+        fields = ", ".join(f"l{i} = {i * 389 % 1000}" for i in range(64))
+        lets = "".join(f"let y{i} = r.l{i * 5 % 64} in " for i in range(64))
+        src = f"let r = {{{fields}}} in {lets}y7"
+        tokens = len(_tokenize(src)[0]) - 1
+        assert tokens >= 700
+        parse_term(src)  # first-call costs stay out of the measure
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            term = parse_term(src)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert isinstance(term, Let)
+        assert (peak - held) / tokens < 64
 
 
 class TestBinderSpines:

@@ -415,6 +415,12 @@ class TestNodes:
         with pytest.raises(FrozenInstanceError):
             delattr(node, name)
 
+    @pytest.mark.parametrize("term", terms(SPAN), ids=lambda t: type(t).__name__)
+    def test_a_span_may_follow_the_fields_by_position(self, term):
+        fields = [getattr(term, name) for name in term.__match_args__]
+        again = type(term)(*fields, SPAN)
+        assert again == term and vars(again) == vars(term)
+
     def test_repr(self):
         assert repr(TypeVar(id=1, kind=RowKind())) == "TypeVar(id=1, kind=RowKind())"
         row = TRow({"b": INT, "a": TFun(A, TApp(LIST, BOOL))}, RHO)
