@@ -37,9 +37,14 @@ which holds the merged row where it is duplicate-free and fits the
 space and None elsewhere.  Whether a problem's side `{G | v}` stays
 duplicate-free depends on labels alone, so it is settled before the
 loop: rho ranges only over the ground rows whose mask shares no bit
-with G's labels, which `_rows_lacking` lists once per mask.  Every
-table is a `functools` cache keyed by ground rows or a mask and the
-space, whose hash is computed once.
+with G's labels, which `_rows_lacking` lists once per mask.
+
+Every table is a `functools` cache keyed by the space, whose hash is
+computed once, and at most one fields row or mask; none is keyed by a
+pair of ground rows.  `_fits` and `_absorption_index` hold, for fields
+F, at most one entry per ground row, and merge F only with the rows
+that lack all of F's labels, so the oracle's memory grows with the
+number of ground rows, not its square.
 """
 
 from __future__ import annotations
@@ -131,33 +136,40 @@ def _label_bits(space: GroundSpace) -> dict[str, int]:
 @lru_cache(maxsize=None)
 def _row_masks(space: GroundSpace) -> tuple[int, ...]:
     """By the index of each ground row of the space, its labels' bits."""
-    bits = _label_bits(space)
-    return tuple(sum(bits[label] for label, _ in key) for key in _ground_row_keys(space))
+    return tuple(_labels_mask(dict(key), space) for key in _ground_row_keys(space))
 
 
 @lru_cache(maxsize=None)
-def _merge(fields: GroundRow, extra: GroundRow) -> GroundRow | None:
-    """Union of two ground rows, or None when a label repeats."""
+def _rows_lacking(lacks: int, space: GroundSpace) -> tuple[int, ...]:
+    """The indices of the space's ground rows with none of the labels
+    whose bits are set in `lacks`."""
+    return tuple(i for i, mask in enumerate(_row_masks(space)) if not mask & lacks)
+
+
+def _labels_mask(labels: Iterable[str], space: GroundSpace) -> int:
+    """The bits of the given labels; a label outside the space has none."""
+    bits = _label_bits(space)
+    return sum(bits.get(label, 0) for label in labels)
+
+
+def _merge(fields: GroundRow, extra: GroundRow) -> GroundRow:
+    """Union of two ground rows with no label in common, sorted."""
     if not fields:
         return extra
     if not extra:
         return fields
-    merged = fields + extra
-    if len({label for label, _ in merged}) < len(merged):
-        return None
-    return tuple(sorted(merged))
+    return tuple(sorted(fields + extra))
 
 
 @lru_cache(maxsize=None)
-def _absorption_index(fields: GroundRow, space: GroundSpace) -> dict[GroundRow, tuple[GroundRow, ...]]:
-    """For an open side with the given fields: merged result -> the
-    ground rows its tail can take to produce it."""
-    index: dict[GroundRow, list[GroundRow]] = {}
-    for key in _ground_row_keys(space):
-        merged = _merge(fields, key)
-        if merged is not None:
-            index.setdefault(merged, []).append(key)
-    return {merged: tuple(keys) for merged, keys in index.items()}
+def _absorption_index(fields: GroundRow, space: GroundSpace) -> dict[GroundRow, GroundRow]:
+    """For an open side with the given fields: merged result -> the one
+    ground row its tail takes to produce it, the merged row less the
+    fields.  Only the rows lacking every label of the fields are
+    merged; a row that clashes with them yields no entry."""
+    keys = _ground_row_keys(space)
+    lacking = _rows_lacking(_labels_mask(dict(fields), space), space)
+    return {_merge(fields, keys[i]): keys[i] for i in lacking}
 
 
 def _problem_vars(problem: Problem) -> ProblemVars:
@@ -223,23 +235,20 @@ def ground_solutions(
             # A tail row merged into both sides leaves them equal exactly
             # when their own fields are, the merges being disjoint unions.
             if fields1 == fields2:
-                for key in rows:
-                    if _merge(fields1, key) is not None:
-                        solutions.add((key,) + combo)
+                for i in _rows_lacking(_labels_mask(r1.fields, space), space):
+                    solutions.add((rows[i],) + combo)
         elif tail1 is not None and tail2 is not None:
             index1 = _absorption_index(fields1, space)
             index2 = _absorption_index(fields2, space)
             for merged in index1.keys() & index2.keys():
-                for key1 in index1[merged]:
-                    for key2 in index2[merged]:
-                        solutions.add((key1, key2) + combo)
+                solutions.add((index1[merged], index2[merged]) + combo)
         else:
             if tail1 is not None:
                 open_fields, closed_fields = fields1, fields2
             else:
                 open_fields, closed_fields = fields2, fields1
-            index = _absorption_index(open_fields, space)
-            for key in index.get(closed_fields, ()):
+            key = _absorption_index(open_fields, space).get(closed_fields)
+            if key is not None:
                 solutions.add((key,) + combo)
     return solutions
 
@@ -252,21 +261,17 @@ def _within(row: GroundRow, space: GroundSpace) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _rows_lacking(lacks: int, space: GroundSpace) -> tuple[int, ...]:
-    """The indices of the space's ground rows with none of the labels
-    whose bits are set in `lacks`."""
-    return tuple(i for i, mask in enumerate(_row_masks(space)) if not mask & lacks)
-
-
-@lru_cache(maxsize=None)
 def _fits(fields: GroundRow, space: GroundSpace) -> tuple[GroundRow | None, ...]:
     """For an image `{fields | rho}`: by the index of each ground row of
     rho, the merged row when it is duplicate-free and within the space,
-    else None."""
-    table: list[GroundRow | None] = []
-    for key in _ground_row_keys(space):
-        merged = _merge(fields, key)
-        table.append(merged if merged is not None and _within(merged, space) else None)
+    else None.  Only the rows lacking every label of the fields are
+    merged; a clashing row stays None."""
+    keys = _ground_row_keys(space)
+    table: list[GroundRow | None] = [None] * len(keys)
+    for i in _rows_lacking(_labels_mask(dict(fields), space), space):
+        merged = _merge(fields, keys[i])
+        if _within(merged, space):
+            table[i] = merged
     return tuple(table)
 
 
@@ -311,15 +316,13 @@ def _instances_within(
             (residual_rows if free.kind is ROW else residual_stars).setdefault(free.id, free)
     position = {vid: i for i, vid in enumerate(residual_rows)}
     clashing = [0] * len(residual_rows)  # per residual row, the labels it must lack
-    bits = _label_bits(space)
     for side in problem:
         if side.tail is not None:
             image = images[side.tail.id]
             if side.fields.keys() & image.fields.keys():
                 return set()
             if image.tail is not None:
-                for label in side.fields:
-                    clashing[position[image.tail.id]] |= bits.get(label, 0)
+                clashing[position[image.tail.id]] |= _labels_mask(side.fields, space)
     choices = list(itertools.product(*[_rows_lacking(lacks, space) for lacks in clashing]))
 
     out: set[Assignment] = set()

@@ -8,12 +8,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import rowml.oracle
 from rowml.oracle import (
     CampaignResult,
     GroundSpace,
+    _absorption_index,
+    _fits,
     _ground_row_keys,
     _instances_within,
     _problem_vars,
+    _within,
     exhaustive_problems,
     ground_solutions,
     oracle_agrees,
@@ -153,6 +157,65 @@ class TestGroundSolutions:
 
         with pytest.raises(ValueError):
             ground_solutions((TRow({"a": TFun(INT, INT)}), TRow({})), GroundSpace())
+
+
+def naive_union(fields, extra):
+    """The sorted union of two ground rows, None when a label repeats."""
+    labels = [label for label, _ in fields + extra]
+    if len(set(labels)) < len(labels):
+        return None
+    return tuple(sorted(fields + extra))
+
+
+# The default space of `rowml oracle`, and one whose rows are smaller
+# than its labels, so that a union can outgrow it.
+TABLE_SPACES = [
+    GroundSpace(labels=("a", "b", "c"), base_types=(INT, BOOL, STRING), max_row_size=3),
+    GroundSpace(labels=("a", "b", "c", "d"), base_types=(INT, BOOL), max_row_size=2),
+]
+
+
+class TestTables:
+    @pytest.mark.parametrize("space", TABLE_SPACES)
+    def test_fit_table_holds_each_union_within_the_space(self, space):
+        rows = _ground_row_keys(space)
+        for fields in rows:
+            expected = []
+            for key in rows:
+                merged = naive_union(fields, key)
+                expected.append(merged if merged is not None and _within(merged, space) else None)
+            assert _fits(fields, space) == tuple(expected)
+
+    @pytest.mark.parametrize("space", TABLE_SPACES)
+    def test_absorption_index_maps_each_union_to_its_one_tail_row(self, space):
+        # Unions may outgrow the space: a solution asks only that the
+        # tail's row fit it.
+        rows = _ground_row_keys(space)
+        for fields in rows:
+            expected = {}
+            for key in rows:
+                merged = naive_union(fields, key)
+                if merged is not None:
+                    assert merged not in expected
+                    expected[merged] = key
+            assert _absorption_index(fields, space) == expected
+
+    def test_tables_grow_linearly_in_the_ground_rows(self):
+        # No table is keyed by a pair of ground rows: after every problem
+        # of a small space, the caches hold a few entries per ground row,
+        # not one per pair (19 rows, so 361 pairs).
+        caches = [
+            value for value in vars(rowml.oracle).values()
+            if callable(getattr(value, "cache_clear", None))
+        ]
+        for cache in caches:
+            cache.cache_clear()
+        space = GroundSpace(labels=("a", "b", "c"), base_types=(INT, BOOL), max_row_size=2)
+        problems = list(exhaustive_problems(space))
+        assert len(problems) == 2166
+        assert run_campaign(problems, space).failures == 0
+        entries = sum(cache.cache_info().currsize for cache in caches)
+        assert entries <= 4 * len(_ground_row_keys(space)) == 4 * 19
 
 
 class TestOracleAgrees:
