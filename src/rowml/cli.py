@@ -15,7 +15,7 @@ import sys
 from collections.abc import Sequence
 
 from rowml.infer import InferError, infer_program
-from rowml.parser import ParseError
+from rowml.parser import ParseError, line_col
 from rowml.syntax import BOOL, INT, STRING, pretty_scheme, pretty_type
 
 
@@ -24,10 +24,9 @@ ORACLE_LABELS = string.ascii_lowercase
 ORACLE_TYPES = (INT, BOOL, STRING)
 
 
-def _error_line(path: str, err: Exception) -> str:
+def _error_line(path: str, src: str, err: Exception) -> str:
     span = getattr(err, "span", None)
-    line = span.line if span is not None else 1
-    col = span.col if span is not None else 1
+    line, col = line_col(src, span.start) if span is not None else (1, 1)
     return f"{path}:{line}:{col}: error: {err}"
 
 
@@ -52,7 +51,7 @@ def cmd_check(paths: Sequence[str], out=None, err=None) -> int:
             print(f"{path}: {pretty_scheme(infer_program(src))}", file=out)
             continue
         except (ParseError, InferError) as exc:
-            print(_error_line(path, exc), file=out)
+            print(_error_line(path, src, exc), file=out)
         except RecursionError:
             print(f"{path}:1:1: error: program nested too deeply", file=out)
         if status == 0:

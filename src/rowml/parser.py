@@ -6,13 +6,13 @@ for which `str.isalpha` holds, then ones for which `str.isalnum` does).
 An integer is decimal digits (`str.isdecimal`, what `int` reads).  A
 string is double-quoted on one line, with the escapes
 ``\\\\ \\" \\n \\t``.  Comments run from ``--`` to the end of the line.
-Keywords: ``let``, ``in``.  A span's line and column count characters
-from 1.
+Keywords: ``let``, ``in``.
 
 The lexer gives each token a kind, a text as written and a start, in
 three parallel tables: a token ends at its start plus its text's length,
 and a string literal is unescaped when the parser builds its `Lit`.  A
-span's line and column are read off the source's newline offsets.
+span is the character offsets of a node's or an error's start and end;
+`line_col` turns an offset into the line and column an error reports.
 
 Term grammar::
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from bisect import bisect_left
 from collections import namedtuple
 from itertools import accumulate, islice
 
@@ -73,11 +72,17 @@ from rowml.syntax import (
 )
 
 
-SourceSpan = namedtuple("SourceSpan", ("start", "end", "line", "col"))
-SourceSpan.__doc__ = "Character range in the input plus the 1-based line/column of its start."
-# Builds a span from a tuple of its four fields, skipping the keyword
+SourceSpan = namedtuple("SourceSpan", ("start", "end"))
+SourceSpan.__doc__ = "The character offsets where a node or an error starts and ends in the input."
+# Builds a span from a tuple of its two fields, skipping the keyword
 # handling of the generated `SourceSpan.__new__`.
 _new = tuple.__new__
+
+
+def line_col(src: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of `offset` in `src`.  Only LF ends a
+    line, and a column counts characters."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 class ParseError(Exception):
@@ -181,15 +186,13 @@ def _lex_error(src: str, pos: int) -> ParseError:
     """The error for position `pos`, where no token starts: a character
     that starts none, or a string that meets a newline, the end of the
     input or a bad escape before it closes."""
-    line = src.count("\n", 0, pos) + 1
-    col = pos - src.rfind("\n", 0, pos)
     if src[pos] != '"':
-        return ParseError(SourceSpan(pos, pos + 1, line, col), ("a token",), repr(src[pos]))
+        return ParseError(SourceSpan(pos, pos + 1), ("a token",), repr(src[pos]))
     end = _STRING_PREFIX.match(src, pos).end()
     if end == len(src) or src[end] == "\n":
-        return ParseError(SourceSpan(pos, end, line, col), ("closing '\"'",), "end of string")
+        return ParseError(SourceSpan(pos, end), ("closing '\"'",), "end of string")
     found = repr(src[end + 1]) if end + 1 < len(src) else "end of input"
-    return ParseError(SourceSpan(pos, end + 1, line, col), ("escape sequence",), found)
+    return ParseError(SourceSpan(pos, end + 1), ("escape sequence",), found)
 
 
 _TOKEN_NAMES = {
@@ -208,15 +211,6 @@ class _Parser:
     def __init__(self, src: str) -> None:
         self.kinds, self.texts, self.starts = _tokenize(src)
         self.pos = 0
-        # The offset of each newline, after a -1 for the start of the
-        # source: line n starts after breaks[n - 1].  Found with
-        # `str.find`, not `re.finditer`, whose calls each left about 55
-        # bytes in the traced allocation peak.
-        self.breaks = breaks = [-1]
-        i = src.find("\n")
-        while i >= 0:
-            breaks.append(i)
-            i = src.find("\n", i + 1)
         # Type variables by name; a name's first use fixes its kind (row
         # tail vs. field/arrow position).
         self.type_vars: dict[str, TypeVar] = {}
@@ -226,9 +220,7 @@ class _Parser:
         start = self.starts[i]
         if end is None:
             end = start + len(self.texts[i])
-        breaks = self.breaks
-        line = bisect_left(breaks, start)
-        return _new(SourceSpan, (start, end, line, start - breaks[line - 1]))
+        return _new(SourceSpan, (start, end))
 
     def expect(self, kind: str, description: str) -> int:
         i = self.pos
@@ -443,7 +435,7 @@ class _Parser:
 
 def _join(span: SourceSpan, end: int) -> SourceSpan:
     """`span` extended to `end`."""
-    return _new(SourceSpan, (span[0], end, span[2], span[3]))
+    return _new(SourceSpan, (span[0], end))
 
 
 def parse_term(src: str) -> Term:

@@ -341,8 +341,9 @@ class Term(_Node):
     """Base class for surface-language terms.  A term keeps its fields in
     its instance dict, where `term_nodes` in `bench/spans.py` reads them.
     Every constructor also takes a `span`, after the fields, by position
-    or by keyword, which the parser fills; it is no field, so equality,
-    hashing and repr leave it out, and copying and pickling keep it."""
+    or by keyword: the character offsets of the term's source text, which
+    the parser fills.  It is no field, so equality, hashing and repr leave
+    it out, and copying and pickling keep it."""
 
     span: SourceSpan | None
 

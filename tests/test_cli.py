@@ -15,7 +15,7 @@ from hypothesis import given, settings
 import rowml
 from rowml.cli import cmd_check, cmd_oracle, cmd_repl, main
 from rowml.infer import infer_program
-from rowml.parser import ParseError
+from rowml.parser import ParseError, line_col
 from rowml.syntax import TRow, pretty_scheme
 
 
@@ -140,7 +140,7 @@ class TestCheck:
         with pytest.raises(ParseError) as info:
             infer_program("1\r)")
         span = info.value.span
-        assert (span.line, span.col) == (1, 3)
+        assert line_col("1\r)", span.start) == (1, 3)
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().out == f"{path}:1:3: error: {info.value}\n"
 
@@ -235,6 +235,49 @@ class TestCheck:
         path = write(tmp_path, "deep.rml", deep_let_bound_records("1"))
         assert main(["check", path]) == 0
         assert capsys.readouterr().out == f"{path}: Int\n"
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_an_unbound_name_is_located_where_it_was_placed(self, data):
+        # Lines joined by LF or CRLF, indented by tabs and spaces, with
+        # comments, non-ASCII names and a lone CR between tokens; the
+        # line and column of the one unbound name are counted here.
+        draw = data.draw
+        indent = st.text(alphabet=" \t", max_size=3)
+        blank = st.sampled_from((" ", "\t", "\r", " \r\t"))
+        comment = st.text(alphabet="aé名 \t\r-", max_size=6).map(lambda text: "--" + text)
+        name = draw(st.sampled_from(("naïve", "ghost", "名前", "ü_1")))
+        lets = draw(st.integers(min_value=0, max_value=4))
+        target = draw(st.integers(min_value=0, max_value=lets))  # `lets` is the body
+        lines = []
+        for i in range(lets + 1):
+            if draw(st.booleans()):
+                lines.append(draw(indent) + draw(comment))
+            line = draw(indent)
+            if i < lets:
+                var = draw(st.sampled_from(("x", "é", "名", "_y"))) + str(i)
+                line += f"let{draw(blank)}{var}{draw(blank)}={draw(blank)}"
+            if i == target:
+                line += f"{{a{draw(blank)}={draw(blank)}1,{draw(blank)}b ={draw(blank)}"
+                location = (len(lines) + 1, len(line) + 1)
+                line += name + "}"
+            else:
+                line += draw(st.sampled_from(("1", "٣", '"é"', '"名\\t"')))
+            if i < lets:
+                line += draw(blank) + "in"
+            if draw(st.booleans()):
+                line += " " + draw(comment)
+            lines.append(line)
+        ends = [draw(st.sampled_from(("\n", "\r\n"))) for _ in lines]
+        src = "".join(line + end for line, end in zip(lines, ends))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "located.rml")
+            with open(path, "wb") as handle:
+                handle.write(src.encode("utf-8"))
+            out = io.StringIO()
+            assert cmd_check([path], out=out) == 1
+        line, col = location
+        assert out.getvalue() == f"{path}:{line}:{col}: error: unbound variable '{name}'\n"
 
     @settings(max_examples=300, deadline=None)
     @given(st.binary(max_size=40))

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from rowml.parser import ParseError, SourceSpan, _tokenize, parse_term, parse_type
+from rowml.parser import ParseError, SourceSpan, _tokenize, line_col, parse_term, parse_type
 from rowml.syntax import (
     App,
     Extend,
@@ -166,7 +166,8 @@ class TestParseTermErrors:
             parse_term(src)
         span = exc.value.span
         assert 0 <= span.start <= span.end <= max(len(src), 1)
-        assert span.line >= 1 and span.col >= 1
+        line, col = line_col(src, span.start)
+        assert line >= 1 and col >= 1
         assert exc.value.expected
 
     def test_span_points_at_offender(self):
@@ -185,16 +186,18 @@ class TestParseTermErrors:
 
 
     @pytest.mark.parametrize(
-        "src, fields, message",
+        "src, fields, location, message",
         [
             (
                 "let x = 1 in )",
-                (SourceSpan(13, 14, 1, 14), ("identifier", "literal", "'('", "'{'"), "')'"),
+                (SourceSpan(13, 14), ("identifier", "literal", "'('", "'{'"), "')'"),
+                (1, 14),
                 "expected one of: identifier, literal, '(', '{', found ')'",
             ),
             (
                 '"a\\qb"',
-                (SourceSpan(0, 3, 1, 1), ("escape sequence",), "'q'"),
+                (SourceSpan(0, 3), ("escape sequence",), "'q'"),
+                (1, 1),
                 "expected escape sequence, found 'q'",
             ),
         ],
@@ -202,13 +205,14 @@ class TestParseTermErrors:
     @pytest.mark.parametrize(
         "duplicate", [copy.copy, lambda exc: pickle.loads(pickle.dumps(exc))], ids=["copy", "pickle"]
     )
-    def test_errors_copy_and_pickle(self, src, fields, message, duplicate):
+    def test_errors_copy_and_pickle(self, src, fields, location, message, duplicate):
         with pytest.raises(ParseError) as exc:
             parse_term(src)
         for error in (exc.value, duplicate(exc.value)):
             assert type(error) is ParseError
             assert (error.span, error.expected, error.found) == fields
             assert error.args == fields
+            assert line_col(src, error.span.start) == location
             assert str(error) == message
 
 
@@ -226,8 +230,25 @@ class TestSpans:
         assert t.record == parse_term("f x")
 
     def test_nested_span_lines(self):
-        t = parse_term("let x = 1 in\n  x.y")
-        assert t.body.span.line == 2
+        src = "let x = 1 in\n  x.y"
+        t = parse_term(src)
+        assert line_col(src, t.body.span.start) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "src, offset, location",
+        [
+            ("x", 0, (1, 1)),
+            ("", 0, (1, 1)),
+            ("x\n", 2, (2, 1)),
+            ("x\r\n", 3, (2, 1)),
+            ("a\rb", 2, (1, 3)),
+            ("\n\n\té\rx", 5, (3, 4)),
+        ],
+    )
+    def test_line_col(self, src, offset, location):
+        # Only LF ends a line, so a CR is a character of the line it is
+        # on; the end of the input after a trailing LF starts a line.
+        assert line_col(src, offset) == location == _located(src, offset)
 
 
 class TestParseType:
@@ -285,7 +306,7 @@ class TestParseType:
         with pytest.raises(ParseError) as exc:
             parse_type(src)
         assert str(exc.value) == message
-        assert exc.value.span == SourceSpan(*span)
+        _assert_span(src, exc.value.span, span)
 
 
 # -- round trips -------------------------------------------------------------
@@ -465,15 +486,13 @@ def _reference_blank(m):
 
 
 def _reference_lex_error(src, pos):
-    line = src.count("\n", 0, pos) + 1
-    col = pos - src.rfind("\n", 0, pos)
     if src[pos] != '"':
-        return ParseError(SourceSpan(pos, pos + 1, line, col), ("a token",), repr(src[pos]))
+        return ParseError(SourceSpan(pos, pos + 1), ("a token",), repr(src[pos]))
     end = _REF_STRING_PREFIX.match(src, pos).end()
     if end == len(src) or src[end] == "\n":
-        return ParseError(SourceSpan(pos, end, line, col), ("closing '\"'",), "end of string")
+        return ParseError(SourceSpan(pos, end), ("closing '\"'",), "end of string")
     found = repr(src[end + 1]) if end + 1 < len(src) else "end of input"
-    return ParseError(SourceSpan(pos, end + 1, line, col), ("escape sequence",), found)
+    return ParseError(SourceSpan(pos, end + 1), ("escape sequence",), found)
 
 
 def _unquote(text):
@@ -489,9 +508,24 @@ def _tables(src):
     return kinds, values, list(starts), [start + len(text) for start, text in zip(starts, texts)]
 
 
+def _located(src, offset):
+    """The line and column of `offset`, found otherwise than `line_col`
+    finds them: the lines before it are the LF-separated parts of the
+    source up to it, the last of them its own line."""
+    parts = src[:offset].split("\n")
+    return len(parts), len(parts[-1]) + 1
+
+
 def _assert_located(src, span):
-    assert span.line == src.count("\n", 0, span.start) + 1
-    assert span.col == span.start - src.rfind("\n", 0, span.start)
+    assert line_col(src, span.start) == _located(src, span.start)
+
+
+def _assert_span(src, span, expected):
+    """`span` runs from `start` to `end` of `expected`, which starts at
+    its `line` and `col`."""
+    start, end, line, col = expected
+    assert span == SourceSpan(start, end)
+    assert line_col(src, start) == (line, col)
 
 
 def _nodes(t):
@@ -523,7 +557,7 @@ class TestLexer:
         with pytest.raises(ParseError) as exc:
             parse_term(src)
         assert str(exc.value) == message
-        assert exc.value.span == SourceSpan(*span)
+        _assert_span(src, exc.value.span, span)
 
     @pytest.mark.parametrize("src, span", [("²", (0, 1, 1, 1)), ("3²", (1, 2, 1, 2))])
     def test_superscript_digits_are_no_integer(self, src, span):
@@ -532,14 +566,14 @@ class TestLexer:
         with pytest.raises(ParseError) as exc:
             parse_term(src)
         assert str(exc.value) == "expected a token, found '²'"
-        assert exc.value.span == SourceSpan(*span)
+        _assert_span(src, exc.value.span, span)
 
     def test_digits_continue_an_identifier(self):
         assert parse_term("x²") == Var("x²")
         assert parse_term("é٣") == Var("é٣")
         assert parse_term("٣") == Lit(3)
 
-    @given(st.one_of(programs(), noise))
+    @given(st.one_of(programs(), noise, lexer_sources))
     def test_spans_locate_the_source(self, src):
         try:
             t = parse_term(src)
@@ -665,6 +699,7 @@ class TestBinderSpines:
         t = parse_term(src)
         starts = [m.start() for m in re.finditer(r"\\|let", src)]
         for start in starts:  # each binder ends where the spine's body ends
-            assert isinstance(t, (Lam, Let)) and t.span == (start, len(src), 1, start + 1)
+            assert isinstance(t, (Lam, Let)) and t.span == (start, len(src))
+            assert line_col(src, start) == (1, start + 1)
             t = t.body
         assert len(starts) == 1500 and t == body

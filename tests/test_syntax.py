@@ -303,7 +303,7 @@ class TestFreeTypeVars:
 # -- the node contract -------------------------------------------------------
 
 
-SPAN = SourceSpan(3, 4, 1, 4)
+SPAN = SourceSpan(3, 4)
 
 
 def terms(span=None):
