@@ -92,40 +92,56 @@ from rowml.unify import DuplicateLabel, Subst, UnifyError, unify
 
 
 class InferError(Exception):
-    """Base class for type errors; carries a source span when one is known."""
+    """Base class for type errors; carries a source span when one is known.
+    An error keeps its fields as attributes and as its `args`, so it
+    copies and pickles; its message is rendered when it is read, by `str`."""
 
-    def __init__(self, message: str, span: SourceSpan | None = None) -> None:
-        super().__init__(message)
-        self.span = span
+    span: SourceSpan | None = None
 
 
 class UnboundVariable(InferError):
     def __init__(self, name: str, span: SourceSpan | None = None) -> None:
-        super().__init__(f"unbound variable '{name}'", span)
+        super().__init__(name, span)
         self.name = name
+        self.span = span
+
+    def __str__(self) -> str:
+        return f"unbound variable '{self.name}'"
 
 
 class UnifyFailure(InferError):
     """A unification step failed; wraps the underlying UnifyError."""
 
     def __init__(self, cause: UnifyError, span: SourceSpan | None = None) -> None:
-        super().__init__(str(cause), span)
+        super().__init__(cause, span)
         self.cause = cause
+        self.span = span
+
+    def __str__(self) -> str:
+        return str(self.cause)
 
 
 class KindFailure(InferError):
-    """The kinding stage rejected a scheme before inference began."""
+    """The kinding stage rejected a scheme before inference began; it has
+    no span."""
 
     def __init__(self, cause: KindError | UnboundTypeName) -> None:
-        super().__init__(f"kind error: {cause}")
+        super().__init__(cause)
         self.cause = cause
+
+    def __str__(self) -> str:
+        return f"kind error: {self.cause}"
 
 
 class NotARecord(InferError):
     def __init__(self, actual: Type, span: SourceSpan | None = None) -> None:
-        (actual_s,) = pretty_types_shared([actual])
-        super().__init__(f"not a record: {actual_s}", span)
+        super().__init__(actual, span)
         self.actual = actual
+        self.span = span
+
+    def __str__(self) -> str:
+        (actual_s,) = pretty_types_shared([self.actual])
+        return f"not a record: {actual_s}"
 
 
 class InferSession(FreshVars):

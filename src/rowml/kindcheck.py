@@ -24,31 +24,37 @@ from rowml.syntax import (
     TRow,
     Type,
     TypeVar,
-    pretty_type,
+    pretty_types_shared,
 )
 
 
 class UnboundTypeName(Exception):
-    """A type constructor or type variable with no binding in the context."""
+    """A type constructor or type variable with no binding in the context.
+    Like every error here, it keeps its fields as attributes and as its
+    `args`, so it copies and pickles, and renders its message by `str`."""
 
     def __init__(self, name: str | int) -> None:
+        super().__init__(name)
         self.name = name
-        if isinstance(name, int):
-            super().__init__(f"unbound type variable t{name}")
-        else:
-            super().__init__(f"unbound type constructor '{name}'")
+
+    def __str__(self) -> str:
+        if isinstance(self.name, int):
+            return f"unbound type variable t{self.name}"
+        return f"unbound type constructor '{self.name}'"
 
 
 class KindError(Exception):
     """A type used at the wrong kind."""
 
     def __init__(self, offender: Type, expected: Kind, actual: Kind) -> None:
+        super().__init__(offender, expected, actual)
         self.offender = offender
         self.expected = expected
         self.actual = actual
-        super().__init__(
-            f"{pretty_type(offender)} has kind {actual}, expected {expected}"
-        )
+
+    def __str__(self) -> str:
+        (offender_s,) = pretty_types_shared([self.offender])
+        return f"{offender_s} has kind {self.actual}, expected {self.expected}"
 
 
 def kind_of(delta: dict[int, Kind], tau: Type) -> Kind:

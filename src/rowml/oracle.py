@@ -3,24 +3,28 @@
 `ground_solutions` enumerates, over a small finite space, every
 assignment of ground rows and base types to a problem's variables under
 which both rows become the same label-to-type map.  `oracle_agrees`
-compares that set with the set of ground instances of the unifier's
-answer, so a wrong or over-specific substitution shows up as a set
-difference rather than a syntactic mismatch.
+checks the unifier's answer against that set twice.  The answer must
+make both rows equal, so that each of its ground instances within the
+space that keeps both rows duplicate-free is a solution.  And every
+solution must be an instance of it, which `_is_instance` finds by
+matching the solution against the answer's images, so that no instance
+is enumerated.  Together the two say that the answer's instances within
+the space are exactly the solutions, as for a most general unifier;
+a wrong or over-specific substitution fails one of them.
 
 The solution side is computed here by enumeration and map merging only;
 it shares nothing with the unifier beyond the syntax types.  Comparison
-is always relative to the space: both sides only count assignments
-whose rows fit inside it, by size, labels and field types.
+is always relative to the space: solutions only count assignments whose
+rows fit inside it, by size, labels and field types.
 
 A verdict runs the unifier once, in a new store that `scan_rows` seeds,
 reaching it through the module attribute `rowml.unify.unify_rows` so
 that a wrapper put there sees the call, and reads the triangular store
 it returns through `Subst.apply`.  It sorts each side's fields once and
-grounds them for every choice of field types, and grounds the unifier's
-answer only when there is one.  Work that does not depend on the problem is done once per
-campaign: `exhaustive_problems` builds its right-hand sides once and
-pairs every left side with them, and the tables below are built once
-per space.
+grounds them for every choice of field types.  Work that does not
+depend on the problem is done once per campaign: `exhaustive_problems`
+builds its right-hand sides once and pairs every left side with them,
+and the tables below are built once per space.
 
 Ground rows are sorted (label, type name) tuples, numbered once per
 space by `_ground_row_keys`, and each has a bitmask of its labels,
@@ -29,22 +33,14 @@ problem variable in the order `_problem_vars` gives: the row tails,
 then the star field variables, each by first appearance, left side
 first and labels sorted.  Every assignment of a problem covers the same
 variables, so the tuples stand one-to-one for the sets of (variable id,
-value) pairs they spell.  The instance side loops over the images'
-residual variables: for each choice of residual star types it grounds
-every image once, and an open image `{F | rho}` reads its value for each
-ground row of rho, by number, from the fit table `_fits(F, space)`,
-which holds the merged row where it is duplicate-free and fits the
-space and None elsewhere.  Whether a problem's side `{G | v}` stays
-duplicate-free depends on labels alone, so it is settled before the
-loop: rho ranges only over the ground rows whose mask shares no bit
-with G's labels, which `_rows_lacking` lists once per mask.
+value) pairs they spell.
 
 Every table is a `functools` cache keyed by the space, whose hash is
 computed once, and at most one fields row or mask; none is keyed by a
-pair of ground rows.  `_fits` and `_absorption_index` hold, for fields
-F, at most one entry per ground row, and merge F only with the rows
-that lack all of F's labels, so the oracle's memory grows with the
-number of ground rows, not its square.
+pair of ground rows.  `_absorption_index` holds, for fields F, at most
+one entry per ground row, and merges F only with the rows that lack
+all of F's labels, so the oracle's memory grows with the number of
+ground rows, not its square.
 """
 
 from __future__ import annotations
@@ -68,7 +64,6 @@ from rowml.syntax import (
     TypeVar,
     _Node,
     _set,
-    free_vars_ordered,
     scan_rows,
 )
 
@@ -253,113 +248,62 @@ def ground_solutions(
     return solutions
 
 
-def _within(row: GroundRow, space: GroundSpace) -> bool:
-    """Whether the ground row fits the space's size, labels and types."""
-    return len(row) <= space.max_row_size and all(
-        label in space.labels and name in space.type_names for label, name in row
-    )
+def _images(sigma, problem_vars: ProblemVars) -> list[Type]:
+    """The answer's image of each problem variable, in `_problem_vars`
+    order, read through `sigma.apply`; a row variable's is a row."""
+    row_vars, star_vars = problem_vars
+    rows = [sigma.apply(v) for v in row_vars]
+    rows = [TRow({}, t) if t.__class__ is TypeVar else t for t in rows]
+    return rows + [sigma.apply(v) for v in star_vars]
 
 
-@lru_cache(maxsize=None)
-def _fits(fields: GroundRow, space: GroundSpace) -> tuple[GroundRow | None, ...]:
-    """For an image `{fields | rho}`: by the index of each ground row of
-    rho, the merged row when it is duplicate-free and within the space,
-    else None.  Only the rows lacking every label of the fields are
-    merged; a clashing row stays None."""
-    keys = _ground_row_keys(space)
-    table: list[GroundRow | None] = [None] * len(keys)
-    for i in _rows_lacking(_labels_mask(dict(fields), space), space):
-        merged = _merge(fields, keys[i])
-        if _within(merged, space):
-            table[i] = merged
-    return tuple(table)
-
-
-def _instances_within(
-    sigma, problem: Problem, space: GroundSpace, problem_vars: ProblemVars | None = None
-) -> set[Assignment]:
-    """Ground instances of the substitution, restricted to assignments
-    that fit in the space (size, labels and types) and are admissible
-    for the problem: substituting them keeps both rows duplicate-free.
-    Each is a tuple of values in `_problem_vars` order, as in
-    `ground_solutions`.  `problem_vars` is `_problem_vars(problem)`, when
-    the caller has it.  Images are read through `sigma.apply`, so a
-    triangular store gives what its resolved copy gives.
-
-    The residual variables of the images range over the space.  An open
-    side `{G | v}` of the problem stays duplicate-free when the value of
-    `v` has none of G's labels.  Labels do not depend on the residual
-    star types, so that is settled once: when the image of `v` has one of
-    them in its own fields no instance is admissible, and when the image
-    is open, `{F | rho}`, rho takes only the ground rows whose label mask
-    (`_row_masks`) shares no bit with G's.  Then, for each choice of
-    residual star types, every row variable's image is grounded once, and
-    an open image reads its value for each ground row of its residual
-    tail, by index, from the table `_fits(F, space)`; the loop over
-    residual rows does one table read per row variable and no merge."""
-    row_vars, star_vars = problem_vars or _problem_vars(problem)
-    images: dict[int, TRow] = {}
-    row_images: list[tuple[list[tuple[str, Type]], TypeVar | None]] = []
-    for v in row_vars:
-        image = sigma.apply(v)
-        if isinstance(image, TypeVar):
-            image = TRow({}, image)
-        images[v.id] = image
-        row_images.append((sorted(image.fields.items()), image.tail))
-    star_images = [sigma.apply(v) for v in star_vars]
-
-    # The residual variables by id, in order of first appearance.
-    residual_rows: dict[int, TypeVar] = {}
-    residual_stars: dict[int, TypeVar] = {}
-    for image in [*images.values(), *star_images]:
-        for free in free_vars_ordered(image):
-            (residual_rows if free.kind is ROW else residual_stars).setdefault(free.id, free)
-    position = {vid: i for i, vid in enumerate(residual_rows)}
-    clashing = [0] * len(residual_rows)  # per residual row, the labels it must lack
-    for side in problem:
-        if side.tail is not None:
-            image = images[side.tail.id]
-            if side.fields.keys() & image.fields.keys():
-                return set()
+def _is_instance(values: Assignment, images: list[Type]) -> bool:
+    """Whether the assignment is an instance of the answer whose
+    `_images` are given: whether one binding of the images' variables to
+    ground rows and type names gives each problem variable its value.  A
+    row image's fields take their values by label, and the rest of the
+    value goes to its tail, or must be empty when it is closed; each
+    variable of the images takes one value across all of them."""
+    env: dict[TypeVar, GroundRow | str] = {}
+    for image, value in zip(images, values):
+        if image.__class__ is TRow:
+            fields = image.fields
+            rest = []
+            for label, name in value:
+                t = fields.get(label)
+                if t is None:
+                    rest.append((label, name))
+                elif t.__class__ is TCon:
+                    if t.name != name:
+                        return False
+                elif t.__class__ is not TypeVar or env.setdefault(t, name) != name:
+                    return False
+            if len(rest) + len(fields) != len(value):
+                return False  # a field of the image has no value
             if image.tail is not None:
-                clashing[position[image.tail.id]] |= _labels_mask(side.fields, space)
-    choices = list(itertools.product(*[_rows_lacking(lacks, space) for lacks in clashing]))
-
-    out: set[Assignment] = set()
-    for star_choice in itertools.product(space.type_names, repeat=len(residual_stars)):
-        star_env = dict(zip(residual_stars, star_choice))
-        # One slot per problem variable: the row tails', then the stars'.
-        values: list[GroundRow | str | None] = [None] * len(row_images)
-        for image in star_images:
-            values.append(image.name if isinstance(image, TCon) else star_env[image.id])
-        tables: list[tuple[int, tuple[GroundRow | None, ...], int]] = []
-        for slot, (items, tail) in enumerate(row_images):
-            fields = _ground_fields(items, star_env)
-            if tail is not None:
-                tables.append((slot, _fits(fields, space), position[tail.id]))
-            elif _within(fields, space):
-                values[slot] = fields
-            else:
-                break
-        else:
-            for choice in choices:
-                for slot, table, at in tables:
-                    value = table[choice[at]]
-                    if value is None:
-                        break
-                    values[slot] = value
-                else:
-                    out.add(tuple(values))
-    return out
+                rest = tuple(rest)  # still sorted
+                if env.setdefault(image.tail, rest) != rest:
+                    return False
+            elif rest:
+                return False
+        elif image.__class__ is TCon:
+            if image.name != value:
+                return False
+        elif image.__class__ is not TypeVar or env.setdefault(image, value) != value:
+            return False
+    return True
 
 
 def oracle_agrees(problem: Problem, space: GroundSpace, unifier=None) -> bool:
     """Run the unifier and the brute-force enumeration on one problem.
 
     True when both report no solution, or when the unifier's answer (a)
-    actually unifies the two rows and (b) has exactly the brute-forced
-    ground solutions as its instances within the space.  `unifier`, if
-    given, stands in for `unify.unify_rows` and takes the same arguments.
+    makes the two rows equal and (b) has every brute-forced ground
+    solution as an instance.  By (a), every instance of the answer that
+    keeps both rows duplicate-free within the space is a solution; by
+    (b), every solution is such an instance; so together they say that
+    its instances are exactly the solutions.  `unifier`, if given,
+    stands in for `unify.unify_rows` and takes the same arguments.
     """
     run = unifier if unifier is not None else unify.unify_rows
     r1, r2 = problem
@@ -379,7 +323,8 @@ def oracle_agrees(problem: Problem, space: GroundSpace, unifier=None) -> bool:
             return False
     except unify.UnifyError:
         return False
-    return _instances_within(sigma, problem, space, problem_vars) == solutions
+    images = _images(sigma, problem_vars)
+    return all(_is_instance(values, images) for values in solutions)
 
 
 # ---------------------------------------------------------------------------

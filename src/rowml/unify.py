@@ -6,7 +6,7 @@ pointwise, and the fields present on one side only must be absorbed by
 the other side's tail variable.  When both rows are open the leftovers
 meet in a fresh shared tail; when one side is closed its missing labels
 are a hard error.  Every variable binding passes an occurs check and
-respects kinds.
+respects kinds; a kind clash is a KindMismatch.
 
 Rows stay duplicate-free because every unbound row variable carries the
 labels it must lack (Rémy, "Type checking records and variants in a
@@ -44,7 +44,6 @@ from rowml.syntax import (
     TRow,
     Type,
     TypeVar,
-    pretty_type,
     pretty_types_shared,
     type_kind,
 )
@@ -91,7 +90,8 @@ class RowMissingLabel(UnifyError):
         self.closed_row = closed_row
 
     def __str__(self) -> str:
-        return f"record row {pretty_type(self.closed_row)} lacks label '{self.label}'"
+        (row_s,) = pretty_types_shared([self.closed_row])
+        return f"record row {row_s} lacks label '{self.label}'"
 
 
 class RowTailEscape(UnifyError):
@@ -118,6 +118,22 @@ class DuplicateLabel(UnifyError):
 
     def __str__(self) -> str:
         return f"duplicate record label '{self.label}'"
+
+
+class KindMismatch(UnifyError):
+    """Binding the variable to the type would not respect kinds."""
+
+    def __init__(self, var: TypeVar, type_: Type) -> None:
+        super().__init__(var, type_)
+        self.var = var
+        self.type = type_
+
+    def __str__(self) -> str:
+        var_s, type_s = pretty_types_shared([self.var, self.type])
+        return (
+            f"kind mismatch: {var_s} has kind {self.var.kind}"
+            f" but {type_s} has kind {type_kind(self.type)}"
+        )
 
 
 class Subst:
@@ -260,8 +276,9 @@ class Subst:
         raise AssertionError(f"unexpected type node: {t!r}")
 
     def bind(self, v: TypeVar, t: Type) -> None:
-        """Bind the unbound variable `v` to `t`, after an occurs check
-        that follows the bindings of `t`'s variables.
+        """Bind the unbound variable `v` to `t`, after a kind check and an
+        occurs check that follows the bindings of `t`'s variables.  A
+        kind clash is a KindMismatch, raised before any write.
 
         The same walk lowers every variable it meets to `v`'s level, so a
         variable that an image reaches, through bound variables too, is
@@ -275,6 +292,8 @@ class Subst:
         constructor child, which has no variable to meet."""
         if t.__class__ is TypeVar and t.id == v.id:
             return
+        if type_kind(t) != v.kind:
+            raise KindMismatch(v, self.apply(t))
         vid = v.id
         levels, mapping = self.levels, self.mapping
         level = levels.get(vid, 0)
@@ -306,7 +325,6 @@ class Subst:
                     todo.append(u.dom)
                 if u.cod.__class__ is not TCon:
                     todo.append(u.cod)
-        assert type_kind(t) == v.kind, "binding would not respect kinds"
         lacks = self.lacks.get(vid)
         if lacks is not None:
             row = self.walk_row(t if t.__class__ is TRow else TRow({}, t))

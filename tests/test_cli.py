@@ -111,8 +111,17 @@ class TestCheck:
                 "1:15: error: row variable a would have to contain itself to match {x:Int | a}",
             ),
             ("{a = 1 | {a = 2}}", "1:1: error: duplicate record label 'a'"),
+            # A row's variables are named by letter, as in every message.
+            ("\\y. {a = y}.b", "1:5: error: record row {a:a} lacks label 'b'"),
         ],
-        ids=["Mismatch", "OccursCheck", "RowMissingLabel", "RowTailEscape", "DuplicateLabel"],
+        ids=[
+            "Mismatch",
+            "OccursCheck",
+            "RowMissingLabel",
+            "RowTailEscape",
+            "DuplicateLabel",
+            "RowMissingLabel-variable",
+        ],
     )
     def test_each_unifier_failure_prints_its_exact_message(self, tmp_path, capsys, src, line):
         path = write(tmp_path, "bad.rml", src + "\n")
@@ -394,5 +403,5 @@ class TestPackage:
         import rowml.unify as unify_module
 
         assert unify_module.Subst.__module__ == "rowml.unify"
-        monkeypatch.setattr("rowml.unify.pretty_type", lambda _t: "ROW")
+        monkeypatch.setattr("rowml.unify.pretty_types_shared", lambda types: ["ROW" for _ in types])
         assert str(unify_module.RowMissingLabel("a", TRow({}))) == "record row ROW lacks label 'a'"

@@ -1,6 +1,8 @@
 """Tests for type inference: schemes, let polymorphism, records, errors,
 and the staging discipline."""
 
+import copy
+import pickle
 import sys
 
 import hypothesis.strategies as st
@@ -19,8 +21,10 @@ from rowml.infer import (
     infer_program,
     instantiate,
 )
-from rowml.parser import line_col, parse_term
+from rowml.kindcheck import KindError, UnboundTypeName, kind_of
+from rowml.parser import ParseError, line_col, parse_term
 from rowml.syntax import (
+    ArrowKind,
     BOOL,
     INT,
     LIST,
@@ -31,6 +35,7 @@ from rowml.syntax import (
     STRING,
     Scheme,
     TApp,
+    TCon,
     TFun,
     TRow,
     TypeEnv,
@@ -40,7 +45,7 @@ from rowml.syntax import (
     record,
     scan_rows,
 )
-from rowml.unify import DuplicateLabel, Mismatch, OccursCheck, RowMissingLabel
+from rowml.unify import DuplicateLabel, KindMismatch, Mismatch, OccursCheck, RowMissingLabel
 from test_soundness import applied_programs
 
 A = TypeVar(0)
@@ -723,11 +728,82 @@ class TestInferProgramPipeline:
         s = infer_program('{z = 1, a = "s"}')
         assert list(s.body.arg.fields) == ["a", "z"]
 
-    def test_parse_errors_surface(self):
-        from rowml.parser import ParseError
+    def test_a_kind_clash_is_a_located_unification_failure(self):
+        # wrap's f has kind * -> *, and Rec, which would take its place,
+        # has kind row -> *.  Under `python -O` too, where no assert runs.
+        f, a = TypeVar(0, ArrowKind(STAR, STAR)), TypeVar(1)
+        env = TypeEnv().extend("wrap", Scheme((f, a), TFun(TApp(f, a), TApp(f, a))))
+        with pytest.raises(UnifyFailure) as exc:
+            infer_program("wrap {a = 1}", env=env)
+        assert isinstance(exc.value.cause, KindMismatch)
+        assert exc.value.span == (0, 12)
+        assert str(exc.value) == "kind mismatch: a has kind * -> * but Rec has kind row -> *"
 
+    def test_parse_errors_surface(self):
         with pytest.raises(ParseError):
             infer_program("let = 1")
+
+
+# Every error class outside rowml.unify, whose failures `TestFailures` in
+# test_unify.py covers: how one arises, its fields in the order of its
+# `args`, and its message.
+ERRORS = [
+    pytest.param(lambda: parse_term("let = 1"), ParseError, ("span", "expected", "found"),
+                 "expected identifier, found '='", id="ParseError"),
+    pytest.param(lambda: infer_program("x"), UnboundVariable, ("name", "span"),
+                 "unbound variable 'x'", id="UnboundVariable"),
+    pytest.param(lambda: infer_program("1 2"), UnifyFailure, ("cause", "span"),
+                 "cannot unify Int with Int -> a", id="UnifyFailure"),
+    pytest.param(lambda: infer_program("7.name"), NotARecord, ("actual", "span"),
+                 "not a record: Int", id="NotARecord"),
+    pytest.param(
+        lambda: infer_program("x", TypeEnv().extend("x", Scheme((), TApp(LIST, TRow({}))))),
+        KindFailure, ("cause",), "kind error: {} has kind row, expected *", id="KindFailure"),
+    pytest.param(lambda: kind_of({}, TFun(TRow({}), INT)), KindError,
+                 ("offender", "expected", "actual"), "{} has kind row, expected *", id="KindError"),
+    pytest.param(lambda: kind_of({}, A), UnboundTypeName, ("name",),
+                 "unbound type variable t0", id="UnboundTypeName-variable"),
+    pytest.param(lambda: kind_of({}, TCon("Maybe", STAR)), UnboundTypeName, ("name",),
+                 "unbound type constructor 'Maybe'", id="UnboundTypeName-constructor"),
+]
+
+
+def error_state(exc: BaseException) -> tuple:
+    """An error as plain data: its class, `args`, fields and message, with
+    an error among them, such as a failure's cause, in the same form."""
+
+    def value(x):
+        return error_state(x) if isinstance(x, BaseException) else x
+
+    fields = {name: value(x) for name, x in vars(exc).items()}
+    return type(exc), tuple(map(value, exc.args)), fields, str(exc)
+
+
+class TestErrorsCopyAndPickle:
+    @pytest.mark.parametrize("step, cls, fields, message", ERRORS)
+    def test_each_error_keeps_its_fields_as_its_args(self, step, cls, fields, message):
+        with pytest.raises(cls) as info:
+            step()
+        err = info.value
+        assert type(err) is cls
+        assert set(vars(err)) == set(fields)
+        assert err.args == tuple(getattr(err, name) for name in fields)
+        assert str(err) == message
+        if isinstance(err, KindFailure):
+            assert err.span is None  # the initial environment has no source
+
+    @pytest.mark.parametrize("step, cls, fields, message", ERRORS)
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda exc: pickle.loads(pickle.dumps(exc))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_each_error_copies_and_pickles(self, step, cls, fields, message, duplicate):
+        with pytest.raises(cls) as info:
+            step()
+        twin = duplicate(info.value)
+        assert error_state(twin) == error_state(info.value)
+        assert getattr(twin, "span", None) == getattr(info.value, "span", None)
 
 
 # -- properties ---------------------------------------------------------------

@@ -76,7 +76,7 @@ class TestKindOf:
     def test_row_tail_bound_at_the_wrong_kind(self):
         with pytest.raises(KindError) as exc:
             kind_of({v.id: v.kind for v in [TypeVar(0, STAR)]}, TRow({"a": INT}, RHO))
-        assert str(exc.value) == "t0 has kind *, expected row"
+        assert str(exc.value) == "a has kind *, expected row"
         assert exc.value.offender == RHO
 
     def test_unbound_row_tail(self):

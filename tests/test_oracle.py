@@ -13,11 +13,10 @@ from rowml.oracle import (
     CampaignResult,
     GroundSpace,
     _absorption_index,
-    _fits,
     _ground_row_keys,
-    _instances_within,
+    _images,
+    _is_instance,
     _problem_vars,
-    _within,
     exhaustive_problems,
     ground_solutions,
     oracle_agrees,
@@ -25,7 +24,7 @@ from rowml.oracle import (
     sample_problems,
 )
 from rowml.syntax import BOOL, INT, ROW, STAR, STRING, TCon, TRow, TypeVar, free_vars_ordered
-from rowml.unify import Subst, UnifyError, unify_rows
+from rowml.unify import Mismatch, Subst, UnifyError, unify_rows
 
 from stores import solve
 
@@ -177,16 +176,6 @@ TABLE_SPACES = [
 
 class TestTables:
     @pytest.mark.parametrize("space", TABLE_SPACES)
-    def test_fit_table_holds_each_union_within_the_space(self, space):
-        rows = _ground_row_keys(space)
-        for fields in rows:
-            expected = []
-            for key in rows:
-                merged = naive_union(fields, key)
-                expected.append(merged if merged is not None and _within(merged, space) else None)
-            assert _fits(fields, space) == tuple(expected)
-
-    @pytest.mark.parametrize("space", TABLE_SPACES)
     def test_absorption_index_maps_each_union_to_its_one_tail_row(self, space):
         # Unions may outgrow the space: a solution asks only that the
         # tail's row fit it.
@@ -218,6 +207,43 @@ class TestTables:
         assert entries <= 4 * len(_ground_row_keys(space)) == 4 * 19
 
 
+def rebuilt(row_image=None, star_image=None):
+    """A unifier that runs `unify_rows` and then rewrites its answer: each
+    bound row tail's image, as a row, through `row_image(image, fresh)`,
+    and each star field variable's image through `star_image`, which
+    drops the binding by giving None."""
+
+    def mutant(r1, r2, fresh, subst):
+        sigma = unify_rows(r1, r2, fresh, subst)
+        row_vars, star_vars = _problem_vars((r1, r2))
+        mapping = {}
+        for v in row_vars:
+            if v.id in sigma.mapping:
+                image = sigma.apply(v)
+                if isinstance(image, TypeVar):
+                    image = TRow({}, image)
+                mapping[v.id] = row_image(image, fresh) if row_image else image
+        for v in star_vars:
+            image = sigma.apply(v)
+            image = star_image(image) if star_image else image
+            if image is not None and image != v:
+                mapping[v.id] = image
+        return Subst(mapping)
+
+    return mutant
+
+
+CLOSED = rebuilt(row_image=lambda image, fresh: TRow(image.fields, None))
+EXTRA_Z = rebuilt(row_image=lambda image, fresh: TRow({**image.fields, "z": INT}, image.tail))
+STARS_DROPPED = rebuilt(star_image=lambda image: None)
+UNBOUND_TO_INT = rebuilt(star_image=lambda image: INT if isinstance(image, TypeVar) else image)
+OWN_TAILS = rebuilt(
+    row_image=lambda image, fresh: TRow(
+        image.fields, None if image.tail is None else fresh.fresh(ROW)
+    )
+)
+
+
 class TestOracleAgrees:
     SPACE = GroundSpace(labels=("a", "b", "name", "age"), max_row_size=3)
 
@@ -243,8 +269,6 @@ class TestOracleAgrees:
         assert not oracle_agrees(problem, self.SPACE, unifier=liar)
 
     def test_disagrees_with_an_overly_eager_failure(self):
-        from rowml.unify import Mismatch
-
         def naysayer(r1, r2, fresh, subst):
             raise Mismatch(r1, r2)
 
@@ -256,6 +280,8 @@ class TestOracleAgrees:
         # space without Bool, where the problem has no solution.
         space = GroundSpace(labels=("a",), base_types=(INT,), max_row_size=1)
         assert oracle_agrees((TRow({}, RHO), TRow({"a": BOOL})), space)
+        # So is {α ↦ Bool}: a field variable's value is a type of the space.
+        assert oracle_agrees((TRow({"a": ALPHA}), TRow({"a": BOOL})), space)
 
     def test_mutated_unifier_is_caught_by_a_campaign(self):
         def swapped(r1, r2, fresh, subst):
@@ -279,6 +305,30 @@ class TestOracleAgrees:
         assert result.failures > 0
         assert result.first_failure is not None
 
+    @pytest.mark.parametrize(
+        "mutant, problems",
+        [
+            pytest.param(CLOSED, "exhaustive", id="every-row-image-closed"),
+            pytest.param(EXTRA_Z, "exhaustive", id="label-z-added-to-every-row-image"),
+            pytest.param(STARS_DROPPED, "sampled", id="star-bindings-dropped"),
+            pytest.param(UNBOUND_TO_INT, "sampled", id="unbound-field-variables-bound-to-int"),
+            pytest.param(OWN_TAILS, "exhaustive", id="each-open-image-its-own-tail"),
+        ],
+    )
+    def test_a_mutated_answer_is_caught_by_a_campaign(self, mutant, problems):
+        # The exhaustive problems have no field variables, so the mutants
+        # of star bindings need the sampled ones.
+        space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2)
+        stream = (
+            exhaustive_problems(space)
+            if problems == "exhaustive"
+            else sample_problems(300, space, seed=0)
+        )
+        result = run_campaign(stream, space, unifier=mutant)
+        assert result.failures > 0
+        assert result.first_failure is not None
+        assert oracle_agrees(result.first_failure, space)
+
     def test_campaign_on_a_small_space_is_clean(self):
         space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2)
         result = run_campaign(exhaustive_problems(space), space)
@@ -289,7 +339,6 @@ class TestOracleAgrees:
         def render(*_args, **_kwargs):
             raise AssertionError("the oracle rendered a unifier message")
 
-        monkeypatch.setattr("rowml.unify.pretty_type", render)
         monkeypatch.setattr("rowml.unify.pretty_types_shared", render)
         space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=2)
         result = run_campaign(exhaustive_problems(space), space)
@@ -389,6 +438,18 @@ def naive_solutions(problem, space: GroundSpace) -> set:
     ground row of the space to each row variable and a base type of the
     space to each field variable, kept when both sides become the same
     label-to-type map and neither repeats a label."""
+    return {
+        frozenset(env.items())
+        for env, (left, right) in naive_admissible(problem, space)
+        if left == right
+    }
+
+
+def naive_admissible(problem, space: GroundSpace):
+    """Every assignment of a ground row of the space to each row variable
+    and a base type of the space to each field variable under which
+    neither side repeats a label, as a dict from variable ids to values,
+    with the label-to-type maps of both sides."""
     variables = sorted({v for side in problem for v in free_vars_ordered(side)}, key=lambda v: v.id)
     rows = _ground_row_keys(space)
     names = [t.name for t in space.base_types]
@@ -404,21 +465,41 @@ def naive_solutions(problem, space: GroundSpace) -> set:
         row = dict(pairs)
         return row if len(row) == len(pairs) else None
 
-    out = set()
     for choice in itertools.product(*[rows if v.kind == ROW else names for v in variables]):
         env = {v.id: value for v, value in zip(variables, choice)}
         left, right = (ground(side, env) for side in problem)
-        if left is not None and left == right:
-            out.add(frozenset(env.items()))
-    return out
+        if left is not None and right is not None:
+            yield env, (left, right)
+
+
+def matched(sigma: Subst, problem, space: GroundSpace) -> set:
+    """The assignments of `naive_admissible` that `_is_instance` takes for
+    instances of the answer `sigma`, as sets of (variable id, value)
+    pairs."""
+    row_vars, star_vars = problem_vars = _problem_vars(problem)
+    images = _images(sigma, problem_vars)
+    return {
+        frozenset(env.items())
+        for env, _sides in naive_admissible(problem, space)
+        if _is_instance(tuple(env[v.id] for v in row_vars + star_vars), images)
+    }
+
+
+def assert_matches_definition(sigma: Subst, problem, space: GroundSpace) -> None:
+    """`_is_instance` takes exactly the instances of `sigma` among the
+    admissible assignments.  Those give each field variable a type of
+    the space, which `naive_instances` does not ask of a star image."""
+    admissible = {frozenset(env.items()) for env, _sides in naive_admissible(problem, space)}
+    assert matched(sigma, problem, space) == naive_instances(sigma, problem, space) & admissible
 
 
 def naive_instances(sigma: Subst, problem, space: GroundSpace) -> set:
-    """The definition `_instances_within` implements: every assignment of
-    ground rows and base types to the residual variables of the images,
-    substituted into the images, then kept when each row variable's value
-    is duplicate-free and fits the space's size, labels and types, and
-    both sides of the problem stay duplicate-free under the values."""
+    """The instances of `sigma` within the space, by their definition:
+    every assignment of ground rows and base types to the residual
+    variables of the images, substituted into the images, then kept when
+    each row variable's value is duplicate-free and fits the space's
+    size, labels and types, and both sides of the problem stay
+    duplicate-free under the values."""
     problem_vars = {v for side in problem for v in free_vars_ordered(side)}
     images = {v: sigma.apply(v) for v in problem_vars}
     residuals = sorted(
@@ -516,6 +597,9 @@ def hand_built_substitutions():
 
 
 class TestInstancesWithin:
+    """Which admissible assignments within the space `_is_instance` takes
+    for instances of an answer, against `naive_instances`."""
+
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(NAIVE_SPACES), problems(), hand_built_substitutions())
     @example(NAIVE_SPACES[1], (TRow({}, RHO), TRow({"b": BOOL})), {RHO.id: TRow({"b": BOOL})})
@@ -535,8 +619,7 @@ class TestInstancesWithin:
     )
     def test_hand_built_substitutions_match_the_definition(self, space, problem, mapping):
         sigma = Subst(mapping)
-        got = as_pairs(problem, _instances_within(sigma, problem, space))
-        assert got == naive_instances(sigma, problem, space)
+        assert_matches_definition(sigma, problem, space)
 
     @pytest.mark.parametrize(
         "mapping, residual_rows",
@@ -556,8 +639,7 @@ class TestInstancesWithin:
         images = [sigma.mapping.get(v.id, v) for v in (RHO, RHO2)]
         residuals = {v for t in images for v in free_vars_ordered(t) if v.kind == ROW}
         assert len(residuals) == residual_rows
-        got = as_pairs(problem, _instances_within(sigma, problem, space))
-        assert got == naive_instances(sigma, problem, space)
+        assert_matches_definition(sigma, problem, space)
 
     def test_a_triangular_store_gives_the_instances_of_its_resolved_copy(self):
         # ρ's image is a row whose tail ρ3 is bound too, and α's image is a
@@ -574,9 +656,9 @@ class TestInstancesWithin:
         resolved = Subst({vid: triangular.apply(t) for vid, t in triangular.mapping.items()})
         problem = (TRow({"a": ALPHA}, RHO), TRow({"a": INT}, RHO2))
         space = GroundSpace(labels=("a", "b", "c"), base_types=(INT, BOOL), max_row_size=3)
-        instances = _instances_within(resolved, problem, space)
+        instances = matched(resolved, problem, space)
         assert instances  # ρ4 = {} and γ of either type
-        assert _instances_within(triangular, problem, space) == instances
+        assert matched(triangular, problem, space) == instances
 
     def test_unifier_answers_match_the_definition(self):
         space = GroundSpace(labels=("a", "b"), base_types=(INT, BOOL), max_row_size=1)
@@ -587,8 +669,7 @@ class TestInstancesWithin:
                 sigma = solve(*problem, run=unify_rows)
             except UnifyError:
                 continue
-            got = as_pairs(problem, _instances_within(sigma, problem, space))
-            assert got == naive_instances(sigma, problem, space)
+            assert_matches_definition(sigma, problem, space)
 
 
 class TestAssignmentTuples:
@@ -603,8 +684,7 @@ class TestAssignmentTuples:
                 sigma = solve(*problem, run=unify_rows)
             except UnifyError:
                 continue
-            instances = as_pairs(problem, _instances_within(sigma, problem, space))
-            assert instances == naive_instances(sigma, problem, space)
+            assert_matches_definition(sigma, problem, space)
 
     def test_variables_are_ordered_tails_first_left_side_first_labels_sorted(self):
         problem = (
@@ -617,9 +697,13 @@ class TestAssignmentTuples:
         # The only solution: β = Int at a, α = Bool at b, ρ2 = {c:Int}, ρ = {}.
         space = GroundSpace(labels=("a", "b", "c"), base_types=(INT, BOOL), max_row_size=3)
         problem = (TRow({"b": ALPHA, "a": BETA}, RHO2), TRow({"a": INT, "b": BOOL, "c": INT}, RHO))
-        expected = {((("c", "Int"),), (), "Int", "Bool")}
-        assert ground_solutions(problem, space) == expected
-        assert _instances_within(solve(*problem, run=unify_rows), problem, space) == expected
+        solution = ((("c", "Int"),), (), "Int", "Bool")
+        assert ground_solutions(problem, space) == {solution}
+        images = _images(solve(*problem, run=unify_rows), _problem_vars(problem))
+        assert _is_instance(solution, images)
+        # The same values in other slots are no instance.
+        assert not _is_instance(((), (("c", "Int"),), "Int", "Bool"), images)
+        assert not _is_instance(((("c", "Int"),), (), "Bool", "Int"), images)
 
     def test_equal_variables_that_are_distinct_objects_count_once(self):
         alpha, rho = TypeVar(3, STAR), TypeVar(1, ROW)

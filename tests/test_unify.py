@@ -9,12 +9,14 @@ from hypothesis import example, given
 
 from rowml.oracle import GroundSpace, oracle_agrees
 from rowml.syntax import (
+    ArrowKind,
     BOOL,
     FreshVars,
     INT,
     LIST,
     REC,
     ROW,
+    STAR,
     STRING,
     Scheme,
     TApp,
@@ -29,6 +31,7 @@ from rowml.syntax import (
 )
 from rowml.unify import (
     DuplicateLabel,
+    KindMismatch,
     Mismatch,
     OccursCheck,
     RowMissingLabel,
@@ -46,6 +49,7 @@ B = TypeVar(1)
 RHO = TypeVar(2, ROW)
 RHO1 = TypeVar(3, ROW)
 RHO2 = TypeVar(4, ROW)
+F = TypeVar(5, ArrowKind(STAR, STAR))
 
 
 def assert_idempotent(s: Subst, *types):
@@ -501,10 +505,25 @@ FAILURES = [
         "duplicate record label 'a'",
         id="DuplicateLabel",
     ),
+    pytest.param(
+        lambda: solve(TApp(F, A), record({"a": INT})),
+        KindMismatch,
+        {"var": F, "type": REC},
+        "kind mismatch: a has kind * -> * but Rec has kind row -> *",
+        id="KindMismatch",
+    ),
 ]
 
 
 class TestFailures:
+    def test_a_kind_clash_raises_before_the_store_changes(self):
+        # The occurs walk would lower A's level to F's.
+        s = Subst()
+        s.levels[A.id] = 1
+        with pytest.raises(KindMismatch):
+            s.bind(F, A)
+        assert s.mapping == {} and s.levels == {A.id: 1}
+
     @pytest.mark.parametrize("step, cls, fields, message", FAILURES)
     def test_each_failure_keeps_its_fields_and_renders_its_message(
         self, step, cls, fields, message
@@ -518,7 +537,9 @@ class TestFailures:
 
     @pytest.mark.parametrize("step, cls, fields, message", FAILURES)
     @pytest.mark.parametrize(
-        "duplicate", [copy.copy, lambda exc: pickle.loads(pickle.dumps(exc))], ids=["copy", "pickle"]
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda exc: pickle.loads(pickle.dumps(exc))],
+        ids=["copy", "deepcopy", "pickle"],
     )
     def test_each_failure_copies_and_pickles(self, step, cls, fields, message, duplicate):
         with pytest.raises(UnifyError) as info:
